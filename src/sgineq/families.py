@@ -106,11 +106,15 @@ class OperatorFamily:
 
 
 def _require_positive(x: np.ndarray, label: str) -> None:
+    """Accepts a vector or a block of sample rows; the message names the
+    offending entry by its index, a (row, column) pair for a block."""
+    x = np.asarray(x)
     low = np.min(x)
     if low <= STRICT_POSITIVITY_TOL:
-        i = int(np.argmin(x))
+        idx = np.unravel_index(int(np.argmin(x)), x.shape)
+        where = idx[0] if x.ndim == 1 else tuple(int(i) for i in idx)
         raise NonPositiveInputError(
-            f"{label} needs strictly positive input, entry {i} = {x[i]:g}"
+            f"{label} needs strictly positive input, entry {where} = {x[idx]:g}"
         )
 
 
@@ -288,16 +292,25 @@ def family_to_json(fam: OperatorFamily) -> dict:
     raise ValueError(f"family {fam.label} has no wire form")
 
 
+def _finite_parameter(data: dict) -> float:
+    value = float(data["t"])
+    if not np.isfinite(value):
+        raise ValueError(f"family parameter must be finite, got {value!r}")
+    return value
+
+
 def family_from_json(data: dict) -> OperatorFamily:
+    if not isinstance(data, dict):
+        raise TypeError(f"family selector must be a JSON object, got {data!r}")
     kind = data.get("family")
     if kind == "PowerF":
-        return PowerFamily(float(data["t"]))
+        return PowerFamily(_finite_parameter(data))
     if kind == "NegLog":
         return NegLogFamily()
     if kind == "Entropy":
         return EntropyFamily()
     if kind == "ExpH":
-        return ExpFamily(float(data["t"]))
+        return ExpFamily(_finite_parameter(data))
     if kind == "HalfSquare":
         return HalfSquareFamily()
     raise ValueError(f"unknown family selector {data!r}")

@@ -35,7 +35,7 @@ from .lattice import (
     OrderTolerance,
     partial_leq,
 )
-from .semigroup import DEFAULT_TIME_CAP, Generator, evolve
+from .semigroup import DEFAULT_TIME_CAP, Generator, SemigroupOperator, evolve
 
 __all__ = [
     "NotNormalizedError",
@@ -43,9 +43,11 @@ __all__ = [
     "DegenerateBoxError",
     "DualVector",
     "JessenReport",
+    "jessen_sides",
     "verify_jessen",
     "support_line_check",
     "AdjointPairingReport",
+    "adjoint_pairing",
     "verify_adjoint_pairing",
     "DualConvexityReport",
     "dual_convexity_report",
@@ -121,6 +123,26 @@ def _require_normalized(gen: Generator, allow_unnormalized: bool) -> None:
         )
 
 
+def jessen_sides(z: np.ndarray, fam: OperatorFamily, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides phi(Z f) and Z phi(f) for every row f of a block.
+
+    ``z`` is an evolved (K, K) matrix and ``F`` an (S, K) block of sample
+    rows; both results are (S, K) and their difference is the residual.
+    Domain membership is checked for F and for Z F. The products are
+    stacked matrix-vector products, so each row carries the same bits as
+    ``z @ f`` on that row alone.
+    """
+    fam.check_domain(F)
+    phi_f = fam.value(F)
+    zf = (z @ F[:, :, None])[:, :, 0]
+    fam.check_domain(zf)
+    phi_zf = fam.value(zf)
+    z_phi_f = (z @ phi_f[:, :, None])[:, :, 0]
+    if not (np.all(np.isfinite(phi_zf)) and np.all(np.isfinite(z_phi_f))):
+        raise ValueError(f"{fam.label}: phi(Z f) and Z phi(f) must have finite entries")
+    return phi_zf, z_phi_f
+
+
 def verify_jessen(
     gen: Generator,
     fam: OperatorFamily,
@@ -138,10 +160,9 @@ def verify_jessen(
     """
     _require_normalized(gen, allow_unnormalized)
     op = evolve(gen, t, time_cap=time_cap)
-    phi_f = fam.apply(f)
-    zf = op.apply(f)
-    phi_zf = fam.apply(zf)
-    z_phi_f = op.apply(phi_f)
+    phi_zf, z_phi_f = jessen_sides(op.matrix, fam, f.values[None, :])
+    phi_zf = LatticeElement(phi_zf[0], algebra=f.algebra)
+    z_phi_f = LatticeElement(z_phi_f[0], algebra=f.algebra)
     residual = z_phi_f - phi_zf
     verdict = partial_leq(phi_zf, z_phi_f, tol)
     return JessenReport(
@@ -196,6 +217,37 @@ class AdjointPairingReport:
         }
 
 
+def adjoint_pairing(
+    op: SemigroupOperator,
+    fam: OperatorFamily,
+    fstar: DualVector,
+    f: LatticeElement,
+    transpose_tol: float = 1e-12,
+    gap_tol: float = 1e-9,
+) -> AdjointPairingReport:
+    """Transpose identity plus the weak-form inequality for an evolved Z(t).
+
+    The gap <f*, Z(t) phi(f)> - <f*, phi(Z(t) f)> must be nonnegative
+    for positive duals, and must agree with the pairing of the residual.
+    """
+    lhs_pair = float(op.apply_adjoint(fstar.values) @ f.values)
+    rhs_pair = fstar.pair(op.apply(f))
+    transpose_defect = abs(lhs_pair - rhs_pair)
+
+    phi_zf, z_phi_f = jessen_sides(op.matrix, fam, f.values[None, :])
+    weak_gap = float(fstar.values @ z_phi_f[0]) - float(fstar.values @ phi_zf[0])
+    residual_pairing = float(fstar.values @ (z_phi_f[0] - phi_zf[0]))
+
+    return AdjointPairingReport(
+        transpose_defect=transpose_defect,
+        weak_gap=weak_gap,
+        residual_pairing=residual_pairing,
+        consistency_defect=abs(weak_gap - residual_pairing),
+        transpose_ok=transpose_defect <= transpose_tol,
+        gap_ok=weak_gap >= -gap_tol,
+    )
+
+
 def verify_adjoint_pairing(
     gen: Generator,
     fam: OperatorFamily,
@@ -207,36 +259,18 @@ def verify_adjoint_pairing(
     allow_unnormalized: bool = False,
     allow_nonpositive_dual: bool = False,
 ) -> AdjointPairingReport:
-    """Transpose identity plus the weak-form inequality.
+    """Evolve Z(t) and run ``adjoint_pairing`` on it.
 
-    The gap <f*, Z(t) phi(f)> - <f*, phi(Z(t) f)> must be nonnegative
-    for positive duals, and must agree with the pairing of the residual.
+    The weak-form gap is only meaningful for a positive dual and a
+    conservative generator; both are required unless overridden.
     """
     if not fstar.positive and not allow_nonpositive_dual:
         raise NonPositiveDualError(
             "dual vector has negative coefficients; the weak inequality needs f* >= 0"
         )
     _require_normalized(gen, allow_unnormalized)
-    op = evolve(gen, t)
-
-    lhs_pair = float(op.apply_adjoint(fstar.values) @ f.values)
-    rhs_pair = fstar.pair(op.apply(f))
-    transpose_defect = abs(lhs_pair - rhs_pair)
-
-    phi_f = fam.apply(f)
-    zf = op.apply(f)
-    phi_zf = fam.apply(zf)
-    z_phi_f = op.apply(phi_f)
-    weak_gap = fstar.pair(z_phi_f) - fstar.pair(phi_zf)
-    residual_pairing = fstar.pair(z_phi_f - phi_zf)
-
-    return AdjointPairingReport(
-        transpose_defect=transpose_defect,
-        weak_gap=weak_gap,
-        residual_pairing=residual_pairing,
-        consistency_defect=abs(weak_gap - residual_pairing),
-        transpose_ok=transpose_defect <= transpose_tol,
-        gap_ok=weak_gap >= -gap_tol,
+    return adjoint_pairing(
+        evolve(gen, t), fam, fstar, f, transpose_tol=transpose_tol, gap_tol=gap_tol
     )
 
 

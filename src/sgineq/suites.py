@@ -11,6 +11,7 @@ the overall verdict.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,11 +36,19 @@ from .families import (
     family_to_json,
     power_member,
 )
-from .jessen import DualVector, verify_adjoint_pairing, verify_jessen
+from .jessen import (
+    DualVector,
+    NotNormalizedError,
+    adjoint_pairing,
+    jessen_sides,
+    verify_adjoint_pairing,
+    verify_jessen,
+)
 from .lattice import LatticeElement, Ordering, OrderTolerance
 from .reporting import CheckEntry, all_passed
 from .semigroup import (
     Generator,
+    NotSquareError,
     check_positivity_and_normalization,
     check_semigroup_axioms,
     evolve,
@@ -69,7 +78,18 @@ __all__ = [
     "run_gram_random_suite",
     "run_midpoint_equivalence_suite",
     "run_config_verification",
+    "MAX_SAMPLE_WORK",
 ]
+
+# Cap on samples x (sum of generator dims) x families x times, the number
+# of sampled coordinates verify evaluates. Each (generator, family, t)
+# block is allocated whole, so an unbounded sample count would exhaust
+# memory before it ran out of time. The bundled config uses 2160.
+MAX_SAMPLE_WORK = 2_000_000
+
+# Sampling boxes of random_domain_element: the positive cone, cut off
+# away from 0, for F-kind families and a symmetric box for H-kind ones.
+_DOMAIN_BOX = {"F": (0.2, 3.0), "H": (-2.0, 2.0)}
 
 
 class ConfigError(SgineqError):
@@ -112,22 +132,33 @@ def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
     """Build a SuiteConfig from a plain JSON object.
 
     Generators are inline matrices or string refs to JSON files holding
-    one generator object each, resolved against ``base_dir``.
+    one generator object each, resolved against ``base_dir``. Every
+    malformed value raises ConfigError; a generator with a negative
+    off-diagonal entry raises NegativeOffDiagonalError, a hypothesis
+    violation.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     try:
         raw_gens = data["generators"]
         raw_fams = data["families"]
-        t_grid = [float(t) for t in data["t_grid"]]
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"config is missing or mistypes a required field: {err}") from err
+        raw_times = data["t_grid"]
+    except KeyError as err:
+        raise ConfigError(f"config is missing a required field: {err}") from err
+    for key, value in (("generators", raw_gens), ("families", raw_fams), ("t_grid", raw_times),
+                       ("p_sets", data.get("p_sets", []))):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list")
     if not raw_gens:
         raise ConfigError("generator list is empty")
     if not raw_fams:
         raise ConfigError("family list is empty")
-    if not t_grid or any(t < 0 for t in t_grid):
-        raise ConfigError("t_grid must be nonempty with nonnegative entries")
+    try:
+        t_grid = [float(t) for t in raw_times]
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"t_grid entries must be numbers: {err}") from err
+    if not t_grid or not all(math.isfinite(t) and t >= 0 for t in t_grid):
+        raise ConfigError("t_grid must be nonempty with finite nonnegative entries")
 
     generators = []
     for item in raw_gens:
@@ -137,19 +168,21 @@ def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
                 ref = base_dir / ref
             try:
                 item = json.loads(ref.read_text())
-            except OSError as err:
+            except (OSError, ValueError) as err:
                 raise ConfigError(f"cannot read generator ref {item!r}: {err}") from err
         try:
             generators.append(generator_from_json(item))
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, NotSquareError) as err:
             raise ConfigError(f"bad generator entry: {err}") from err
 
     try:
         families = [family_from_json(f) for f in raw_fams]
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad family selector: {err}") from err
 
     tols = data.get("tolerances", {})
+    if not isinstance(tols, dict):
+        raise ConfigError("tolerances must be a JSON object")
     try:
         cfg = SuiteConfig(
             generators=generators,
@@ -164,16 +197,28 @@ def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
             allow_unnormalized=bool(data.get("allow_unnormalized", False)),
             output_dir=str(data.get("output_dir", "out")),
         )
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad config value: {err}") from err
+    if any(not ps or not all(math.isfinite(p) for p in ps) for ps in cfg.p_sets):
+        raise ConfigError("every p_set must be a nonempty list of finite exponents")
     if cfg.samples < 1:
         raise ConfigError("samples must be at least 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    if not all(math.isfinite(v) for v in (cfg.atol, cfg.rtol, cfg.psd_tol)):
+        raise ConfigError("tolerances must be finite")
     try:
         cfg.order_tol
     except ValueError as err:
         raise ConfigError(f"bad tolerance: {err}") from err
     if cfg.psd_tol < 0:
         raise ConfigError("psd tolerance must be nonnegative")
+    work = cfg.samples * sum(g.dim for g in generators) * len(families) * len(t_grid)
+    if work > MAX_SAMPLE_WORK:
+        raise ConfigError(
+            f"samples x generator dims x families x times = {work} exceeds the "
+            f"work budget {MAX_SAMPLE_WORK}"
+        )
     return cfg
 
 
@@ -231,9 +276,8 @@ def random_positive_generator(rng, max_dim: int = 8, max_norm: float = 5.0,
 
 def random_domain_element(rng, dim: int, kind: str) -> LatticeElement:
     """Sample inside the family domain: positive cone for F, a box for H."""
-    if kind == "F":
-        return LatticeElement(rng.uniform(0.2, 3.0, size=dim))
-    return LatticeElement(rng.uniform(-2.0, 2.0, size=dim))
+    low, high = _DOMAIN_BOX[kind]
+    return LatticeElement(rng.uniform(low, high, size=dim))
 
 
 def run_lattice_axiom_suite(dim: int, samples: int, seed: int, tol: float = 1e-12) -> list[CheckEntry]:
@@ -333,8 +377,9 @@ class JessenSuiteResult:
         }
 
 
-def _slack_floor(residual: LatticeElement, tol: float = 1e-9) -> float:
-    return -tol * (1.0 + lattice.lattice_norm(residual))
+def _slack_floor(residual: np.ndarray, tol: float = 1e-9):
+    """Lowest acceptable min slack, -tol * (1 + ||residual||), per row."""
+    return -tol * (1.0 + np.max(np.abs(residual), axis=-1))
 
 
 def run_jessen_random_suite(
@@ -363,7 +408,7 @@ def run_jessen_random_suite(
         t = float(t_values[int(rng.integers(0, len(t_values)))])
         f = random_domain_element(rng, gen.dim, _family_domain_kind(fam))
         report = verify_jessen(gen, fam, f, t, tol=tol)
-        floor = _slack_floor(report.residual, slack_tol)
+        floor = float(_slack_floor(report.residual.values, slack_tol))
         ok = report.verdict in (Ordering.LEQ, Ordering.EQUAL) and report.min_slack >= floor
         result.min_slack = min(result.min_slack, report.min_slack)
         result.worst_scaled_slack = min(result.worst_scaled_slack, report.min_slack - floor)
@@ -574,9 +619,12 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
 
     Non-conservative generators in the config are rejected unless the
     override is set, in which case their results go to ``observed``.
+    Z(t) is evolved once per (generator, t) and shared by the Jessen and
+    adjoint suites; the Jessen samples of each (generator, family, t)
+    are drawn and checked as one block. A Jessen sample passes when its
+    verdict is LEQ or EQUAL and its min slack clears the floor
+    -1e-9 * (1 + ||residual||), the rule of ``run_jessen_random_suite``.
     """
-    from .jessen import NotNormalizedError
-
     bad = [g for g in cfg.generators if not g.conservative]
     if bad and not cfg.allow_unnormalized:
         label = bad[0].name or f"generator of dim {bad[0].dim}"
@@ -608,21 +656,30 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
     }
     failures += 0 if all_passed(semi_entries) else 1
 
+    evolved = [{t: evolve(gen, t) for t in dict.fromkeys(cfg.t_grid)} for gen in asserted_gens]
+    tol = cfg.order_tol
+
     jessen_cases = []
     jessen_failures = 0
     min_slack = float("inf")
-    for gen in asserted_gens:
+    for gen, ops in zip(asserted_gens, evolved):
         for fam in cfg.families:
-            kind = _family_domain_kind(fam)
+            low, high = _DOMAIN_BOX[_family_domain_kind(fam)]
             for t in cfg.t_grid:
-                for _ in range(cfg.samples):
-                    f = random_domain_element(rng, gen.dim, kind)
-                    rep = verify_jessen(gen, fam, f, t, tol=cfg.order_tol)
-                    ok = rep.verdict in (Ordering.LEQ, Ordering.EQUAL)
-                    min_slack = min(min_slack, rep.min_slack)
-                    if not ok:
-                        jessen_failures += 1
-                        jessen_cases.append(rep.to_json())
+                block = rng.uniform(low, high, size=(cfg.samples, gen.dim))
+                phi_zf, z_phi_f = jessen_sides(ops[t].matrix, fam, block)
+                residual = z_phi_f - phi_zf
+                slack = residual.min(axis=1)
+                # partial_leq's band; LEQ or EQUAL is exactly slack >= -band
+                band = tol.atol + tol.rtol * np.maximum(
+                    np.abs(phi_zf).max(axis=1), np.abs(z_phi_f).max(axis=1)
+                )
+                ok = (slack >= -band) & (slack >= _slack_floor(residual))
+                min_slack = min(min_slack, float(slack.min()))
+                for i in np.flatnonzero(~ok):
+                    rep = verify_jessen(gen, fam, LatticeElement(block[i]), t, tol=tol)
+                    jessen_failures += 1
+                    jessen_cases.append(rep.to_json())
     report["suites"]["jessen"] = {
         "aggregate": {
             "min_slack": min_slack if min_slack != float("inf") else None,
@@ -636,14 +693,14 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
     adj_worst_tr = 0.0
     adj_worst_gap = float("inf")
     adj_failures = 0
-    for gen in asserted_gens:
+    for gen, ops in zip(asserted_gens, evolved):
         for fam in cfg.families:
             kind = _family_domain_kind(fam)
             for t in cfg.t_grid:
                 f = random_domain_element(rng, gen.dim, kind)
                 raw = rng.uniform(0.0, 1.0, size=gen.dim)
                 fstar = DualVector(raw / max(raw.sum(), 1e-12))
-                rep = verify_adjoint_pairing(gen, fam, fstar, f, t)
+                rep = adjoint_pairing(ops[t], fam, fstar, f)
                 adj_worst_tr = max(adj_worst_tr, rep.transpose_defect)
                 adj_worst_gap = min(adj_worst_gap, rep.weak_gap)
                 if not (rep.transpose_ok and rep.gap_ok):

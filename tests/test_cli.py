@@ -4,12 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sgineq
+from sgineq import cli
 from sgineq.expconv import ExponentSet, build_gram
 from sgineq.lattice import LatticeElement
 from sgineq.scenes import RotationScene, ShiftScene, run_rotation_example, run_shift_example
@@ -24,7 +26,7 @@ SOURCE_ROOT = Path(sgineq.__file__).resolve().parents[1]
 _IMPORT_FAILURE = re.compile(r"No module named '?sgineq\b")
 
 
-def run_cli(*args, cwd, env_extra=None):
+def run_cli(*args, cwd, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("SGINEQ_OUTPUT_DIR", None)
     if env_extra:
@@ -38,6 +40,7 @@ def run_cli(*args, cwd, env_extra=None):
         text=True,
         cwd=cwd,
         env=env,
+        timeout=timeout,
     )
     if _IMPORT_FAILURE.search(res.stderr):
         pytest.fail(
@@ -144,6 +147,34 @@ class TestVerify:
         report = json.loads((tmp_path / "o" / "report.json").read_text())
         assert report["passed"] is False
         assert "FAIL" in res.stdout
+
+    @pytest.mark.parametrize("overrides", [
+        {"tolerances": [1]},
+        {"families": ["PowerF"]},
+        {"p_sets": [[]]},
+        {"seed": -3},
+        {"t_grid": [float("nan")]},
+    ], ids=["tolerances_not_object", "family_not_object", "empty_p_set", "negative_seed",
+            "nan_time"])
+    def test_malformed_config_is_usage_error(self, tmp_path, overrides):
+        (tmp_path / "cfg.json").write_text(json.dumps(small_config(**overrides)))
+        res = run_cli("verify", "--config", "cfg.json", "--out", "o", cwd=tmp_path)
+        assert res.returncode == 64, res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_over_budget_samples_is_usage_error(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(small_config(samples=1e9)))
+        # the timeout only bounds a broken guard; a guarded run exits at once
+        res = run_cli("verify", "--config", "cfg.json", "--out", "o", cwd=tmp_path, timeout=60)
+        assert res.returncode == 64, res.stderr
+        assert "work budget" in res.stderr
+        started = time.perf_counter()
+        code = cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert code == 64
+        assert time.perf_counter() - started < 1.0
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_env_output_dir_wins(self, tmp_path):
         res = run_cli("verify", "--out", "flagdir", cwd=tmp_path,

@@ -2,20 +2,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgineq.families import CustomFamily, EntropyFamily, ExpFamily, PowerFamily
+from sgineq.families import (
+    CustomFamily,
+    EntropyFamily,
+    ExpFamily,
+    HalfSquareFamily,
+    NegLogFamily,
+    NonPositiveInputError,
+    PowerFamily,
+)
 from sgineq.jessen import (
     DegenerateBoxError,
     DualVector,
     NonPositiveDualError,
     NotNormalizedError,
+    adjoint_pairing,
     dual_convexity_report,
+    jessen_sides,
     lipschitz_norm_estimate,
     support_line_check,
     verify_adjoint_pairing,
     verify_jessen,
 )
 from sgineq.lattice import LatticeElement, Ordering
-from sgineq.semigroup import validate_generator
+from sgineq.semigroup import evolve, validate_generator
 
 from oracles import BENCH_Q, jessen_residual_2state
 
@@ -91,6 +101,50 @@ class TestVerifyJessen:
         f = el(a / 4.0, b / 4.0)
         rep = verify_jessen(gen, PowerFamily(2.0), f, traw / 2.0)
         assert rep.min_slack >= -1e-9 * (1.0 + abs(rep.min_slack))
+
+
+def random_evolved(k, seed, t=0.7):
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.0, 1.0, size=(k, k))
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return evolve(validate_generator(q), t).matrix
+
+
+class TestJessenSides:
+    @pytest.mark.parametrize("k", [2, 3, 8, 64])
+    def test_block_rows_match_single_products_bitwise(self, k):
+        z = random_evolved(k, seed=k)
+        rng = np.random.default_rng(100 + k)
+        for fam, low, high in [(PowerFamily(-1.0), 0.2, 3.0), (NegLogFamily(), 0.2, 3.0),
+                               (ExpFamily(1.0), -2.0, 2.0), (HalfSquareFamily(), -2.0, 2.0)]:
+            block = rng.uniform(low, high, size=(17, k))
+            phi_zf, z_phi_f = jessen_sides(z, fam, block)
+            assert phi_zf.shape == z_phi_f.shape == (17, k)
+            assert np.array_equal(phi_zf, np.array([fam.value(z @ f) for f in block]))
+            assert np.array_equal(z_phi_f, np.array([z @ fam.value(f) for f in block]))
+
+    def test_single_row_is_verify_jessen_residual(self, bench_gen, bench_f):
+        rep = verify_jessen(bench_gen, PowerFamily(3.0), bench_f, 1.0)
+        phi_zf, z_phi_f = jessen_sides(evolve(bench_gen, 1.0).matrix, PowerFamily(3.0),
+                                       bench_f.values[None, :])
+        assert np.array_equal(z_phi_f[0] - phi_zf[0], rep.residual.values)
+
+    def test_domain_error_names_block_entry(self):
+        block = np.full((3, 2), 1.5)
+        block[2, 1] = 0.0
+        with pytest.raises(NonPositiveInputError, match=r"entry \(2, 1\) = 0"):
+            jessen_sides(np.eye(2), EntropyFamily(), block)
+
+    def test_non_finite_side_rejected(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            jessen_sides(np.eye(2), PowerFamily(1000.0), np.full((1, 2), 3.0))
+
+    def test_adjoint_pairing_matches_verify(self, bench_gen, bench_f):
+        fstar = DualVector([0.25, 0.75])
+        want = verify_adjoint_pairing(bench_gen, ExpFamily(-1.0), fstar, bench_f, 2.0)
+        got = adjoint_pairing(evolve(bench_gen, 2.0), ExpFamily(-1.0), fstar, bench_f)
+        assert got == want
 
 
 class TestSupportLine:
