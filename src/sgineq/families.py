@@ -106,15 +106,11 @@ class OperatorFamily:
 
 
 def _require_positive(x: np.ndarray, label: str) -> None:
-    """Accepts a vector or a block of sample rows; the message names the
-    offending entry by its index, a (row, column) pair for a block."""
-    x = np.asarray(x)
     low = np.min(x)
     if low <= STRICT_POSITIVITY_TOL:
-        idx = np.unravel_index(int(np.argmin(x)), x.shape)
-        where = idx[0] if x.ndim == 1 else tuple(int(i) for i in idx)
+        i = int(np.argmin(x))
         raise NonPositiveInputError(
-            f"{label} needs strictly positive input, entry {where} = {x[idx]:g}"
+            f"{label} needs strictly positive input, entry {i} = {x[i]:g}"
         )
 
 

@@ -123,20 +123,33 @@ def _require_normalized(gen: Generator, allow_unnormalized: bool) -> None:
         )
 
 
+def _require_positive_dual(fstar: DualVector, allow_nonpositive_dual: bool) -> None:
+    if not fstar.positive and not allow_nonpositive_dual:
+        raise NonPositiveDualError(
+            "dual vector has negative coefficients; the weak inequality needs f* >= 0"
+        )
+
+
+def _pointwise(fam: OperatorFamily, block: np.ndarray) -> np.ndarray:
+    flat = block.ravel()
+    fam.check_domain(flat)
+    return fam.value(flat).reshape(block.shape)
+
+
 def jessen_sides(z: np.ndarray, fam: OperatorFamily, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two sides phi(Z f) and Z phi(f) for every row f of a block.
 
     ``z`` is an evolved (K, K) matrix and ``F`` an (S, K) block of sample
     rows; both results are (S, K) and their difference is the residual.
-    Domain membership is checked for F and for Z F. The products are
+    Domain membership is checked for F and for Z F. The family sees each
+    block flattened to one vector (a domain error names the entry by its
+    row-major index), since phi acts entry by entry. The products are
     stacked matrix-vector products, so each row carries the same bits as
     ``z @ f`` on that row alone.
     """
-    fam.check_domain(F)
-    phi_f = fam.value(F)
+    phi_f = _pointwise(fam, F)
     zf = (z @ F[:, :, None])[:, :, 0]
-    fam.check_domain(zf)
-    phi_zf = fam.value(zf)
+    phi_zf = _pointwise(fam, zf)
     z_phi_f = (z @ phi_f[:, :, None])[:, :, 0]
     if not (np.all(np.isfinite(phi_zf)) and np.all(np.isfinite(z_phi_f))):
         raise ValueError(f"{fam.label}: phi(Z f) and Z phi(f) must have finite entries")
@@ -224,12 +237,15 @@ def adjoint_pairing(
     f: LatticeElement,
     transpose_tol: float = 1e-12,
     gap_tol: float = 1e-9,
+    allow_nonpositive_dual: bool = False,
 ) -> AdjointPairingReport:
     """Transpose identity plus the weak-form inequality for an evolved Z(t).
 
     The gap <f*, Z(t) phi(f)> - <f*, phi(Z(t) f)> must be nonnegative
     for positive duals, and must agree with the pairing of the residual.
+    A positive dual is required unless overridden.
     """
+    _require_positive_dual(fstar, allow_nonpositive_dual)
     lhs_pair = float(op.apply_adjoint(fstar.values) @ f.values)
     rhs_pair = fstar.pair(op.apply(f))
     transpose_defect = abs(lhs_pair - rhs_pair)
@@ -264,13 +280,11 @@ def verify_adjoint_pairing(
     The weak-form gap is only meaningful for a positive dual and a
     conservative generator; both are required unless overridden.
     """
-    if not fstar.positive and not allow_nonpositive_dual:
-        raise NonPositiveDualError(
-            "dual vector has negative coefficients; the weak inequality needs f* >= 0"
-        )
+    _require_positive_dual(fstar, allow_nonpositive_dual)
     _require_normalized(gen, allow_unnormalized)
     return adjoint_pairing(
-        evolve(gen, t), fam, fstar, f, transpose_tol=transpose_tol, gap_tol=gap_tol
+        evolve(gen, t), fam, fstar, f, transpose_tol=transpose_tol, gap_tol=gap_tol,
+        allow_nonpositive_dual=allow_nonpositive_dual,
     )
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "lattice_norm",
     "multiply",
     "partial_leq",
+    "leq_rows",
     "element_to_json",
     "element_from_json",
     "algebra_to_json",
@@ -63,8 +64,11 @@ class OrderTolerance:
         if self.atol < 0 or self.rtol < 0:
             raise ValueError("tolerances must be nonnegative")
 
-    def margin(self, f: "LatticeElement", g: "LatticeElement") -> float:
-        return self.atol + self.rtol * max(lattice_norm(f), lattice_norm(g))
+    def margin(self, f: np.ndarray, g: np.ndarray):
+        """Band eps for each row (last axis) of two value arrays of one shape."""
+        return self.atol + self.rtol * np.maximum(
+            np.max(np.abs(f), axis=-1), np.max(np.abs(g), axis=-1)
+        )
 
 
 DEFAULT_TOLERANCE = OrderTolerance()
@@ -206,10 +210,8 @@ def partial_leq(
     both at once, INCOMPARABLE a strict violation in both directions.
     """
     _check_same(f, g)
-    eps = tol.margin(f, g)
-    diff = g.values - f.values
-    leq = bool(np.min(diff) >= -eps)
-    geq = bool(np.max(diff) <= eps)
+    leq = bool(leq_rows(f.values, g.values, tol))
+    geq = bool(leq_rows(g.values, f.values, tol))
     if leq and geq:
         return Ordering.EQUAL
     if leq:
@@ -217,6 +219,15 @@ def partial_leq(
     if geq:
         return Ordering.GEQ
     return Ordering.INCOMPARABLE
+
+
+def leq_rows(f: np.ndarray, g: np.ndarray, tol: OrderTolerance = DEFAULT_TOLERANCE):
+    """f <= g up to the tolerance band, row by row over the last axis.
+
+    For one row this is the LEQ half of ``partial_leq``: True exactly
+    when the verdict is LEQ or EQUAL.
+    """
+    return np.min(g - f, axis=-1) >= -tol.margin(f, g)
 
 
 def element_to_json(f: LatticeElement) -> list:

@@ -130,11 +130,33 @@ class TestJessenSides:
                                        bench_f.values[None, :])
         assert np.array_equal(z_phi_f[0] - phi_zf[0], rep.residual.values)
 
-    def test_domain_error_names_block_entry(self):
+    def test_domain_error_names_row_major_entry(self):
         block = np.full((3, 2), 1.5)
         block[2, 1] = 0.0
-        with pytest.raises(NonPositiveInputError, match=r"entry \(2, 1\) = 0"):
+        with pytest.raises(NonPositiveInputError, match=r"entry 5 = 0"):
             jessen_sides(np.eye(2), EntropyFamily(), block)
+
+    def test_family_callables_see_vectors(self, bench_gen, bench_f):
+        seen = []
+
+        def vector_only(x):
+            seen.append(x.ndim)
+            return np.array([v * v / 2.0 for v in x])
+
+        def positive_entries(x):
+            seen.append(x.ndim)
+            for v in x:
+                if v <= 0.0:
+                    raise ValueError("positive input only")
+
+        fam = CustomFamily(fn=vector_only, d2=np.ones_like, domain=positive_entries)
+        z = evolve(bench_gen, 1.0).matrix
+        block = np.random.default_rng(5).uniform(0.2, 3.0, size=(4, 2))
+        phi_zf, z_phi_f = jessen_sides(z, fam, block)
+        want = jessen_sides(z, HalfSquareFamily(), block)
+        assert np.allclose(phi_zf, want[0], rtol=1e-15) and np.allclose(z_phi_f, want[1], rtol=1e-15)
+        assert verify_jessen(bench_gen, fam, bench_f, 1.0).verdict in (Ordering.LEQ, Ordering.EQUAL)
+        assert set(seen) == {1}
 
     def test_non_finite_side_rejected(self):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
@@ -208,6 +230,14 @@ class TestAdjointPairing:
         with pytest.raises(NonPositiveDualError):
             verify_adjoint_pairing(bench_gen, PowerFamily(2.0),
                                    DualVector([1.0, -0.5]), bench_f, 1.0)
+
+    def test_nonpositive_dual_rejected_on_evolved_operator(self, bench_gen, bench_f):
+        op = evolve(bench_gen, 1.0)
+        with pytest.raises(NonPositiveDualError):
+            adjoint_pairing(op, PowerFamily(2.0), DualVector([1.0, -0.5]), bench_f)
+        rep = adjoint_pairing(op, PowerFamily(2.0), DualVector([1.0, -0.5]), bench_f,
+                              allow_nonpositive_dual=True)
+        assert rep.transpose_ok
 
     def test_nonpositive_dual_override(self, bench_gen, bench_f):
         rep = verify_adjoint_pairing(bench_gen, PowerFamily(2.0),

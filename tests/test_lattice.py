@@ -12,6 +12,7 @@ from sgineq.lattice import (
     abs_val,
     join,
     lattice_norm,
+    leq_rows,
     meet,
     multiply,
     neg_part,
@@ -183,6 +184,28 @@ def test_translation_invariance(fg, hraw):
     before = partial_leq(f, g)
     after = partial_leq(f + h, g + h)
     assert before is after
+
+
+def test_leq_rows_band_per_row():
+    tol = OrderTolerance(atol=0.25, rtol=0.25)
+    f = np.array([[1.0, 0.0], [1.0, 0.0], [10.0, 0.0], [10.0, 0.0], [0.0, 0.0]])
+    g = np.array([[0.5, 0.0], [0.49, 0.0], [7.75, 0.0], [7.2, 0.0], [0.0, -0.25]])
+    # eps = 0.25 + 0.25 * max(|f|, |g|) per row: 0.5, 0.5, 2.75, 2.75, 0.3125
+    assert leq_rows(f, g, tol).tolist() == [True, False, True, False, True]
+    assert tol.margin(f, g).tolist() == [0.5, 0.5, 2.75, 2.75, 0.3125]
+
+
+def test_leq_rows_is_the_leq_half_of_partial_leq():
+    rng = np.random.default_rng(3)
+    tol = OrderTolerance(atol=1e-3, rtol=1e-3)
+    f = rng.uniform(-1.0, 1.0, size=(200, 4))
+    g = f + rng.uniform(-0.01, 0.05, size=(200, 4)) * (rng.uniform(size=(200, 1)) < 0.8)
+    rows = leq_rows(f, g, tol)
+    assert rows.shape == (200,) and rows.any() and not rows.all()
+    for fr, gr, got in zip(f, g, rows):
+        verdict = partial_leq(LatticeElement(fr), LatticeElement(gr), tol)
+        assert bool(got) == (verdict in (Ordering.LEQ, Ordering.EQUAL))
+        assert bool(leq_rows(gr, fr, tol)) == (verdict in (Ordering.GEQ, Ordering.EQUAL))
 
 
 @given(_dyadic_pair())
