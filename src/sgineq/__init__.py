@@ -49,6 +49,7 @@ from .jessen import (
     DualVector,
     JessenReport,
     LipschitzEstimate,
+    NonFiniteSideError,
     NotNormalizedError,
     dual_convexity_report,
     lipschitz_norm_estimate,
@@ -78,6 +79,7 @@ from .semigroup import (
     NegativeOffDiagonalError,
     SemigroupOperator,
     TimeCapError,
+    act,
     check_positivity_and_normalization,
     check_semigroup_axioms,
     estimate_generator,
@@ -107,6 +109,7 @@ __all__ = [
     "RadiusViolationError",
     "MaxTermsExceededError",
     "NotNormalizedError",
+    "NonFiniteSideError",
     "IllConditionedMidpointError",
     # lattice
     "LatticeAlgebra",
@@ -127,6 +130,7 @@ __all__ = [
     "SemigroupOperator",
     "validate_generator",
     "evolve",
+    "act",
     "estimate_generator",
     "check_semigroup_axioms",
     "check_positivity_and_normalization",

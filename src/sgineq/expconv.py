@@ -38,7 +38,7 @@ from .lattice import (
     partial_leq,
 )
 from .families import OperatorFamily, exp_member, power_member
-from .jessen import _require_normalized
+from .jessen import _require_normalized, jessen_sides
 from .semigroup import DEFAULT_TIME_CAP, Generator, SemigroupOperator, evolve
 
 __all__ = [
@@ -122,7 +122,8 @@ class ExponentSet:
 
 
 def _residual(op: SemigroupOperator, fam: OperatorFamily, f: LatticeElement) -> LatticeElement:
-    return op.apply(fam.apply(f)) - fam.apply(op.apply(f))
+    phi_zf, z_phi_f = jessen_sides(op.act, fam, f.values[None, :])
+    return LatticeElement(z_phi_f[0] - phi_zf[0], algebra=f.algebra)
 
 
 def lambda_residual(
@@ -232,7 +233,10 @@ def build_gram(
         try:
             value = _residual(op, fam, f).values
         except Exception as err:
-            raise type(err)(f"at midpoint {mid:g}: {err}") from err
+            # name the midpoint in the message of the error itself, so its
+            # type (and exit code) is kept whatever its constructor takes
+            err.args = (f"at midpoint {mid:g}: {err}",)
+            raise
         value_cache[mid] = value
         return value
 

@@ -23,10 +23,12 @@ finite certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .errors import HypothesisViolationError
+from .errors import HypothesisViolationError, SgineqError
 from .families import OperatorFamily
 from .lattice import (
     DEFAULT_TOLERANCE,
@@ -35,15 +37,17 @@ from .lattice import (
     OrderTolerance,
     partial_leq,
 )
-from .semigroup import DEFAULT_TIME_CAP, Generator, SemigroupOperator, evolve
+from .semigroup import DEFAULT_TIME_CAP, Generator, SemigroupOperator, act, evolve
 
 __all__ = [
     "NotNormalizedError",
     "NonPositiveDualError",
     "DegenerateBoxError",
+    "NonFiniteSideError",
     "DualVector",
     "JessenReport",
     "jessen_sides",
+    "jessen_report",
     "verify_jessen",
     "support_line_check",
     "AdjointPairingReport",
@@ -66,6 +70,11 @@ class NonPositiveDualError(HypothesisViolationError):
 
 class DegenerateBoxError(HypothesisViolationError):
     """Sampling box with empty interior."""
+
+
+class NonFiniteSideError(SgineqError, ValueError):
+    """phi(f), phi(Z f) or Z phi(f) has an entry beyond double range,
+    so the inequality cannot be checked on this input."""
 
 
 @dataclass(frozen=True)
@@ -130,30 +139,64 @@ def _require_positive_dual(fstar: DualVector, allow_nonpositive_dual: bool) -> N
         )
 
 
+def _require_finite(fam: OperatorFamily, values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise NonFiniteSideError(
+            f"{fam.label}: phi(f), phi(Z f) and Z phi(f) must have finite entries"
+        )
+    return values
+
+
 def _pointwise(fam: OperatorFamily, block: np.ndarray) -> np.ndarray:
     flat = block.ravel()
     fam.check_domain(flat)
-    return fam.value(flat).reshape(block.shape)
+    return _require_finite(fam, fam.value(flat)).reshape(block.shape)
 
 
-def jessen_sides(z: np.ndarray, fam: OperatorFamily, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def jessen_sides(
+    apply: Callable[[np.ndarray], np.ndarray], fam: OperatorFamily, F: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The two sides phi(Z f) and Z phi(f) for every row f of a block.
 
-    ``z`` is an evolved (K, K) matrix and ``F`` an (S, K) block of sample
-    rows; both results are (S, K) and their difference is the residual.
-    Domain membership is checked for F and for Z F. The family sees each
-    block flattened to one vector (a domain error names the entry by its
-    row-major index), since phi acts entry by entry. The products are
-    stacked matrix-vector products, so each row carries the same bits as
-    ``z @ f`` on that row alone.
+    ``apply`` maps an (N, K) block to the block of its rows under Z(t):
+    ``SemigroupOperator.act`` of an evolved matrix, or ``semigroup.act``
+    bound to a generator and a time, which never forms Z(t). ``F`` is an
+    (S, K) block of sample rows; ``apply`` is called once, on the
+    stacked block [F; phi(F)]. Both results are (S, K) and their
+    difference is the residual. Domain membership is checked for F and
+    for Z F, and every side must be finite (``NonFiniteSideError``). The
+    family sees each block flattened to one vector (a domain error names
+    the entry by its row-major index), since phi acts entry by entry.
     """
-    phi_f = _pointwise(fam, F)
-    zf = (z @ F[:, :, None])[:, :, 0]
-    phi_zf = _pointwise(fam, zf)
-    z_phi_f = (z @ phi_f[:, :, None])[:, :, 0]
-    if not (np.all(np.isfinite(phi_zf)) and np.all(np.isfinite(z_phi_f))):
-        raise ValueError(f"{fam.label}: phi(Z f) and Z phi(f) must have finite entries")
-    return phi_zf, z_phi_f
+    # an overflow is reported by _require_finite, naming the family
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_f = _pointwise(fam, F)
+        both = apply(np.concatenate((F, phi_f)))
+        phi_zf = _pointwise(fam, both[: len(F)])
+    return phi_zf, _require_finite(fam, both[len(F):])
+
+
+def jessen_report(
+    phi_zf: np.ndarray,
+    z_phi_f: np.ndarray,
+    tol: OrderTolerance,
+    t: float,
+    fam: OperatorFamily,
+    gen: Generator,
+    algebra=None,
+) -> JessenReport:
+    """Residual, verdict and min slack of one row of ``jessen_sides``."""
+    phi_zf = LatticeElement(phi_zf, algebra=algebra)
+    z_phi_f = LatticeElement(z_phi_f, algebra=algebra)
+    residual = z_phi_f - phi_zf
+    return JessenReport(
+        residual=residual,
+        verdict=partial_leq(phi_zf, z_phi_f, tol),
+        min_slack=float(np.min(residual.values)),
+        t=t,
+        family=fam.label,
+        generator=gen.name,
+    )
 
 
 def verify_jessen(
@@ -169,23 +212,14 @@ def verify_jessen(
 
     Domain membership is required for f and for Z(t) f; with a
     conservative generator, an entrywise-positive f keeps Z(t) f in the
-    positive cone automatically.
+    positive cone automatically. Z(t) is never formed: one
+    ``semigroup.act`` call applies it to f and phi(f) together, which
+    costs (2, K) x (K, K) products where ``evolve`` would need K x K ones.
     """
     _require_normalized(gen, allow_unnormalized)
-    op = evolve(gen, t, time_cap=time_cap)
-    phi_zf, z_phi_f = jessen_sides(op.matrix, fam, f.values[None, :])
-    phi_zf = LatticeElement(phi_zf[0], algebra=f.algebra)
-    z_phi_f = LatticeElement(z_phi_f[0], algebra=f.algebra)
-    residual = z_phi_f - phi_zf
-    verdict = partial_leq(phi_zf, z_phi_f, tol)
-    return JessenReport(
-        residual=residual,
-        verdict=verdict,
-        min_slack=float(np.min(residual.values)),
-        t=t,
-        family=fam.label,
-        generator=gen.name,
-    )
+    apply = partial(act, gen, t, time_cap=time_cap)
+    phi_zf, z_phi_f = jessen_sides(apply, fam, f.values[None, :])
+    return jessen_report(phi_zf[0], z_phi_f[0], tol, t, fam, gen, algebra=f.algebra)
 
 
 def support_line_check(
@@ -250,7 +284,7 @@ def adjoint_pairing(
     rhs_pair = fstar.pair(op.apply(f))
     transpose_defect = abs(lhs_pair - rhs_pair)
 
-    phi_zf, z_phi_f = jessen_sides(op.matrix, fam, f.values[None, :])
+    phi_zf, z_phi_f = jessen_sides(op.act, fam, f.values[None, :])
     weak_gap = float(fstar.values @ z_phi_f[0]) - float(fstar.values @ phi_zf[0])
     residual_pairing = float(fstar.values @ (z_phi_f[0] - phi_zf[0]))
 

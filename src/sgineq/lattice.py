@@ -33,10 +33,6 @@ __all__ = [
     "multiply",
     "partial_leq",
     "leq_rows",
-    "element_to_json",
-    "element_from_json",
-    "algebra_to_json",
-    "algebra_from_json",
 ]
 
 
@@ -229,15 +225,3 @@ def leq_rows(f: np.ndarray, g: np.ndarray, tol: OrderTolerance = DEFAULT_TOLERAN
     """
     return np.min(g - f, axis=-1) >= -tol.margin(f, g)
 
-
-def element_to_json(f: LatticeElement) -> list:
-    return [float(v) for v in f.values]
-
-def element_from_json(data, algebra: LatticeAlgebra | None = None) -> LatticeElement:
-    return LatticeElement(data, algebra=algebra)
-
-def algebra_to_json(alg: LatticeAlgebra) -> dict:
-    return {"dim": alg.dim, "labels": alg.labels}
-
-def algebra_from_json(data: dict) -> LatticeAlgebra:
-    return LatticeAlgebra(int(data["dim"]), data.get("labels"))

@@ -19,6 +19,12 @@ as exp(tQ) = exp(tQ/2^s)^(2^s) with lam*t/2^s <= 128 per step; squaring
 nonnegative matrices keeps the structural sign property. The Poisson
 tail cut per step is relative 1e-17 and the bound is propagated through
 the squarings into ``trunc_error``.
+
+Z(t) is formed as a K x K matrix only by ``evolve``. ``act`` sums the
+same series on a block of rows, so it returns Z(t) f for a few vectors
+f at the cost of (S, K) x (K, K) products, never forming Z(t); at large
+lam*t it runs the 2^s steps in sequence, since squaring needs the whole
+matrix.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = [
     "generator_to_json",
     "SemigroupOperator",
     "evolve",
+    "act",
     "check_semigroup_axioms",
     "check_positivity_and_normalization",
     "estimate_generator",
@@ -170,6 +177,15 @@ class SemigroupOperator:
             raise ValueError(f"element dim {f.dim} does not match operator dim {self.dim}")
         return LatticeElement(self.matrix @ f.values, algebra=f.algebra)
 
+    def act(self, F) -> np.ndarray:
+        """Z(t) f for every row f of an (S, K) block.
+
+        The products are stacked matrix-vector products, so each row
+        carries the same bits as ``matrix @ f`` on that row alone (a
+        plain ``F @ matrix.T`` goes through a matrix product and does not).
+        """
+        return (self.matrix @ np.asarray(F, dtype=float)[:, :, None])[:, :, 0]
+
     def apply_adjoint(self, values) -> np.ndarray:
         """Transpose action on a dual coefficient vector."""
         return self.matrix.T @ np.asarray(values, dtype=float)
@@ -182,23 +198,55 @@ class SemigroupOperator:
         return bool(np.max(np.abs(self.row_sums() - 1.0)) <= tol)
 
 
-def _series_step(q: np.ndarray, lam: float, t: float) -> tuple[np.ndarray, float]:
-    """Uniformized series for exp(tQ), valid for lam*t <= _STEP_LIMIT.
+def _uniformize(gen: Generator, t: float, time_cap: float):
+    """Guards shared by ``evolve`` and ``act``, and the uniformized chain.
 
-    Returns the matrix and an absolute truncation bound. All series terms
-    are entrywise nonnegative, so no cancellation can produce a negative
-    entry.
+    Returns None when Z(t) is the identity (t = 0 or Q = 0). Otherwise
+    returns ``(p, mu, step_rate, splits)``: the nonnegative matrix
+    P = I + Q/lam, the largest row sum ``mu`` of P (at least 1), and the
+    rate lam*t/2^splits of each of the 2^splits equal steps, which is at
+    most ``_STEP_LIMIT``.
     """
-    n = q.shape[0]
-    p = np.eye(n) + q / lam
+    if not t >= 0:  # also rejects NaN
+        raise ValueError("t must be nonnegative")
+    if t == 0.0:
+        return None
+    if t * gen.sup_norm > time_cap:
+        raise TimeCapError(
+            f"t*||Q|| = {t * gen.sup_norm:g} exceeds the cap {time_cap:g}"
+        )
+
+    lam = float(np.max(np.abs(np.diag(gen.q))))
+    if lam == 0.0:
+        if np.all(gen.q == 0.0):
+            return None
+        # zero diagonal but nonzero off-diagonal: any lam with I + Q/lam >= 0 works
+        lam = float(np.max(gen.q))
+
+    splits = 0
+    while lam * t / (2 ** splits) > _STEP_LIMIT:
+        splits += 1
+    p = np.eye(gen.dim) + gen.q / lam
     mu = max(1.0, float(p.sum(axis=1).max()))
-    rate = lam * t
+    return p, mu, lam * (t / (2 ** splits)), splits
+
+
+def _series_step(start: np.ndarray, m: np.ndarray, mu: float, rate: float) -> tuple[np.ndarray, float]:
+    """Uniformized series sum_k exp(-rate) rate^k/k! * start @ m^k.
+
+    ``evolve`` passes start = I and m = P, giving exp(tQ) for one step;
+    ``act`` passes a row block F and m = P^T, giving the rows of
+    exp(tQ) F^T. ``mu`` bounds the growth of one product with m in the
+    sup norm (the largest row sum of P), and rate <= _STEP_LIMIT.
+    Returns the sum and an absolute truncation bound relative to the
+    size of ``start``. All terms are entrywise nonnegative for a
+    nonnegative start, so no cancellation can produce a negative entry.
+    """
     log_growth = rate * (mu - 1.0)
     if log_growth > 700.0:
         raise EvolveOverflowError("exp(tQ) exceeds double range for this generator")
 
-    weight = math.exp(-rate)
-    term = weight * np.eye(n)
+    term = math.exp(-rate) * start
     total = term.copy()
     # scalar majorant b_k = exp(-rate) * (rate*mu)^k / k!, tracked in logs
     log_b = -rate
@@ -209,7 +257,7 @@ def _series_step(q: np.ndarray, lam: float, t: float) -> tuple[np.ndarray, float
         k += 1
         if k > max_iter:
             raise SgineqError("uniformization failed to reach its tail target")
-        term = term @ p * (rate / k)
+        term = term @ m * (rate / k)
         total += term
         log_b += math.log(rate * mu) - math.log(k)
         ratio = rate * mu / (k + 1)
@@ -221,7 +269,10 @@ def _series_step(q: np.ndarray, lam: float, t: float) -> tuple[np.ndarray, float
 
 
 def evolve(gen: Generator, t: float, time_cap: float = DEFAULT_TIME_CAP) -> SemigroupOperator:
-    """Compute Z(t) = exp(tQ) with structural entrywise nonnegativity.
+    """Form the matrix Z(t) = exp(tQ) with structural entrywise nonnegativity.
+
+    This builds all K x K entries: one K x K product per series term and
+    per squaring. To apply Z(t) to a few vectors, ``act`` is cheaper.
 
     Parameters
     ----------
@@ -238,28 +289,11 @@ def evolve(gen: Generator, t: float, time_cap: float = DEFAULT_TIME_CAP) -> Semi
         With ``trunc_error`` an absolute bound on the series truncation,
         kept below 1e-14 * ||Z(t)||.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    n = gen.dim
-    if t == 0.0:
-        return SemigroupOperator(np.eye(n), t=0.0, trunc_error=0.0)
-    if t * gen.sup_norm > time_cap:
-        raise TimeCapError(
-            f"t*||Q|| = {t * gen.sup_norm:g} exceeds the cap {time_cap:g}"
-        )
-
-    lam = float(np.max(np.abs(np.diag(gen.q))))
-    if lam == 0.0:
-        if np.all(gen.q == 0.0):
-            return SemigroupOperator(np.eye(n), t=t, trunc_error=0.0)
-        # zero diagonal but nonzero off-diagonal: any lam with I + Q/lam >= 0 works
-        lam = float(np.max(gen.q))
-
-    rate = lam * t
-    splits = 0
-    while rate / (2 ** splits) > _STEP_LIMIT:
-        splits += 1
-    base, err = _series_step(gen.q, lam, t / (2 ** splits))
+    chain = _uniformize(gen, t, time_cap)
+    if chain is None:
+        return SemigroupOperator(np.eye(gen.dim), t=t or 0.0, trunc_error=0.0)
+    p, mu, step_rate, splits = chain
+    base, err = _series_step(np.eye(gen.dim), p, mu, step_rate)
     # overflow in the squarings is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(splits):
@@ -269,6 +303,36 @@ def evolve(gen: Generator, t: float, time_cap: float = DEFAULT_TIME_CAP) -> Semi
     if not np.all(np.isfinite(base)):
         raise EvolveOverflowError("exp(tQ) exceeds double range for this generator")
     return SemigroupOperator(base, t=t, trunc_error=err)
+
+
+def act(gen: Generator, t: float, F, time_cap: float = DEFAULT_TIME_CAP) -> np.ndarray:
+    """Apply Z(t) = exp(tQ) to every row of an (S, K) block without forming Z(t).
+
+    Returns the (S, K) block whose row i is Z(t) F[i]. The series is the
+    one ``evolve`` sums, applied to the rows: each term costs one
+    (S, K) x (K, K) product instead of a K x K one. Squaring needs the
+    whole matrix, so where ``evolve`` would split lam*t into 2^s steps
+    and square, ``act`` runs the 2^s steps one after the other. The
+    guards (negative t, time cap, overflow) are those of ``evolve``.
+    """
+    F = np.asarray(F, dtype=float)
+    if F.ndim != 2 or F.shape[1] != gen.dim:
+        raise ValueError(f"act needs an (S, {gen.dim}) block, got shape {F.shape}")
+    block = F.copy()
+    chain = _uniformize(gen, t, time_cap)
+    if chain is not None:
+        p, mu, step_rate, splits = chain
+        pt = np.ascontiguousarray(p.T)
+        # overflow across the steps is caught by the finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(2 ** splits):
+                block, _ = _series_step(block, pt, mu, step_rate)
+    if not np.isfinite(block).all():
+        # a non-finite entry of F reaches the result through the first term
+        if not np.isfinite(F).all():
+            raise ValueError("act needs a block with finite entries")
+        raise EvolveOverflowError("exp(tQ) applied to the block exceeds double range")
+    return block
 
 
 def check_semigroup_axioms(

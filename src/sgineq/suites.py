@@ -21,6 +21,7 @@ from .errors import SgineqError
 from .expconv import (
     ExponentSet,
     IllConditionedMidpointError,
+    _residual,
     build_gram,
     check_order_psd,
     midpoint_equivalence_check,
@@ -40,6 +41,7 @@ from .jessen import (
     DualVector,
     NotNormalizedError,
     adjoint_pairing,
+    jessen_report,
     jessen_sides,
     verify_adjoint_pairing,
     verify_jessen,
@@ -609,8 +611,7 @@ def run_midpoint_equivalence_suite(n_instances: int, seed: int, tol: float = 1e-
         xis = rng.uniform(-1.0, 1.0, size=n)
 
         def h_map(p, _op=op, _f=f):
-            fam = power_member(p)
-            return _op.apply(fam.apply(_f)) - fam.apply(_op.apply(_f))
+            return _residual(_op, power_member(p), _f)
 
         rep = midpoint_equivalence_check(h_map, xs, xis, tol=tol)
         worst = max(worst, rep.defect_double, rep.defect_half)
@@ -670,13 +671,13 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
             low, high = _DOMAIN_BOX[_family_domain_kind(fam)]
             for t in cfg.t_grid:
                 block = rng.uniform(low, high, size=(cfg.samples, gen.dim))
-                phi_zf, z_phi_f = jessen_sides(ops[t].matrix, fam, block)
+                phi_zf, z_phi_f = jessen_sides(ops[t].act, fam, block)
                 residual = z_phi_f - phi_zf
                 slack = residual.min(axis=1)
                 ok = leq_rows(phi_zf, z_phi_f, tol) & (slack >= _slack_floor(residual))
                 min_slack = min(min_slack, float(slack.min()))
                 for i in np.flatnonzero(~ok):
-                    rep = verify_jessen(gen, fam, LatticeElement(block[i]), t, tol=tol)
+                    rep = jessen_report(phi_zf[i], z_phi_f[i], tol, t, fam, gen)
                     jessen_failures += 1
                     jessen_cases.append(rep.to_json())
     report["suites"]["jessen"] = {

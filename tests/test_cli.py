@@ -176,6 +176,16 @@ class TestVerify:
         assert time.perf_counter() - started < 1.0
         assert not (tmp_path / "o" / "report.json").exists()
 
+    def test_family_overflow_is_usage_error(self, tmp_path):
+        # 3^1000 overflows: the check cannot run, which is no failed check (exit 1)
+        cfg = small_config(families=[{"family": "PowerF", "t": 1000}])
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        res = run_cli("verify", "--config", "cfg.json", "--out", "o", cwd=tmp_path)
+        assert res.returncode == 64, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "PowerF(1000)" in res.stderr and "finite" in res.stderr
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_env_output_dir_wins(self, tmp_path):
         res = run_cli("verify", "--out", "flagdir", cwd=tmp_path,
                       env_extra={"SGINEQ_OUTPUT_DIR": str(tmp_path / "envdir")})

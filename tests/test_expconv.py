@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from sgineq import expconv
+from sgineq.errors import SgineqError
 from sgineq.expconv import (
     ExponentSet,
     IllConditionedMidpointError,
@@ -13,8 +15,8 @@ from sgineq.expconv import (
     midpoint_equivalence_check,
     quad_form_vector,
 )
-from sgineq.families import EntropyFamily, ExpFamily, HalfSquareFamily, NegLogFamily
-from sgineq.jessen import NotNormalizedError
+from sgineq.families import CustomFamily, EntropyFamily, ExpFamily, HalfSquareFamily, NegLogFamily
+from sgineq.jessen import NonFiniteSideError, NotNormalizedError
 from sgineq.lattice import LatticeElement, Ordering
 from sgineq.semigroup import evolve, validate_generator
 
@@ -169,6 +171,25 @@ class TestBuildGram:
         assert np.allclose(gram.entries[0, 0], manual(HalfSquareFamily()), atol=1e-14)
         assert np.allclose(gram.entries[0, 1], manual(ExpFamily(2.0)), atol=1e-14)
         assert np.allclose(gram.entries[1, 1], manual(ExpFamily(4.0)), atol=1e-14)
+
+    def test_family_error_names_midpoint_and_keeps_its_type(self, bench_gen, bench_f, monkeypatch):
+        class CodedFamilyError(SgineqError):
+            def __init__(self, code, detail):
+                super().__init__(f"[{code}] {detail}")
+                self.code = code
+
+        def refuse(x):
+            raise CodedFamilyError(17, "refused input")
+
+        monkeypatch.setattr(expconv, "_member", lambda kind, p: CustomFamily(
+            fn=np.array, d2=np.ones_like, name=f"coded({p:g})", domain=refuse))
+        with pytest.raises(CodedFamilyError, match=r"^at midpoint 3: \[17\] refused input$") as info:
+            build_gram(bench_gen, bench_f, 1.0, ExponentSet((3.0,)))
+        assert info.value.code == 17
+
+    def test_overflowing_member_names_midpoint(self, bench_gen, bench_f):
+        with pytest.raises(NonFiniteSideError, match=r"at midpoint 1001: PowerF\(1001\)"):
+            build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 2000.0)))
 
     def test_coupled_time_smoke(self, bench_gen, bench_f):
         gram = build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 4.0)),

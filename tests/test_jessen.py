@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,18 +16,27 @@ from sgineq.families import (
 from sgineq.jessen import (
     DegenerateBoxError,
     DualVector,
+    NonFiniteSideError,
     NonPositiveDualError,
     NotNormalizedError,
     adjoint_pairing,
     dual_convexity_report,
+    jessen_report,
     jessen_sides,
     lipschitz_norm_estimate,
     support_line_check,
     verify_adjoint_pairing,
     verify_jessen,
 )
-from sgineq.lattice import LatticeElement, Ordering
-from sgineq.semigroup import evolve, validate_generator
+from sgineq.lattice import DEFAULT_TOLERANCE, LatticeElement, Ordering
+from sgineq.semigroup import SemigroupOperator, act, evolve, validate_generator
+from sgineq import suites
+from sgineq.suites import (
+    benchmark_families,
+    random_conservative_generator,
+    random_domain_element,
+    random_positive_generator,
+)
 
 from oracles import BENCH_Q, jessen_residual_2state
 
@@ -108,25 +119,30 @@ def random_evolved(k, seed, t=0.7):
     q = rng.uniform(0.0, 1.0, size=(k, k))
     np.fill_diagonal(q, 0.0)
     np.fill_diagonal(q, -q.sum(axis=1))
-    return evolve(validate_generator(q), t).matrix
+    return evolve(validate_generator(q), t)
+
+
+IDENTITY_ACTION = SemigroupOperator(np.eye(2), t=0.0).act
 
 
 class TestJessenSides:
     @pytest.mark.parametrize("k", [2, 3, 8, 64])
     def test_block_rows_match_single_products_bitwise(self, k):
-        z = random_evolved(k, seed=k)
+        op = random_evolved(k, seed=k)
+        z = op.matrix
         rng = np.random.default_rng(100 + k)
         for fam, low, high in [(PowerFamily(-1.0), 0.2, 3.0), (NegLogFamily(), 0.2, 3.0),
                                (ExpFamily(1.0), -2.0, 2.0), (HalfSquareFamily(), -2.0, 2.0)]:
             block = rng.uniform(low, high, size=(17, k))
-            phi_zf, z_phi_f = jessen_sides(z, fam, block)
+            phi_zf, z_phi_f = jessen_sides(op.act, fam, block)
             assert phi_zf.shape == z_phi_f.shape == (17, k)
             assert np.array_equal(phi_zf, np.array([fam.value(z @ f) for f in block]))
             assert np.array_equal(z_phi_f, np.array([z @ fam.value(f) for f in block]))
 
     def test_single_row_is_verify_jessen_residual(self, bench_gen, bench_f):
+        # verify_jessen applies Z(t) through semigroup.act, never forming it
         rep = verify_jessen(bench_gen, PowerFamily(3.0), bench_f, 1.0)
-        phi_zf, z_phi_f = jessen_sides(evolve(bench_gen, 1.0).matrix, PowerFamily(3.0),
+        phi_zf, z_phi_f = jessen_sides(partial(act, bench_gen, 1.0), PowerFamily(3.0),
                                        bench_f.values[None, :])
         assert np.array_equal(z_phi_f[0] - phi_zf[0], rep.residual.values)
 
@@ -134,7 +150,7 @@ class TestJessenSides:
         block = np.full((3, 2), 1.5)
         block[2, 1] = 0.0
         with pytest.raises(NonPositiveInputError, match=r"entry 5 = 0"):
-            jessen_sides(np.eye(2), EntropyFamily(), block)
+            jessen_sides(IDENTITY_ACTION, EntropyFamily(), block)
 
     def test_family_callables_see_vectors(self, bench_gen, bench_f):
         seen = []
@@ -150,17 +166,38 @@ class TestJessenSides:
                     raise ValueError("positive input only")
 
         fam = CustomFamily(fn=vector_only, d2=np.ones_like, domain=positive_entries)
-        z = evolve(bench_gen, 1.0).matrix
+        op = evolve(bench_gen, 1.0)
         block = np.random.default_rng(5).uniform(0.2, 3.0, size=(4, 2))
-        phi_zf, z_phi_f = jessen_sides(z, fam, block)
-        want = jessen_sides(z, HalfSquareFamily(), block)
+        phi_zf, z_phi_f = jessen_sides(op.act, fam, block)
+        want = jessen_sides(op.act, HalfSquareFamily(), block)
         assert np.allclose(phi_zf, want[0], rtol=1e-15) and np.allclose(z_phi_f, want[1], rtol=1e-15)
         assert verify_jessen(bench_gen, fam, bench_f, 1.0).verdict in (Ordering.LEQ, Ordering.EQUAL)
         assert set(seen) == {1}
 
-    def test_non_finite_side_rejected(self):
+    def test_non_finite_side_rejected(self, bench_gen):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            jessen_sides(np.eye(2), PowerFamily(1000.0), np.full((1, 2), 3.0))
+            jessen_sides(IDENTITY_ACTION, PowerFamily(1000.0), np.full((1, 2), 3.0))
+        # phi(f) overflows before Z(t) is applied; the error names the family
+        with pytest.raises(NonFiniteSideError, match=r"PowerF\(1000\)"):
+            verify_jessen(bench_gen, PowerFamily(1000.0), el(3.0, 0.5), 1.0)
+
+    def test_verify_jessen_agrees_with_matrix_route(self):
+        # verify_jessen applies Z(t) with semigroup.act; the suites use the
+        # evolved matrix. Both routes sum the same series in another order.
+        rng = np.random.default_rng(20261018)
+        families = benchmark_families()
+        cases = [(random_conservative_generator(rng), True) for _ in range(500)]
+        cases += [(random_positive_generator(rng, max_norm=2.0), False) for _ in range(20)]
+        for gen, conservative in cases:
+            fam = families[int(rng.integers(0, len(families)))]
+            t = float(rng.choice([0.1, 1.0, 10.0] if conservative else [0.5, 1.5]))
+            f = random_domain_element(rng, gen.dim, suites._family_domain_kind(fam))
+            rep = verify_jessen(gen, fam, f, t, allow_unnormalized=not conservative)
+            phi_zf, z_phi_f = jessen_sides(evolve(gen, t).act, fam, f.values[None, :])
+            want = jessen_report(phi_zf[0], z_phi_f[0], DEFAULT_TOLERANCE, t, fam, gen)
+            r = want.residual.values
+            assert rep.verdict is want.verdict
+            assert np.max(np.abs(rep.residual.values - r)) <= 1e-13 * (1.0 + np.max(np.abs(r)))
 
     def test_adjoint_pairing_matches_verify(self, bench_gen, bench_f):
         fstar = DualVector([0.25, 0.75])

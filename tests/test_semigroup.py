@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from oracles import BENCH_Q, two_state_closed_form
@@ -14,6 +15,7 @@ from sgineq.semigroup import (
     NotSquareError,
     SemigroupOperator,
     TimeCapError,
+    act,
     check_positivity_and_normalization,
     check_semigroup_axioms,
     estimate_generator,
@@ -22,6 +24,7 @@ from sgineq.semigroup import (
     generator_to_json,
     validate_generator,
 )
+from sgineq.suites import random_conservative_generator, random_positive_generator
 
 # Frozen from the eigendecomposition of [[-1,1],[1,-1]] at t = 1:
 # exp(-2) = 0.1353352832366127.
@@ -147,6 +150,87 @@ class TestEvolve:
         ours = evolve(gen, 1.5).matrix
         ref = scipy.linalg.expm(1.5 * q)
         assert np.max(np.abs(ours - ref)) <= 1e-11
+
+
+def _generator(k, seed, conservative=True):
+    rng = np.random.default_rng([seed, k])
+    if conservative:
+        return random_conservative_generator(rng, min_dim=k, max_dim=k, max_norm=5.0)
+    return random_positive_generator(rng, max_dim=k, max_norm=3.0)
+
+
+def _expm_multiply_rows(gen, t, block):
+    """Rows of exp(tQ) F^T from scipy's truncated-Taylor action (Al-Mohy & Higham 2011)."""
+    return scipy.sparse.linalg.expm_multiply(t * gen.q, block.T).T
+
+
+class TestAct:
+    @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("k", [2, 8, 64, 300])
+    def test_matches_expm_multiply(self, k, t):
+        gen = _generator(k, seed=1)
+        block = np.random.default_rng(k).uniform(-2.0, 2.0, size=(3, k))
+        got = act(gen, t, block)
+        assert got.shape == (3, k)
+        assert np.max(np.abs(got - _expm_multiply_rows(gen, t, block))) <= 1e-12
+
+    def test_stepped_rate_matches_expm_multiply(self):
+        # lam * t is about 2000, so act runs 2^4 steps of rate <= 128 in turn
+        gen = _generator(8, seed=2)
+        t = 2000.0 / float(np.max(np.abs(np.diag(gen.q))))
+        assert gen.sup_norm * t <= 1e4
+        block = np.random.default_rng(3).uniform(0.2, 3.0, size=(4, 8))
+        got = act(gen, t, block)
+        assert np.max(np.abs(got - _expm_multiply_rows(gen, t, block))) <= 1e-12
+        assert np.max(np.abs(got - block @ evolve(gen, t).matrix.T)) <= 1e-12
+
+    def test_nonconservative_matches_expm_multiply(self):
+        gen = _generator(5, seed=4, conservative=False)
+        assert not gen.conservative
+        block = np.random.default_rng(5).uniform(0.2, 3.0, size=(2, gen.dim))
+        for t in (0.5, 2.0):
+            want = _expm_multiply_rows(gen, t, block)
+            assert np.max(np.abs(act(gen, t, block) - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("k,t", [(2, 1.0), (5, 0.3), (64, 10.0), (3, 400.0)])
+    def test_identity_block_gives_evolved_matrix(self, k, t):
+        gen = _generator(k, seed=6) if k != 2 else validate_generator(BENCH_Q)
+        assert np.max(np.abs(act(gen, t, np.eye(k)).T - evolve(gen, t).matrix)) <= 1e-13
+
+    def test_nonnegative_block_stays_nonnegative(self, rng):
+        for k, t in ((4, 0.5), (16, 3.0), (6, 500.0)):
+            gen = _generator(k, seed=7)
+            block = rng.uniform(0.0, 1.0, size=(5, k)) * (rng.uniform(size=(5, k)) < 0.5)
+            assert act(gen, t, block).min() >= 0.0
+
+    def test_trivial_evolutions_return_the_block(self):
+        block = np.array([[1.0, -2.0], [0.5, 3.0]])
+        assert np.array_equal(act(validate_generator(BENCH_Q), 0.0, block), block)
+        assert np.array_equal(act(validate_generator(np.zeros((2, 2))), 5.0, block), block)
+
+    def test_same_errors_as_evolve(self):
+        bench = validate_generator(BENCH_Q)
+        block = np.ones((1, 2))
+        with pytest.raises(TimeCapError):
+            act(bench, 6000.0, block)
+        for bad_t in (-0.5, float("nan")):
+            with pytest.raises(ValueError, match="nonnegative"):
+                evolve(bench, bad_t)
+            with pytest.raises(ValueError, match="nonnegative"):
+                act(bench, bad_t, block)
+        # growth beyond double range within one step, and across the steps
+        for q, t in (([[-1.0, 10.0], [10.0, -1.0]], 100.0), ([[1.0, 0.0], [0.0, 1.0]], 800.0)):
+            gen = validate_generator(q)
+            with pytest.raises(EvolveOverflowError):
+                evolve(gen, t)
+            with pytest.raises(EvolveOverflowError):
+                act(gen, t, block)
+
+    def test_rejects_malformed_blocks(self):
+        bench = validate_generator(BENCH_Q)
+        for bad in (np.ones(2), np.ones((1, 3)), np.array([[1.0, np.inf]])):
+            with pytest.raises(ValueError):
+                act(bench, 1.0, bad)
 
 
 def _random_conservative(rng, max_norm=10.0):

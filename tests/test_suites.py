@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from sgineq import jessen, suites
 from sgineq.cli import DEFAULT_CONFIG
-from sgineq.jessen import DualVector, verify_adjoint_pairing, verify_jessen
-from sgineq.lattice import Ordering
-from sgineq.semigroup import NegativeOffDiagonalError
+from sgineq.jessen import DualVector, jessen_sides, verify_adjoint_pairing
+from sgineq.lattice import LatticeElement, Ordering, partial_leq
+from sgineq.semigroup import NegativeOffDiagonalError, evolve
 from sgineq.suites import (
     MAX_SAMPLE_WORK,
     ConfigError,
@@ -28,13 +28,22 @@ THREE_STATE = dict(
 )
 
 
-def reference_aggregates(cfg):
-    """The Jessen and adjoint aggregates of run_config_verification, from a
-    per-sample loop over the single-case verifiers on the same rng stream."""
+def skip_axiom_suite_seeds(cfg):
+    """An rng at the point where run_config_verification draws its Jessen blocks."""
     rng = np.random.default_rng(cfg.seed)
     for _ in {g.dim for g in cfg.generators}:
         rng.integers(0, 2 ** 31)  # one lattice axiom suite seed per dim
     rng.integers(0, 2 ** 31)  # the semigroup axiom suite seed
+    return rng
+
+
+def reference_aggregates(cfg):
+    """The Jessen and adjoint aggregates of run_config_verification, from a
+    per-sample loop on the same rng stream: the kernel on one row of the
+    evolved matrix (the route the block driver takes; ``verify_jessen``
+    applies Z(t) without forming it, so its last bits may differ) and the
+    single-case adjoint verifier."""
+    rng = skip_axiom_suite_seeds(cfg)
     gens = [g for g in cfg.generators if g.conservative]
 
     min_slack, failures = math.inf, 0
@@ -44,10 +53,14 @@ def reference_aggregates(cfg):
             for t in cfg.t_grid:
                 for _ in range(cfg.samples):
                     f = random_domain_element(rng, gen.dim, kind)
-                    rep = verify_jessen(gen, fam, f, t, tol=cfg.order_tol)
-                    floor = -1e-9 * (1.0 + float(np.max(np.abs(rep.residual.values))))
-                    min_slack = min(min_slack, rep.min_slack)
-                    if rep.verdict not in (Ordering.LEQ, Ordering.EQUAL) or rep.min_slack < floor:
+                    phi_zf, z_phi_f = jessen_sides(evolve(gen, t).act, fam, f.values[None, :])
+                    lhs, rhs = LatticeElement(phi_zf[0]), LatticeElement(z_phi_f[0])
+                    verdict = partial_leq(lhs, rhs, cfg.order_tol)
+                    residual = (rhs - lhs).values
+                    floor = -1e-9 * (1.0 + float(np.max(np.abs(residual))))
+                    slack = float(np.min(residual))
+                    min_slack = min(min_slack, slack)
+                    if verdict not in (Ordering.LEQ, Ordering.EQUAL) or slack < floor:
                         failures += 1
     jessen_agg = {"min_slack": min_slack, "failures": failures}
 
@@ -119,6 +132,13 @@ class TestConfigVerification:
         assert len(jes["failed_cases"]) == 5
         assert {case["verdict"] for case in jes["failed_cases"]} <= {"LEQ", "EQUAL"}
         assert max(case["min_slack"] for case in jes["failed_cases"]) < -1e-9
+        # each record carries its own block row's residual, bit for bit
+        gen, fam = cfg.generators[0], cfg.families[0]
+        block = skip_axiom_suite_seeds(cfg).uniform(0.2, 3.0, size=(5, 2))
+        phi_zf, z_phi_f = jessen_sides(evolve(gen, 1e6).act, fam, block)
+        residual = z_phi_f - phi_zf
+        assert [case["residual"] for case in jes["failed_cases"]] == residual.tolist()
+        assert [case["min_slack"] for case in jes["failed_cases"]] == residual.min(axis=1).tolist()
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
