@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -190,8 +191,23 @@ def cmd_figure(args, argv) -> int:
     return 0
 
 
+def _check_expconv_flags(args) -> None:
+    """Reject the flag values that ``config_from_json`` rejects in a config."""
+    if args.p is not None and not all(math.isfinite(p) for p in args.p):
+        raise ConfigError("--p values must be finite exponents")
+    if not (math.isfinite(args.t) and args.t >= 0):
+        raise ConfigError(f"--t must be a finite nonnegative time, got {args.t:g}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol:g}")
+    if args.n_xi < 1:
+        raise ConfigError(f"--n-xi must be at least 1, got {args.n_xi}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+
+
 def cmd_expconv(args, argv) -> int:
     started = time.monotonic()
+    _check_expconv_flags(args)
     instances = []
     if args.config is not None:
         cfg = _load_config(args.config)

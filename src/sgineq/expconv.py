@@ -38,7 +38,7 @@ from .lattice import (
     partial_leq,
 )
 from .families import OperatorFamily, exp_member, power_member
-from .jessen import _require_normalized, jessen_sides
+from .jessen import _require_finite, _require_normalized, jessen_sides
 from .semigroup import DEFAULT_TIME_CAP, Generator, SemigroupOperator, evolve
 
 __all__ = [
@@ -193,6 +193,58 @@ class LambdaGram:
                     yield (self.pset.p[i], self.pset.p[j], k, float(self.entries[i, j, k]))
 
 
+def _at_midpoint(mid: float, fn, *args):
+    """``fn(*args)``, naming the midpoint in the message of any error.
+
+    The message of the caught error itself is rewritten, so its type
+    (and exit code) is kept whatever its constructor takes.
+    """
+    try:
+        return fn(*args)
+    except Exception as err:
+        err.args = (f"at midpoint {mid:g}: {err}",)
+        raise
+
+
+def _require_rows_finite(mids, fams, rows: np.ndarray) -> None:
+    """``_require_finite`` on each member's row, checked in one pass; on
+    failure the first failing member raises, naming its midpoint."""
+    if not np.isfinite(rows).all():
+        for mid, fam, row in zip(mids, fams, rows):
+            _at_midpoint(mid, _require_finite, fam, row)
+
+
+def _midpoint_residuals(op: SemigroupOperator, kind: str, mids, f: np.ndarray) -> np.ndarray:
+    """Rows Z phi_m(f) - phi_m(Z f), one per midpoint m of ``mids``.
+
+    Z(t) is applied once, to the block [f; phi_m(f) for each m]. The
+    checks are those of ``jessen_sides`` for each member: domain of f,
+    finite phi_m(f), then, after the action, domain of Z f, finite
+    phi_m(Z f) and finite Z phi_m(f). Each check runs over all members
+    before the next one, so where several members fail, the error named
+    is that of the first member to fail the earliest check.
+    """
+    fams = []
+    block = np.empty((len(mids) + 1, f.size))
+    phi_zf = np.empty((len(mids), f.size))
+    block[0] = f
+    # an overflow is reported by _require_finite, naming the family
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, mid in enumerate(mids):
+            fams.append(_member(kind, mid))
+            _at_midpoint(mid, fams[m].check_domain, f)
+            block[m + 1] = fams[m].value(f)
+        _require_rows_finite(mids, fams, block[1:])
+        both = op.act(block)
+        zf, z_phi_f = both[0], both[1:]
+        for m, (mid, fam) in enumerate(zip(mids, fams)):
+            _at_midpoint(mid, fam.check_domain, zf)
+            phi_zf[m] = fam.value(zf)
+        _require_rows_finite(mids, fams, phi_zf)
+        _require_rows_finite(mids, fams, z_phi_f)
+    return z_phi_f - phi_zf
+
+
 def build_gram(
     gen: Generator,
     f: LatticeElement,
@@ -204,47 +256,36 @@ def build_gram(
 ) -> LambdaGram:
     """Evaluate the residual on every pairwise midpoint of the set.
 
-    Midpoint values are computed once and shared between (i, j) and
-    (j, i), so the Gram tensor is symmetric by construction. With
-    ``couple_time`` the evolution is taken at the midpoint itself
-    (which must then be nonnegative); this variant has no asserted sign.
+    Each distinct midpoint is evaluated once, in (i <= j) order, and its
+    row is shared between (i, j) and (j, i), so the Gram tensor is
+    symmetric by construction. Z(t) is applied once per operator: one
+    ``SemigroupOperator.act`` on the block [f; phi_m(f) for every
+    midpoint m], whose rows carry the bits of the single-row products.
+    With ``couple_time`` the evolution is taken at the midpoint itself
+    (which must then be nonnegative), one operator per midpoint; this
+    variant has no asserted sign.
     """
     _require_normalized(gen, allow_unnormalized)
     kind = pset.family_kind
     n = pset.size
-    shared_op = None if couple_time else evolve(gen, t, time_cap=time_cap)
-    op_cache: dict[float, SemigroupOperator] = {}
-    value_cache: dict[float, np.ndarray] = {}
-
-    def residual_at(mid: float) -> np.ndarray:
-        if mid in value_cache:
-            return value_cache[mid]
-        if couple_time:
-            if mid < 0:
-                raise ValueError(
-                    f"couple_time needs nonnegative midpoints, got {mid:g}"
-                )
-            if mid not in op_cache:
-                op_cache[mid] = evolve(gen, mid, time_cap=time_cap)
-            op = op_cache[mid]
-        else:
-            op = shared_op
-        fam = _member(kind, mid)
-        try:
-            value = _residual(op, fam, f).values
-        except Exception as err:
-            # name the midpoint in the message of the error itself, so its
-            # type (and exit code) is kept whatever its constructor takes
-            err.args = (f"at midpoint {mid:g}: {err}",)
-            raise
-        value_cache[mid] = value
-        return value
-
-    entries = np.empty((n, n, f.dim))
+    rows: dict[float, int] = {}
+    index = np.empty((n, n), dtype=np.intp)
     for i, pi in enumerate(pset.p):
         for j in range(i, n):
             mid = 0.5 * (pi + pset.p[j])
-            entries[i, j] = entries[j, i] = residual_at(mid)
+            index[i, j] = index[j, i] = rows.setdefault(mid, len(rows))
+
+    def coupled(mid: float):
+        if mid < 0:
+            raise ValueError(f"couple_time needs nonnegative midpoints, got {mid:g}")
+        return evolve(gen, mid, time_cap=time_cap), [mid]
+
+    if couple_time:
+        groups = map(coupled, rows)
+    else:
+        groups = [(evolve(gen, t, time_cap=time_cap), list(rows))]
+    values = np.concatenate([_midpoint_residuals(op, kind, mids, f.values) for op, mids in groups])
+    entries = values[index]
     entries.setflags(write=False)
 
     coord = np.ascontiguousarray(entries.transpose(2, 0, 1))
@@ -289,6 +330,26 @@ class PsdReport:
         }
 
 
+# Unit roundoff of double precision.
+_UNIT_ROUNDOFF = 2.0 ** -53
+# 8 * 2^-1075: a product that underflows is off by at most 2^-1075 (half
+# the smallest subnormal), and the two evaluations of one quadratic form
+# carry at most 8 n^2 (1 + max |entry|) such errors between them.
+_UNDERFLOW_STEP = 2.0 ** -1072
+# numpy's einsum picks its summation order from the operand shapes; for a
+# one-coordinate Gram of a 2-point set it sums a block of one or two rows
+# in another order than a longer block (seen with numpy 2.4), so the
+# exact pass never takes fewer rows than this.
+_EXACT_MIN_ROWS = 8
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), which bounds the relative
+    error of a term that passes k rounded operations."""
+    ku = k * _UNIT_ROUNDOFF
+    return ku / (1.0 - ku) if ku < 1.0 else float("inf")
+
+
 def check_order_psd(gram: LambdaGram, n_xi: int, seed: int, tol: float = 1e-8) -> PsdReport:
     """Order positive semidefiniteness of the Gram in both certificates.
 
@@ -296,8 +357,41 @@ def check_order_psd(gram: LambdaGram, n_xi: int, seed: int, tol: float = 1e-8) -
     -tol * (1 + max |entry|). Sampled: unit coefficient vectors give
     quadratic-form vectors above the same floor in every coordinate,
     which the spectral bound implies.
+
+    The sampled minimum is that of
+    ``einsum("si,sj,ijk->sk", xi, xi, entries)`` over all n_xi rows, bit
+    for bit, but the einsum only runs on the rows that can hold it.
+    Screen: the same forms through one BLAS product ``M @ xi.T``, with
+    the K coordinate matrices stacked as M of shape (K n, n), and a
+    row-wise dot with ``xi``; the intermediates hold K n n_xi values.
+    Exact: the einsum on every row whose screened minimum (over the
+    coordinates) is within 2 delta of the smallest one, and on at least
+    the first ``_EXACT_MIN_ROWS`` rows.
+
+    delta bounds the gap between a screened form and its einsum value.
+    For a row x and coordinate k let m = max |entry| and
+    T = sum_ij |x_i| |x_j| |E_ijk|, so T <= m (sum_i |x_i|)^2 <= n m
+    since ||x|| = 1. The einsum rounds each term x_i x_j E_ijk twice and
+    sums n^2 terms, so a term passes at most n^2 + 1 roundings and the
+    error is at most gamma_{n^2+1} T. The screen sums y_i = sum_j E_ijk x_j
+    and then sum_i x_i y_i, at most 2n roundings per term, so its error
+    is at most gamma_{2n} T. Products that underflow add at most
+    8 n^2 (1 + m) 2^-1075 between the two. Hence
+
+        delta = 2 ((gamma_{2n} + gamma_{n^2+1}) n m + 8 n^2 (1 + m) 2^-1075),
+
+    where the factor 2 covers the rounding of ||x||, of delta and of
+    the threshold. The bound holds for every coordinate, so it holds
+    for the minimum over the coordinates of a row. If s* holds the
+    einsum minimum, e_s is the einsum and b_s the screened minimum of
+    row s, then b_s* <= e_s* + delta <= e_s + delta <= b_s + 2 delta for
+    every row s, so s* is kept. A non-finite entry makes the threshold
+    NaN or infinite, which keeps every row.
     """
-    scale = tol * (1.0 + gram.max_abs_entry())
+    if n_xi < 1:
+        raise ValueError(f"n_xi must be at least 1, got {n_xi}")
+    peak = gram.max_abs_entry()
+    scale = tol * (1.0 + peak)
     min_eig = float(np.min(gram.min_eigenvalues))
     spectral_pass = min_eig >= -scale
 
@@ -307,7 +401,18 @@ def check_order_psd(gram: LambdaGram, n_xi: int, seed: int, tol: float = 1e-8) -
     norms = np.linalg.norm(xi, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     xi = xi / norms
-    quad = np.einsum("si,sj,ijk->sk", xi, xi, gram.entries)
+
+    entries = gram.entries
+    dim = entries.shape[2]
+    stacked = np.ascontiguousarray(entries.transpose(2, 0, 1)).reshape(dim * n, n)
+    forms = np.sum((stacked @ xi.T).reshape(dim, n, n_xi) * xi.T, axis=1)
+    screened = np.min(forms, axis=0)
+    delta = 2.0 * ((_gamma(2 * n) + _gamma(n * n + 1)) * n * peak
+                   + n * n * (1.0 + peak) * _UNDERFLOW_STEP)
+    keep = ~(screened > np.min(screened) + 2.0 * delta)
+    keep[:_EXACT_MIN_ROWS] = True
+    exact = xi[keep]
+    quad = np.einsum("si,sj,ijk->sk", exact, exact, entries)
     min_quad = float(np.min(quad))
     sampled_pass = min_quad >= -scale
 

@@ -106,7 +106,8 @@ class OperatorFamily:
 
 
 def _require_positive(x: np.ndarray, label: str) -> None:
-    low = np.min(x)
+    x = np.asarray(x)
+    low = x.min()
     if low <= STRICT_POSITIVITY_TOL:
         i = int(np.argmin(x))
         raise NonPositiveInputError(
@@ -196,7 +197,8 @@ class ExpFamily(OperatorFamily):
         return f"ExpH({self.rate:g})"
 
     def check_domain(self, x):
-        worst = self.rate * np.max(x) if self.rate > 0 else self.rate * np.min(x)
+        x = np.asarray(x)
+        worst = self.rate * x.max() if self.rate > 0 else self.rate * x.min()
         if worst > EXP_ARG_LIMIT:
             raise ExpOverflowError(
                 f"{self.label}: exponent argument {worst:g} exceeds {EXP_ARG_LIMIT:g}"

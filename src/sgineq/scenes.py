@@ -53,6 +53,8 @@ __all__ = [
 
 def _int_ratio(value: float, step: float, what: str) -> int:
     ratio = value / step
+    if not math.isfinite(ratio):
+        raise ValueError(f"{what} = {value:g} is not a finite multiple of the step {step:g}")
     k = round(ratio)
     if abs(ratio - k) > 1e-9:
         raise ValueError(f"{what} = {value:g} is not a multiple of the step {step:g}")

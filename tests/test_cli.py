@@ -245,6 +245,14 @@ class TestFigure:
         res = run_cli("figure", "2c", cwd=tmp_path)
         assert res.returncode == 64
 
+    @pytest.mark.parametrize("t", ["1e308", "inf"])
+    def test_huge_shift_is_usage_error(self, tmp_path, t):
+        res = run_cli("figure", "shift", "--t", t, "--out", "o", cwd=tmp_path)
+        assert res.returncode == 64, res.stderr
+        assert res.stderr.splitlines() == [f"sgineq: error: t = {float(t):g} is not a finite "
+                                           "multiple of the step 0.05"]
+        assert not (tmp_path / "o" / "figure_report.json").exists()
+
 
 class TestExpconv:
     def test_flag_route_psd_pass(self, tmp_path):
@@ -283,6 +291,37 @@ class TestExpconv:
         doc = json.loads((tmp_path / "o" / "gram.json").read_text())
         # one gram per generator x p_set x nonzero t
         assert len(doc["instances"]) == 2
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--t", "-1"], "--t must be a finite nonnegative time, got -1"),
+        (["--t", "nan"], "--t must be a finite nonnegative time, got nan"),
+        (["--t", "inf"], "--t must be a finite nonnegative time, got inf"),
+        (["--n-xi", "0"], "--n-xi must be at least 1, got 0"),
+        (["--n-xi", "-5"], "--n-xi must be at least 1, got -5"),
+        (["--tol", "nan"], "--tol must be finite and nonnegative, got nan"),
+        (["--tol=-1e-8"], "--tol must be finite and nonnegative, got -1e-08"),
+        (["--tol", "inf"], "--tol must be finite and nonnegative, got inf"),
+        (["--seed", "-1"], "--seed must be nonnegative, got -1"),
+        (["--p", "2", "nan"], "--p values must be finite exponents"),
+    ], ids=["t_negative", "t_nan", "t_inf", "n_xi_zero", "n_xi_negative", "tol_nan",
+            "tol_negative", "tol_inf", "seed_negative", "p_nan"])
+    def test_bad_flag_is_usage_error(self, tmp_path, capsys, flags, message):
+        code = cli.main(["expconv", "--p", "2", "4", *flags, "--out", str(tmp_path / "o")])
+        assert code == 64
+        assert capsys.readouterr().err.splitlines() == [f"sgineq: error: {message}"]
+        assert not (tmp_path / "o" / "gram.json").exists()
+
+    def test_bad_flag_exit_code_from_the_command_line(self, tmp_path):
+        res = run_cli("expconv", "--p", "2", "4", "--t", "-1", "--out", "o", cwd=tmp_path)
+        assert res.returncode == 64, res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_zero_time_and_tolerance_are_accepted(self, tmp_path):
+        code = cli.main(["expconv", "--p", "2", "4", "--t", "0", "--tol", "0",
+                         "--out", str(tmp_path / "o")])
+        assert code == 0
+        doc = json.loads((tmp_path / "o" / "gram.json").read_text())
+        assert doc["instances"][0]["psd"]["min_quadform"] == 0.0
 
 
 class TestUsage:

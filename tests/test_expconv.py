@@ -6,6 +6,7 @@ from sgineq.errors import SgineqError
 from sgineq.expconv import (
     ExponentSet,
     IllConditionedMidpointError,
+    LambdaGram,
     MIDPOINT_GUARD,
     QuadFormMode,
     build_gram,
@@ -18,7 +19,8 @@ from sgineq.expconv import (
 from sgineq.families import CustomFamily, EntropyFamily, ExpFamily, HalfSquareFamily, NegLogFamily
 from sgineq.jessen import NonFiniteSideError, NotNormalizedError
 from sgineq.lattice import LatticeElement, Ordering
-from sgineq.semigroup import evolve, validate_generator
+from sgineq.semigroup import SemigroupOperator, evolve, validate_generator
+from sgineq.suites import random_conservative_generator, random_domain_element
 
 from oracles import BENCH_Q, brute_quad_form, power_map, sym2_eigs, two_state_closed_form
 
@@ -211,6 +213,71 @@ class TestBuildGram:
         assert rows[0][:3] == (2.0, 2.0, 0)
 
 
+def _gram_bits_reference(gen, f, t, pset, couple_time):
+    """Gram entries from one ``_residual`` call per (i, j) pair."""
+    n = pset.size
+    want = np.empty((n, n, f.dim))
+    for i, pi in enumerate(pset.p):
+        for j, pj in enumerate(pset.p):
+            mid = 0.5 * (pi + pj)
+            op = evolve(gen, mid if couple_time else t)
+            want[i, j] = expconv._residual(op, expconv._member(pset.family_kind, mid), f).values
+    return want
+
+
+def _gram_bit_cases():
+    rng = np.random.default_rng(77)
+    cases = [
+        ("F_random", "F", (1.7, 2.6, 3.1, 4.4, 4.9), False),
+        ("F_special_0_and_1", "F", (-1.0, 0.5, 1.0, 1.5, 3.0), False),
+        ("F_duplicate_midpoints", "F", (2.0, 3.0, 4.0, 5.0), False),
+        ("H_random", "H", (-1.8, -0.3, 0.7, 1.9), False),
+        ("H_special_0", "H", (-2.0, 0.0, 2.0, 3.5), False),
+        ("F_coupled", "F", (1.5, 2.0, 3.0, 4.0), True),
+        ("H_coupled", "H", (0.0, 0.5, 2.0), True),
+    ]
+    out = []
+    for label, kind, ps, coupled in cases:
+        for k in range(3):
+            gen = random_conservative_generator(rng, min_dim=2 + k, max_dim=2 + 2 * k, max_norm=4.0)
+            f = random_domain_element(rng, gen.dim, kind)
+            t = float(rng.uniform(0.2, 3.0))
+            out.append(pytest.param(gen, f, t, ExponentSet(ps, family_kind=kind), coupled,
+                                    id=f"{label}-{k}"))
+    return out
+
+
+class TestGramBits:
+    @pytest.mark.parametrize("gen,f,t,pset,coupled", _gram_bit_cases())
+    def test_match_per_midpoint_residuals(self, gen, f, t, pset, coupled):
+        gram = build_gram(gen, f, t, pset, couple_time=coupled)
+        want = _gram_bits_reference(gen, f, t, pset, coupled)
+        coord = np.ascontiguousarray(want.transpose(2, 0, 1))
+        assert gram.entries.tobytes() == want.tobytes()
+        assert gram.coordinate_matrices.tobytes() == coord.tobytes()
+        assert gram.min_eigenvalues.tobytes() == np.linalg.eigvalsh(coord)[:, 0].tobytes()
+
+    def test_duplicate_midpoints_evaluated_once(self, bench_gen, bench_f, monkeypatch):
+        seen = []
+        member = expconv._member
+        monkeypatch.setattr(expconv, "_member", lambda kind, p: seen.append(p) or member(kind, p))
+        build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 3.0, 4.0, 5.0)))
+        # (i <= j) order: 2, 2.5, 3, 3.5 | 3 (again), 3.5, 4 | 4, 4.5 | 5
+        assert seen == [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0]
+
+    def test_one_block_action_per_operator(self, bench_gen, bench_f, monkeypatch):
+        blocks = []
+        act = SemigroupOperator.act
+        monkeypatch.setattr(SemigroupOperator, "act",
+                            lambda self, F: blocks.append(F.shape) or act(self, F))
+        build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 3.0, 4.0)))
+        assert blocks == [(6, 2)]      # f and the 5 distinct midpoints 2, 2.5, 3, 3.5, 4
+        blocks.clear()
+        build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 3.0, 4.0)), couple_time=True)
+        assert blocks == [(2, 2)] * 5
+
+
+
 class TestOrderPsd:
     def test_spectral_implies_sampled(self, bench_gen, rng):
         for _ in range(10):
@@ -231,6 +298,93 @@ class TestOrderPsd:
         assert rep.min_eigenvalue == min(gram.min_eigenvalues)
         assert rep.min_quadform >= -rep.scaled_tol
 
+
+def _full_einsum_min(gram, n_xi, seed):
+    """The sampled minimum over every row, drawn as ``check_order_psd`` draws it."""
+    xi = np.random.default_rng(seed).normal(size=(n_xi, gram.pset.size))
+    norms = np.linalg.norm(xi, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    xi = xi / norms
+    return float(np.min(np.einsum("si,sj,ijk->sk", xi, xi, gram.entries)))
+
+
+def _gram_of(entries):
+    """A LambdaGram around given (n, n, K) entries."""
+    entries = np.ascontiguousarray(entries, dtype=float)
+    n = entries.shape[0]
+    coord = np.ascontiguousarray(entries.transpose(2, 0, 1))
+    return LambdaGram(pset=ExponentSet(np.arange(n) + 2.0), t=1.0, entries=entries,
+                      coordinate_matrices=coord, min_eigenvalues=np.linalg.eigvalsh(coord)[:, 0])
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _tie_grams():
+    """Grams whose sampled forms tie: on every row, or on every row up to rounding."""
+    eye = np.eye(5)[:, :, None]
+    yield "zero_generator", np.zeros((3, 3, 2))
+    yield "minus_identity", -eye * np.array([1.0, 1.0, 2.0])
+    yield "scaled_identity", eye * np.array([-0.3, 7.0, -0.3])
+    yield "repeated_diagonal", np.diag([-1.0, -1.0, -1.0, 2.0])[:, :, None] * np.array([1.0, 1.0])
+    yield "subnormal_identity", -eye * 1e-310
+    yield "rank_one", -np.ones((4, 4, 1))
+
+
+class TestScreenedMinimum:
+    """``min_quadform`` is the minimum of the einsum over every row, bit for bit."""
+
+    @pytest.mark.parametrize("n_xi", [1, 7, 1000, 5000])
+    def test_bits_match_full_einsum(self, n_xi):
+        rng = np.random.default_rng(n_xi)
+        for n in range(1, 7):
+            for dim in range(1, 9):
+                a = rng.normal(size=(n, n, dim))
+                gram = _gram_of(a + a.transpose(1, 0, 2))
+                seed = int(rng.integers(1 << 30))
+                rep = check_order_psd(gram, n_xi=n_xi, seed=seed)
+                assert _bits(rep.min_quadform) == _bits(_full_einsum_min(gram, n_xi, seed)), (n, dim)
+
+    def test_bits_two_points_one_coordinate(self):
+        # the shape where numpy's einsum sums a block of one or two rows in
+        # another order than a longer block
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            a = rng.normal(size=(2, 2, 1))
+            gram = _gram_of(a + a.transpose(1, 0, 2))
+            seed = int(rng.integers(1 << 30))
+            rep = check_order_psd(gram, n_xi=1000, seed=seed)
+            assert _bits(rep.min_quadform) == _bits(_full_einsum_min(gram, 1000, seed))
+
+    @pytest.mark.parametrize("entries", [pytest.param(e, id=label) for label, e in _tie_grams()])
+    @pytest.mark.parametrize("n_xi", [7, 1000, 5000])
+    def test_bits_on_ties(self, entries, n_xi):
+        gram = _gram_of(entries)
+        for seed in range(8):
+            rep = check_order_psd(gram, n_xi=n_xi, seed=seed)
+            assert _bits(rep.min_quadform) == _bits(_full_einsum_min(gram, n_xi, seed))
+
+    def test_exact_pass_runs_on_few_rows(self, monkeypatch):
+        rows = []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum",
+                            lambda spec, *ops: rows.append(len(ops[0])) or einsum(spec, *ops))
+        a = np.random.default_rng(3).normal(size=(5, 5, 4))
+        check_order_psd(_gram_of(a + a.transpose(1, 0, 2)), n_xi=5000, seed=1)
+        assert len(rows) == 1 and rows[0] < 50
+
+    def test_non_finite_entry_keeps_every_row(self):
+        entries = np.ones((2, 2, 1))
+        entries[0, 1, 0] = entries[1, 0, 0] = np.nan
+        rep = check_order_psd(_gram_of(entries), n_xi=100, seed=0)
+        assert np.isnan(rep.min_quadform) and not rep.sampled_pass
+
+    def test_n_xi_must_be_positive(self, bench_gen, bench_f):
+        gram = build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 4.0)))
+        for bad in (0, -5):
+            with pytest.raises(ValueError, match="n_xi must be at least 1"):
+                check_order_psd(gram, n_xi=bad, seed=0)
 
 def _bench_H(bench_gen, bench_f):
     def H(p):
