@@ -191,8 +191,20 @@ def cmd_figure(args, argv) -> int:
     return 0
 
 
+# Flags of the benchmark run that a config sets itself: the config field
+# that applies instead, and the flag's default on the flag route.
+_CONFIG_FIELDS = (("t", "t_grid", 1.0), ("tol", "tolerances.psd", 1e-8), ("seed", "seed", 20240821))
+
+
 def _check_expconv_flags(args) -> None:
-    """Reject the flag values that ``config_from_json`` rejects in a config."""
+    """Reject --t, --tol and --seed given with --config, which would be
+    ignored, and the flag values that ``config_from_json`` rejects in a
+    config. Flags left out take their flag-route defaults."""
+    for flag, field, default in _CONFIG_FIELDS:
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif args.config is not None:
+            raise ConfigError(f"--{flag} does not apply with --config; set {field} in the config")
     if args.p is not None and not all(math.isfinite(p) for p in args.p):
         raise ConfigError("--p values must be finite exponents")
     if not (math.isfinite(args.t) and args.t >= 0):
@@ -291,11 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("expconv", help="Gram assembly and order-PSD verdicts")
     p_exp.add_argument("--config", help="suite config JSON with p_sets")
     p_exp.add_argument("--p", type=float, nargs="+", help="exponent set for the benchmark run")
-    p_exp.add_argument("--t", type=float, default=1.0, help="semigroup time for the benchmark run")
+    p_exp.add_argument("--t", type=float, help="semigroup time for the benchmark run (default 1.0)")
     p_exp.add_argument("--family", choices=["F", "H"], default="F", help="family kind")
-    p_exp.add_argument("--tol", type=float, default=1e-8, help="PSD tolerance scale")
+    p_exp.add_argument("--tol", type=float, help="PSD tolerance scale (default 1e-8)")
     p_exp.add_argument("--n-xi", type=int, default=1000, help="sampled quadratic-form vectors")
-    p_exp.add_argument("--seed", type=int, default=20240821, help="seed for sampled vectors")
+    p_exp.add_argument("--seed", type=int, help="seed for sampled vectors (default 20240821)")
     p_exp.add_argument("--out", help="output directory (default: out)")
     p_exp.set_defaults(func=cmd_expconv)
     return parser

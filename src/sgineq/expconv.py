@@ -23,7 +23,7 @@ y = 2x; both probes and the substitution identity are exposed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable
 
@@ -123,7 +123,7 @@ class ExponentSet:
 
 def _residual(op: SemigroupOperator, fam: OperatorFamily, f: LatticeElement) -> LatticeElement:
     phi_zf, z_phi_f = jessen_sides(op.act, fam, f.values[None, :])
-    return LatticeElement(z_phi_f[0] - phi_zf[0], algebra=f.algebra)
+    return LatticeElement(z_phi_f[0] - phi_zf[0])
 
 
 def lambda_residual(
@@ -318,16 +318,7 @@ class PsdReport:
         return self.spectral_pass and self.sampled_pass
 
     def to_json(self) -> dict:
-        return {
-            "spectral_pass": self.spectral_pass,
-            "sampled_pass": self.sampled_pass,
-            "min_eigenvalue": self.min_eigenvalue,
-            "min_quadform": self.min_quadform,
-            "scaled_tol": self.scaled_tol,
-            "tol": self.tol,
-            "n_xi": self.n_xi,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 # Unit roundoff of double precision.

@@ -99,7 +99,7 @@ class OperatorFamily:
     def apply(self, f: LatticeElement) -> LatticeElement:
         x = f.values
         self.check_domain(x)
-        return LatticeElement(self.value(x), algebra=f.algebra)
+        return LatticeElement(self.value(x))
 
     def __repr__(self):
         return self.label
@@ -348,7 +348,7 @@ def log_series(f: LatticeElement, cfg: LogSeriesConfig = LogSeriesConfig()) -> L
             )
         power = power * u
         total = total + power / n
-    return LatticeElement(-total, algebra=f.algebra)
+    return LatticeElement(-total)
 
 
 def second_derivative_check(

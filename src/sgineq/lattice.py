@@ -32,6 +32,7 @@ __all__ = [
     "lattice_norm",
     "multiply",
     "partial_leq",
+    "order_verdict",
     "leq_rows",
 ]
 
@@ -96,14 +97,18 @@ class LatticeAlgebra:
         self.labels = labels
 
     def element(self, values) -> "LatticeElement":
-        el = LatticeElement(values, algebra=self)
+        el = LatticeElement(values)
+        if el.dim != self.dim:
+            raise DimensionMismatchError(
+                f"got {el.dim} values for an algebra of dim {self.dim}"
+            )
         return el
 
     def unit(self) -> "LatticeElement":
-        return LatticeElement(np.ones(self.dim), algebra=self)
+        return LatticeElement(np.ones(self.dim))
 
     def zero(self) -> "LatticeElement":
-        return LatticeElement(np.zeros(self.dim), algebra=self)
+        return LatticeElement(np.zeros(self.dim))
 
     def __repr__(self):
         return f"LatticeAlgebra(dim={self.dim})"
@@ -112,39 +117,30 @@ class LatticeAlgebra:
 class LatticeElement:
     """Immutable real vector; arithmetic is componentwise."""
 
-    __slots__ = ("values", "algebra")
+    __slots__ = ("values",)
 
-    def __init__(self, values, algebra: LatticeAlgebra | None = None):
-        arr = _as_values(values)
-        if algebra is not None and algebra.dim != arr.size:
-            raise DimensionMismatchError(
-                f"got {arr.size} values for an algebra of dim {algebra.dim}"
-            )
-        self.values = arr
-        self.algebra = algebra
+    def __init__(self, values):
+        self.values = _as_values(values)
 
     @property
     def dim(self) -> int:
         return self.values.size
 
-    def _wrap(self, arr) -> "LatticeElement":
-        return LatticeElement(arr, algebra=self.algebra)
-
     def __add__(self, other):
         _check_same(self, other)
-        return self._wrap(self.values + other.values)
+        return LatticeElement(self.values + other.values)
 
     def __sub__(self, other):
         _check_same(self, other)
-        return self._wrap(self.values - other.values)
+        return LatticeElement(self.values - other.values)
 
     def __neg__(self):
-        return self._wrap(-self.values)
+        return LatticeElement(-self.values)
 
     def __mul__(self, other):
         if isinstance(other, LatticeElement):
             return multiply(self, other)
-        return self._wrap(self.values * float(other))
+        return LatticeElement(self.values * float(other))
 
     __rmul__ = __mul__
 
@@ -160,28 +156,28 @@ def _check_same(f: LatticeElement, g: LatticeElement) -> None:
 def join(f: LatticeElement, g: LatticeElement) -> LatticeElement:
     """Componentwise supremum."""
     _check_same(f, g)
-    return f._wrap(np.maximum(f.values, g.values))
+    return LatticeElement(np.maximum(f.values, g.values))
 
 
 def meet(f: LatticeElement, g: LatticeElement) -> LatticeElement:
     """Componentwise infimum."""
     _check_same(f, g)
-    return f._wrap(np.minimum(f.values, g.values))
+    return LatticeElement(np.minimum(f.values, g.values))
 
 
 def abs_val(f: LatticeElement) -> LatticeElement:
     """Lattice absolute value sup(f, -f)."""
-    return f._wrap(np.abs(f.values))
+    return LatticeElement(np.abs(f.values))
 
 
 def pos_part(f: LatticeElement) -> LatticeElement:
     """Positive part sup(f, 0)."""
-    return f._wrap(np.maximum(f.values, 0.0))
+    return LatticeElement(np.maximum(f.values, 0.0))
 
 
 def neg_part(f: LatticeElement) -> LatticeElement:
     """Negative part sup(-f, 0); f = pos_part(f) - neg_part(f)."""
-    return f._wrap(np.maximum(-f.values, 0.0))
+    return LatticeElement(np.maximum(-f.values, 0.0))
 
 
 def lattice_norm(f: LatticeElement) -> float:
@@ -192,7 +188,7 @@ def lattice_norm(f: LatticeElement) -> float:
 def multiply(f: LatticeElement, g: LatticeElement) -> LatticeElement:
     """Pointwise product; the algebra's unit is the all-ones vector."""
     _check_same(f, g)
-    return f._wrap(f.values * g.values)
+    return LatticeElement(f.values * g.values)
 
 
 def partial_leq(
@@ -206,8 +202,15 @@ def partial_leq(
     both at once, INCOMPARABLE a strict violation in both directions.
     """
     _check_same(f, g)
-    leq = bool(leq_rows(f.values, g.values, tol))
-    geq = bool(leq_rows(g.values, f.values, tol))
+    return order_verdict(f.values, g.values, tol)
+
+
+def order_verdict(
+    f: np.ndarray, g: np.ndarray, tol: OrderTolerance = DEFAULT_TOLERANCE
+) -> Ordering:
+    """The verdict of ``partial_leq`` on two value arrays of one shape."""
+    leq = bool(leq_rows(f, g, tol))
+    geq = bool(leq_rows(g, f, tol))
     if leq and geq:
         return Ordering.EQUAL
     if leq:

@@ -32,14 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    DEFAULT_TOLERANCE,
-    LatticeAlgebra,
-    LatticeElement,
-    Ordering,
-    OrderTolerance,
-    partial_leq,
-)
+from .lattice import DEFAULT_TOLERANCE, Ordering, OrderTolerance, order_verdict
 
 __all__ = [
     "ShiftScene",
@@ -153,7 +146,6 @@ def run_shift_example(scene: ShiftScene, tol: OrderTolerance = DEFAULT_TOLERANCE
     x = scene.grid()
     f = scene.profile()
     k = scene.shift_steps
-    algebra = LatticeAlgebra(x.size, labels=[float(v) for v in x])
 
     zf = _shift_left(f, k)
     phi_f = f[::-1].copy()
@@ -161,11 +153,7 @@ def run_shift_example(scene: ShiftScene, tol: OrderTolerance = DEFAULT_TOLERANCE
     rhs = _shift_left(phi_f, k)    # evolve after mirror
 
     inside = np.abs(x) <= scene.half_width - scene.t + 1e-12
-    verdict = partial_leq(
-        LatticeElement(lhs[inside]),
-        LatticeElement(rhs[inside]),
-        tol,
-    )
+    verdict = order_verdict(lhs[inside], rhs[inside], tol)
 
     lhs_closed = np.exp(-((scene.t - x) ** 2))
     rhs_closed = np.exp(-((scene.t + x) ** 2))
@@ -274,7 +262,7 @@ def run_rotation_example(
     lhs = rot_f[mirror]           # mirror after evolve
     rhs = np.roll(f[mirror], -k)  # evolve after mirror
 
-    verdict = partial_leq(LatticeElement(lhs), LatticeElement(rhs), tol)
+    verdict = order_verdict(lhs, rhs, tol)
 
     t = scene.t
     lhs_closed = np.cos(t - z) + 1.0

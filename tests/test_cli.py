@@ -316,6 +316,40 @@ class TestExpconv:
         assert res.returncode == 64, res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--t", "5", "t_grid"),
+        ("--tol", "1e-3", "tolerances.psd"),
+        ("--seed", "9", "seed"),
+    ], ids=["t", "tol", "seed"])
+    def test_config_route_rejects_flag_it_would_ignore(self, tmp_path, capsys, flag, value, field):
+        (tmp_path / "cfg.json").write_text(json.dumps(small_config()))
+        code = cli.main(["expconv", "--config", str(tmp_path / "cfg.json"), flag, value,
+                         "--out", str(tmp_path / "o")])
+        assert code == 64
+        assert capsys.readouterr().err.splitlines() == [
+            f"sgineq: error: {flag} does not apply with --config; set {field} in the config"
+        ]
+        assert not (tmp_path / "o" / "gram.json").exists()
+
+    def test_config_route_applies_n_xi_and_family(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps(small_config()))
+        code = cli.main(["expconv", "--config", str(tmp_path / "cfg.json"), "--n-xi", "7",
+                         "--family", "H", "--out", str(tmp_path / "o")])
+        assert code == 0
+        doc = json.loads((tmp_path / "o" / "gram.json").read_text())
+        assert doc["family_kind"] == "H"
+        assert len(doc["instances"]) == 2
+        for inst in doc["instances"]:
+            assert inst["psd"]["n_xi"] == 7
+            assert inst["psd"]["seed"] == 99
+            assert inst["gram"]["family_kind"] == "H"
+
+    def test_flag_route_defaults(self, tmp_path):
+        code = cli.main(["expconv", "--p", "2", "4", "--out", str(tmp_path / "o")])
+        assert code == 0
+        inst = json.loads((tmp_path / "o" / "gram.json").read_text())["instances"][0]
+        assert (inst["gram"]["t"], inst["psd"]["tol"], inst["psd"]["seed"]) == (1.0, 1e-8, 20240821)
+
     def test_zero_time_and_tolerance_are_accepted(self, tmp_path):
         code = cli.main(["expconv", "--p", "2", "4", "--t", "0", "--tol", "0",
                          "--out", str(tmp_path / "o")])

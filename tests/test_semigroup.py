@@ -116,6 +116,17 @@ class TestEvolve:
             norm = np.max(np.sum(np.abs(op.matrix), axis=1))
             assert op.trunc_error <= 1e-14 * norm
 
+    @pytest.mark.parametrize("rate_time", [0.1, 1.0, 10.0, 128.0, 129.0, 1000.0, 9000.0])
+    def test_trunc_error_budget_over_rates(self, rate_time):
+        # lam * t above 128 splits the series into 2^s steps and squares
+        rng = np.random.default_rng(int(rate_time * 10))
+        for _ in range(3):
+            gen = random_conservative_generator(rng, max_dim=8)
+            lam = float(np.max(np.abs(np.diag(gen.q))))
+            op = evolve(gen, rate_time / lam, time_cap=2e4)
+            norm = np.max(np.sum(np.abs(op.matrix), axis=1))
+            assert 0.0 < op.trunc_error <= 1e-14 * norm
+
     def test_time_cap(self):
         gen = validate_generator(BENCH_Q)  # norm 2
         with pytest.raises(TimeCapError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgineq import jessen, suites
+from sgineq import jessen, lattice, suites
 from sgineq.cli import DEFAULT_CONFIG
 from sgineq.jessen import DualVector, jessen_sides, verify_adjoint_pairing
 from sgineq.lattice import LatticeElement, Ordering, partial_leq
@@ -194,3 +194,89 @@ def test_bundled_config_is_far_inside_the_work_budget():
     assert cfg.samples * 2 * len(cfg.families) * len(cfg.t_grid) == 2160 < MAX_SAMPLE_WORK
     with pytest.raises(ConfigError, match="work budget"):
         config_from_json(dict(DEFAULT_CONFIG, samples=MAX_SAMPLE_WORK))
+
+
+LATTICE_CHECKS = ("absorption", "decomposition", "modulus_triangle", "norm_compatibility",
+                  "norm_submultiplicative", "unit_norm")
+
+
+def lattice_suite_reference(dim, samples, seed):
+    """Defects of run_lattice_axiom_suite from a per-sample loop over the
+    same draws, one pair of lattice elements per sample row, with the
+    norms taken by ``lattice_norm``."""
+    rng = np.random.default_rng(seed)
+    F = rng.uniform(-5, 5, size=(samples, dim))
+    G = rng.uniform(-5, 5, size=(samples, dim))
+    U = rng.uniform(-1.0, 1.0, size=(samples, dim))
+    worst = dict.fromkeys(LATTICE_CHECKS, 0.0)
+    for fv, gv, uv in zip(F, G, U):
+        f, g, h = LatticeElement(fv), LatticeElement(gv), LatticeElement(gv * uv)
+        j, m = lattice.join(f, g), lattice.meet(f, g)
+        worst["absorption"] = max(
+            worst["absorption"],
+            float(np.max(np.abs(lattice.join(f, m).values - f.values))),
+            float(np.max(np.abs(lattice.meet(f, j).values - f.values))),
+        )
+        pos, neg = lattice.pos_part(f), lattice.neg_part(f)
+        worst["decomposition"] = max(
+            worst["decomposition"],
+            float(np.max(np.abs((pos - neg).values - f.values))),
+            float(np.max(np.abs((pos + neg).values - lattice.abs_val(f).values))),
+        )
+        worst["modulus_triangle"] = max(
+            worst["modulus_triangle"],
+            float(np.max(lattice.abs_val(f + g).values
+                         - (lattice.abs_val(f) + lattice.abs_val(g)).values)),
+        )
+        worst["norm_compatibility"] = max(
+            worst["norm_compatibility"], lattice.lattice_norm(h) - lattice.lattice_norm(g)
+        )
+        worst["norm_submultiplicative"] = max(
+            worst["norm_submultiplicative"],
+            lattice.lattice_norm(lattice.multiply(f, g))
+            - lattice.lattice_norm(f) * lattice.lattice_norm(g),
+        )
+    worst["unit_norm"] = abs(lattice.lattice_norm(LatticeElement(np.ones(dim))) - 1.0)
+    return worst
+
+
+# name -> (lattice function to replace, replacement, check that must fail)
+LATTICE_MUTATIONS = {
+    "join_is_meet": ("join", lattice.meet, "absorption"),
+    "meet_is_join": ("meet", lattice.join, "absorption"),
+    "pos_part_is_abs": ("pos_part", lattice.abs_val, "decomposition"),
+    "neg_part_is_zero": ("neg_part", lambda f: LatticeElement(np.zeros(f.dim)), "decomposition"),
+    "abs_val_is_identity": ("abs_val", lambda f: f, "decomposition"),
+    "abs_val_is_square": ("abs_val", lambda f: LatticeElement(f.values * f.values),
+                          "modulus_triangle"),
+    "multiply_doubles": ("multiply", lambda f, g: LatticeElement(2.0 * f.values * g.values),
+                         "norm_submultiplicative"),
+    "lattice_norm_doubles": ("lattice_norm", lambda f: 2.0 * float(np.max(np.abs(f.values))),
+                             "unit_norm"),
+}
+
+
+class TestLatticeAxiomSuite:
+    @pytest.mark.parametrize("mutation", [None, *(m for m in LATTICE_MUTATIONS
+                                                  if m != "lattice_norm_doubles")])
+    @pytest.mark.parametrize("dim,samples,seed", [(1, 1, 0), (2, 40, 5), (3, 7, 11), (8, 300, 2)])
+    def test_block_matches_per_sample_loop(self, monkeypatch, mutation, dim, samples, seed):
+        # the norm checks are row reductions, so a mutated lattice_norm
+        # reaches only the loop; every other op reaches both
+        if mutation is not None:
+            name, replacement, _ = LATTICE_MUTATIONS[mutation]
+            monkeypatch.setattr(lattice, name, replacement)
+        entries = suites.run_lattice_axiom_suite(dim, samples, seed)
+        want = lattice_suite_reference(dim, samples, seed)
+        assert [e.name for e in entries] == list(LATTICE_CHECKS)
+        assert {e.name: e.defect for e in entries} == want
+        assert all(math.copysign(1.0, e.defect) == 1.0 for e in entries)
+        if mutation is None:
+            assert all(e.passed and e.defect == 0.0 for e in entries)
+
+    @pytest.mark.parametrize("mutation", sorted(LATTICE_MUTATIONS))
+    def test_mutated_op_fails_its_check(self, monkeypatch, mutation):
+        name, replacement, check = LATTICE_MUTATIONS[mutation]
+        monkeypatch.setattr(lattice, name, replacement)
+        failed = {e.name for e in suites.run_lattice_axiom_suite(3, 50, 1) if not e.passed}
+        assert check in failed
