@@ -21,17 +21,18 @@ tail cut per step is relative 1e-17 and the bound is propagated through
 the squarings into ``trunc_error``, which bounds that truncation only,
 not the rounding of the sums and products.
 
-Z(t) is formed as a K x K matrix only by ``evolve``. ``act`` sums the
-same series on a block of rows, so it returns Z(t) f for a few vectors
+``evolve`` forms Z(t) as a K x K matrix, ``evolve_many`` for many times
+at once with one stacked (B, K, K) product per series term. ``act`` sums
+the same series on a block of rows, so it returns Z(t) f for a few vectors
 f at the cost of (S, K) x (K, K) products, never forming Z(t); at large
-lam*t it runs the 2^s steps in sequence, since squaring needs the whole
-matrix.
+lam*t it runs the 2^s steps in sequence, since squaring needs the matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,7 @@ __all__ = [
     "generator_to_json",
     "SemigroupOperator",
     "evolve",
+    "evolve_many",
     "act",
     "check_semigroup_axioms",
     "check_positivity_and_normalization",
@@ -64,6 +66,7 @@ DEFAULT_TIME_CAP = 1e4
 _STEP_LIMIT = 128.0
 _TAIL_REL = 1e-17
 _ENTRY_CLAMP_BAND = 1e-12
+_OVERFLOW = "exp(tQ) exceeds double range for this generator"
 
 
 class NotSquareError(SgineqError):
@@ -94,10 +97,15 @@ class Generator:
     def dim(self) -> int:
         return self.q.shape[0]
 
-    @property
+    @cached_property
     def sup_norm(self) -> float:
         """Operator norm induced by the sup norm: max absolute row sum."""
         return float(np.max(np.sum(np.abs(self.q), axis=1)))
+
+    @cached_property
+    def uniform_rate(self) -> float:
+        """lam with P = I + Q/lam >= 0: max |Q_ii|, else the largest entry (0.0 for Q = 0)."""
+        return float(np.max(np.abs(np.diag(self.q)))) or float(np.max(self.q))
 
     def __repr__(self):
         tag = self.name or "generator"
@@ -205,81 +213,85 @@ class SemigroupOperator:
         return bool(np.max(np.abs(self.row_sums() - 1.0)) <= tol)
 
 
-def _uniformize(gen: Generator, t: float, time_cap: float):
-    """Guards shared by ``evolve`` and ``act``, and the uniformized chain.
+def _chain(gen: Generator) -> tuple[np.ndarray | None, float]:
+    """P = I + Q/lam >= 0 and its largest row sum mu (at least 1); (None, 1.0) for Q = 0."""
+    if not gen.uniform_rate:
+        return None, 1.0
+    p = np.eye(gen.dim) + gen.q / gen.uniform_rate
+    return p, max(1.0, float(p.sum(axis=1).max()))
 
-    Returns None when Z(t) is the identity (t = 0 or Q = 0). Otherwise
-    returns ``(p, mu, step_rate, splits)``: the nonnegative matrix
-    P = I + Q/lam, the largest row sum ``mu`` of P (at least 1), and the
-    rate lam*t/2^splits of each of the 2^splits equal steps, which is at
-    most ``_STEP_LIMIT``.
+
+def _plan(gen: Generator, t: float, time_cap: float, mu: float):
+    """Guards and series schedule of one time, given mu from ``_chain``.
+
+    None for the identity (t = 0 or Q = 0), else ``(rate, splits, terms,
+    tail)`` for 2^splits steps of rate <= _STEP_LIMIT. Scalar float
+    operations only, so a time gets the same plan in any batch.
     """
     if not t >= 0:  # also rejects NaN
         raise ValueError("t must be nonnegative")
-    if t == 0.0:
+    lam = gen.uniform_rate
+    if t == 0.0 or lam == 0.0:
         return None
     if t * gen.sup_norm > time_cap:
-        raise TimeCapError(
-            f"t*||Q|| = {t * gen.sup_norm:g} exceeds the cap {time_cap:g}"
-        )
-
-    lam = float(np.max(np.abs(np.diag(gen.q))))
-    if lam == 0.0:
-        if np.all(gen.q == 0.0):
-            return None
-        # zero diagonal but nonzero off-diagonal: any lam with I + Q/lam >= 0 works
-        lam = float(np.max(gen.q))
-
+        raise TimeCapError(f"t*||Q|| = {t * gen.sup_norm:g} exceeds the cap {time_cap:g}")
     splits = 0
     while lam * t / (2 ** splits) > _STEP_LIMIT:
         splits += 1
-    p = np.eye(gen.dim) + gen.q / lam
-    mu = max(1.0, float(p.sum(axis=1).max()))
-    return p, mu, lam * (t / (2 ** splits)), splits
-
-
-def _series_step(start: np.ndarray, m: np.ndarray, mu: float, rate: float) -> tuple[np.ndarray, float]:
-    """Uniformized series sum_k exp(-rate) rate^k/k! * start @ m^k.
-
-    ``evolve`` passes start = I and m = P, giving exp(tQ) for one step;
-    ``act`` passes a row block F and m = P^T, giving the rows of
-    exp(tQ) F^T. ``mu`` bounds the growth of one product with m in the
-    sup norm (the largest row sum of P), and rate <= _STEP_LIMIT.
-    Returns the sum and an absolute truncation bound relative to the
-    size of ``start``. All terms are entrywise nonnegative for a
-    nonnegative start, so no cancellation can produce a negative entry.
-    """
+    rate = lam * (t / (2 ** splits))
     log_growth = rate * (mu - 1.0)
     if log_growth > 700.0:
-        raise EvolveOverflowError("exp(tQ) exceeds double range for this generator")
-
-    term = math.exp(-rate) * start
-    total = term.copy()
+        raise EvolveOverflowError(_OVERFLOW)
     # scalar majorant b_k = exp(-rate) * (rate*mu)^k / k!, tracked in logs
     log_b = -rate
     log_target = math.log(_TAIL_REL) + log_growth
-    k = 0
-    max_iter = int(rate * mu + 60.0 * math.sqrt(rate * mu + 1.0) + 400)
-    while True:
-        k += 1
-        if k > max_iter:
-            raise SgineqError("uniformization failed to reach its tail target")
-        term = term @ m * (rate / k)
-        total += term
-        log_b += math.log(rate * mu) - math.log(k)
-        ratio = rate * mu / (k + 1)
-        if ratio < 1.0:
+    rate_mu = rate * mu
+    log_rate_mu = math.log(rate_mu)
+    log_next = 0.0  # log(k + 1) at k = 0
+    max_iter = int(rate_mu + 60.0 * math.sqrt(rate_mu + 1.0) + 400)
+    for k in range(1, max_iter + 1):
+        log_k, log_next = log_next, math.log(k + 1)
+        log_b += log_rate_mu - log_k
+        ratio = rate_mu / (k + 1)
+        # the tail bound is at least b_{k+1}: it misses the target while
+        # log b_{k+1} is above it by more than rounding, so skip its logs
+        if ratio < 1.0 and log_b + log_rate_mu - log_next <= log_target + 1e-6:
             # geometric tail bound: sum_{j>k} b_j <= b_k * ratio/(1-ratio)
             log_tail = log_b + math.log(ratio) - math.log(1.0 - ratio)
             if log_tail <= log_target:
-                return total, math.exp(log_tail)
+                return rate, splits, k, math.exp(log_tail)
+    raise SgineqError("uniformization failed to reach its tail target")
+
+
+def _series(term: np.ndarray, m: np.ndarray, coefs) -> np.ndarray:
+    """Sum of term_0 = ``term`` and term_k = term_{k-1} @ m * c_k over the ``coefs``.
+
+    With term = exp(-rate) * start and c_k = rate/k, this is the uniformized
+    series; for a nonnegative start no cancellation gives a negative entry.
+    """
+    total = term.copy()
+    for c in coefs:
+        term = term @ m * c
+        total += term
+    return total
+
+
+def _square(base: np.ndarray, err: float, splits: int) -> tuple[np.ndarray, float]:
+    """Z(t) and its truncation bound from those of Z(t/2^splits); overflow is left to the caller."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(splits):
+            norm = float(np.max(np.sum(base, axis=1)))
+            base = base @ base
+            err = err * (2.0 * norm + err)
+    return base, err
 
 
 def evolve(gen: Generator, t: float, time_cap: float = DEFAULT_TIME_CAP) -> SemigroupOperator:
     """Form the matrix Z(t) = exp(tQ) with structural entrywise nonnegativity.
 
     This builds all K x K entries: one K x K product per series term and
-    per squaring. To apply Z(t) to a few vectors, ``act`` is cheaper.
+    per squaring. To apply Z(t) to a few vectors, ``act`` is cheaper;
+    for many times of one generator, ``evolve_many``.
 
     Parameters
     ----------
@@ -297,20 +309,47 @@ def evolve(gen: Generator, t: float, time_cap: float = DEFAULT_TIME_CAP) -> Semi
         only, kept below 1e-14 * ||Z(t)||; rounding in the sums and the
         squarings is not included in it.
     """
-    chain = _uniformize(gen, t, time_cap)
-    if chain is None:
+    p, mu = _chain(gen)
+    plan = _plan(gen, t, time_cap, mu)
+    if plan is None:
         return SemigroupOperator(np.eye(gen.dim), t=t or 0.0, trunc_error=0.0)
-    p, mu, step_rate, splits = chain
-    base, err = _series_step(np.eye(gen.dim), p, mu, step_rate)
-    # overflow in the squarings is caught by the finiteness check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(splits):
-            norm = float(np.max(np.sum(base, axis=1)))
-            base = base @ base
-            err = err * (2.0 * norm + err)
+    rate, splits, terms, err = plan
+    base = _series(math.exp(-rate) * np.eye(gen.dim), p, (rate / k for k in range(1, terms + 1)))
+    base, err = _square(base, err, splits)
     if not np.all(np.isfinite(base)):
-        raise EvolveOverflowError("exp(tQ) exceeds double range for this generator")
+        raise EvolveOverflowError(_OVERFLOW)
     return SemigroupOperator(base, t=t, trunc_error=err)
+
+
+def evolve_many(gen: Generator, ts, time_cap: float = DEFAULT_TIME_CAP) -> list[SemigroupOperator]:
+    """``[evolve(gen, t) for t in ts]``, each series term one (B, K, K) @ P product.
+
+    Time i gets the coefficient rate_i/k up to its own term count and 0.0
+    after it, so each operator has the bits (and ``trunc_error``) of
+    ``evolve(gen, t_i)``. P is formed once; only times that need steps are
+    squared. An invalid time raises what ``evolve`` raises for the first one.
+    """
+    ts, (p, mu) = list(ts), _chain(gen)
+    plans, error = [], None
+    for t in ts:
+        try:
+            # the identity is the series with no term past the first
+            plans.append(_plan(gen, t, time_cap, mu) or (0.0, 0, 0, 0.0))
+        except (ValueError, SgineqError) as exc:
+            error = exc
+            break
+    rates, splits, terms, errs = np.array(plans, dtype=float).reshape(-1, 4).T
+    start = np.array([math.exp(-r) for r in rates])[:, None, None] * np.eye(gen.dim)
+    coefs = (np.where(k <= terms, rates / k, 0.0)[:, None, None]
+             for k in range(1, int(terms.max(initial=0)) + 1))
+    stack, errs = _series(start, p, coefs), errs.tolist()
+    for i in np.flatnonzero(splits):
+        stack[i], errs[i] = _square(stack[i], errs[i], int(splits[i]))
+    if not np.isfinite(stack).all():
+        raise EvolveOverflowError(_OVERFLOW)
+    if error is not None:  # after the overflow check, which concerns only earlier times
+        raise error
+    return [SemigroupOperator(z, t=t or 0.0, trunc_error=e) for z, t, e in zip(stack, ts, errs)]
 
 
 def act(gen: Generator, t: float, F, time_cap: float = DEFAULT_TIME_CAP) -> np.ndarray:
@@ -327,14 +366,16 @@ def act(gen: Generator, t: float, F, time_cap: float = DEFAULT_TIME_CAP) -> np.n
     if F.ndim != 2 or F.shape[1] != gen.dim:
         raise ValueError(f"act needs an (S, {gen.dim}) block, got shape {F.shape}")
     block = F.copy()
-    chain = _uniformize(gen, t, time_cap)
-    if chain is not None:
-        p, mu, step_rate, splits = chain
+    p, mu = _chain(gen)
+    plan = _plan(gen, t, time_cap, mu)
+    if plan is not None:
+        rate, splits, terms, _ = plan
         pt = np.ascontiguousarray(p.T)
+        coefs = [rate / k for k in range(1, terms + 1)]
         # overflow across the steps is caught by the finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(2 ** splits):
-                block, _ = _series_step(block, pt, mu, step_rate)
+                block = _series(math.exp(-rate) * block, pt, coefs)
     if not np.isfinite(block).all():
         # a non-finite entry of F reaches the result through the first term
         if not np.isfinite(F).all():
@@ -358,23 +399,17 @@ def check_semigroup_axioms(
     h, with slope ||Qf||).
     """
     entries = []
-
-    ident = evolve(gen, 0.0)
+    sweep = tuple(h_values) if f is not None else ()
+    ident, zs, zt, zst, *zhs = evolve_many(gen, [0.0, s, t, s + t, *sweep])
     d0 = float(np.max(np.abs(ident.matrix - np.eye(gen.dim))))
     entries.append(CheckEntry("identity_at_zero", d0 <= tol, d0, tol))
 
-    zs = evolve(gen, s)
-    zt = evolve(gen, t)
-    zst = evolve(gen, s + t)
     dcomp = float(np.max(np.abs(zs.matrix @ zt.matrix - zst.matrix)))
     comp_tol = tol * (1.0 + float(np.max(np.abs(zst.matrix))))
     entries.append(CheckEntry("composition", dcomp <= comp_tol, dcomp, comp_tol))
 
     if f is not None:
-        defects = []
-        for h in h_values:
-            zh = evolve(gen, h)
-            defects.append(float(np.max(np.abs(zh.matrix @ f.values - f.values))))
+        defects = [float(np.max(np.abs(zh.matrix @ f.values - f.values))) for zh in zhs]
         decreasing = all(a >= b - tol for a, b in zip(defects, defects[1:]))
         worst = defects[-1]
         entries.append(CheckEntry("continuity_sweep_decreasing", decreasing, worst, tol))

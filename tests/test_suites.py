@@ -1,21 +1,32 @@
+import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.linalg
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sgineq import jessen, lattice, suites
+from sgineq import cli, jessen, lattice, semigroup, suites
 from sgineq.cli import DEFAULT_CONFIG
 from sgineq.jessen import DualVector, jessen_sides, verify_adjoint_pairing
 from sgineq.lattice import LatticeElement, Ordering, partial_leq
-from sgineq.semigroup import NegativeOffDiagonalError, evolve
+from sgineq.semigroup import (
+    NegativeOffDiagonalError,
+    check_positivity_and_normalization,
+    check_semigroup_axioms,
+    evolve,
+    validate_generator,
+)
 from sgineq.suites import (
     MAX_SAMPLE_WORK,
     ConfigError,
     SuiteConfig,
     config_from_json,
+    random_conservative_generator,
     random_domain_element,
+    random_positive_generator,
     run_config_verification,
 )
 
@@ -189,11 +200,43 @@ def test_config_from_json_returns_config_or_config_error(overrides, dropped):
         * len(cfg.t_grid) <= MAX_SAMPLE_WORK
 
 
+# Small sample counts, valid or not, so each fuzzed verify run stays short.
+SMALL_SAMPLES = (st.integers(-1, 6) | st.lists(st.integers(), max_size=2)
+                 | JSON_SCALARS.filter(lambda v: not isinstance(v, (int, float)) or abs(v) <= 6))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.fixed_dictionaries({}, optional={key: SMALL_SAMPLES if key == "samples" else FIELD_VALUES[key]
+                                        for key in FIELD_VALUES}),
+    st.sets(st.sampled_from(sorted(FIELD_VALUES))),
+)
+def test_cli_verify_exit_code_contract(monkeypatch, overrides, dropped):
+    monkeypatch.delenv("SGINEQ_OUTPUT_DIR", raising=False)
+    data = {k: v for k, v in dict(DEFAULT_CONFIG, **overrides).items() if k not in dropped}
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        config.write_text(json.dumps(data))
+        code = cli.main(["verify", "--config", str(config), "--out", str(out)])
+        assert code in (0, 1, 2, 64)
+        if code in (0, 1):
+            report = json.loads((out / "report.json").read_text())
+            assert report["passed"] is (code == 0)
+
+
 def test_bundled_config_is_far_inside_the_work_budget():
     cfg = config_from_json(DEFAULT_CONFIG)
     assert cfg.samples * 2 * len(cfg.families) * len(cfg.t_grid) == 2160 < MAX_SAMPLE_WORK
     with pytest.raises(ConfigError, match="work budget"):
         config_from_json(dict(DEFAULT_CONFIG, samples=MAX_SAMPLE_WORK))
+
+
+def test_committed_cap_config_sits_at_the_work_budget():
+    # the CI run of this config is the time bound on a verify at the cap
+    path = Path(__file__).resolve().parents[1] / "configs" / "at_sample_cap.json"
+    cfg = config_from_json(json.loads(path.read_text()))
+    assert cfg.samples * sum(g.dim for g in cfg.generators) * len(cfg.families) \
+        * len(cfg.t_grid) == MAX_SAMPLE_WORK
 
 
 LATTICE_CHECKS = ("absorption", "decomposition", "modulus_triangle", "norm_compatibility",
@@ -280,3 +323,92 @@ class TestLatticeAxiomSuite:
         monkeypatch.setattr(lattice, name, replacement)
         failed = {e.name for e in suites.run_lattice_axiom_suite(3, 50, 1) if not e.passed}
         assert check in failed
+
+
+def semigroup_suite_reference(generators, samples, seed, tol=1e-10):
+    """Entries of run_semigroup_axiom_suite from a per-sample loop over the
+    same draws: three ``evolve`` calls and one matrix product per (s, t)
+    sample, with each defect as its bytes."""
+    rng = np.random.default_rng(seed)
+    entries = []
+    for gen in generators:
+        label = gen.name or f"dim{gen.dim}"
+        law = neg = norm = 0.0
+        for _ in range(samples):
+            s = float(rng.uniform(0.0, 2.5))
+            t = float(rng.uniform(0.0, 2.5))
+            zs, zt, zst = (evolve(gen, x).matrix for x in (s, t, s + t))
+            law = max(law, float(np.max(np.abs(zs @ zt - zst))))
+            neg = max(neg, float(-np.min(zst)))
+            if gen.conservative:
+                norm = max(norm, float(np.max(np.abs(zst.sum(axis=1) - 1.0))))
+        sampled = [(f"{label}:composition", law <= tol, law, tol),
+                   (f"{label}:nonnegativity", neg <= 0.0, neg, 0.0)]
+        if gen.conservative:
+            sampled.append((f"{label}:normalization", norm <= tol, norm, tol))
+        f = LatticeElement(rng.uniform(-1.0, 2.0, size=gen.dim))
+        fixed = (check_semigroup_axioms(gen, 0.4, 1.1, tol=tol, f=f)
+                 + check_positivity_and_normalization(gen, 0.7, f, tol=tol))
+        entries += sampled + [(e.name, e.passed, e.defect, e.tol) for e in fixed]
+    return [(name, ok, np.float64(defect).tobytes(), bound) for name, ok, defect, bound in entries]
+
+
+def _suite_generators(case):
+    rng = np.random.default_rng(17)
+    if case == "bundled":
+        return [validate_generator(DEFAULT_CONFIG["generators"][0]["q"], name="benchmark2")]
+    if case == "k5_and_nonconservative":
+        return [random_conservative_generator(rng, min_dim=5, max_dim=5, name="k5"),
+                random_positive_generator(rng, max_dim=3)]
+    # lam = 60, so lam * (s + t) reaches 300 and the times need splits
+    return [validate_generator([[-60.0, 60.0], [30.0, -30.0]], name="split")]
+
+
+class TestSemigroupAxiomSuite:
+    @pytest.mark.parametrize("stack_entries", [None, 40])
+    @pytest.mark.parametrize("case,samples,seed", [("bundled", 40, 3),
+                                                   ("k5_and_nonconservative", 30, 11),
+                                                   ("split", 25, 5)])
+    def test_matches_per_sample_loop(self, monkeypatch, case, samples, seed, stack_entries):
+        # a small stack bound splits the samples into many chunks
+        if stack_entries is not None:
+            monkeypatch.setattr(suites, "_STACK_ENTRIES", stack_entries)
+        gens = _suite_generators(case)
+        entries = suites.run_semigroup_axiom_suite(gens, samples, seed)
+        got = [(e.name, e.passed, np.float64(e.defect).tobytes(), e.tol) for e in entries]
+        assert got == semigroup_suite_reference(gens, samples, seed)
+
+    def test_no_per_sample_evolve_call(self, monkeypatch):
+        calls = []
+        real_evolve = semigroup.evolve
+
+        def spy(gen, t, *args, **kwargs):
+            calls.append(t)
+            return real_evolve(gen, t, *args, **kwargs)
+
+        monkeypatch.setattr(suites, "evolve", spy)
+        monkeypatch.setattr(semigroup, "evolve", spy)
+        gens = _suite_generators("k5_and_nonconservative")
+        suites.run_semigroup_axiom_suite(gens, 200, 1)
+        # the one remaining call per generator is the positivity check at t = 0.7
+        assert calls == [0.7] * len(gens)
+
+
+def test_bundled_suite_evolve_many_operators_match_expm(monkeypatch):
+    batches = []
+    real_evolve_many = semigroup.evolve_many
+
+    def spy(gen, ts, *args, **kwargs):
+        ops = real_evolve_many(gen, ts, *args, **kwargs)
+        batches.append((gen, ops))
+        return ops
+
+    monkeypatch.setattr(suites, "evolve_many", spy)
+    monkeypatch.setattr(semigroup, "evolve_many", spy)
+    run_config_verification(config_from_json(DEFAULT_CONFIG))
+    # 4 sampled (s, t, s + t) triples, then the identity, composition and
+    # continuity-sweep times of check_semigroup_axioms
+    assert [len(ops) for _, ops in batches] == [12, 10]
+    for gen, ops in batches:
+        for op in ops:
+            assert np.max(np.abs(op.matrix - scipy.linalg.expm(op.t * gen.q))) <= 1e-13
