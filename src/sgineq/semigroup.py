@@ -21,11 +21,12 @@ tail cut per step is relative 1e-17 and the bound is propagated through
 the squarings into ``trunc_error``, which bounds that truncation only,
 not the rounding of the sums and products.
 
-``evolve`` forms Z(t) as a K x K matrix, ``evolve_many`` for many times
-at once with one stacked (B, K, K) product per series term. ``act`` sums
-the same series on a block of rows, so it returns Z(t) f for a few vectors
-f at the cost of (S, K) x (K, K) products, never forming Z(t); at large
-lam*t it runs the 2^s steps in sequence, since squaring needs the matrix.
+``evolve`` forms Z(t) as a K x K matrix, ``evolve_many`` the (B, K, K)
+stack of Z(t) for many times at once with one stacked product per series
+term. ``act`` sums the same series on a block of rows, so it returns
+Z(t) f for a few vectors f at the cost of (S, K) x (K, K) products, never
+forming Z(t); at large lam*t it runs the 2^s steps in sequence, since
+squaring needs the matrix.
 """
 
 from __future__ import annotations
@@ -247,15 +248,11 @@ def _plan(gen: Generator, t: float, time_cap: float, mu: float):
     log_target = math.log(_TAIL_REL) + log_growth
     rate_mu = rate * mu
     log_rate_mu = math.log(rate_mu)
-    log_next = 0.0  # log(k + 1) at k = 0
     max_iter = int(rate_mu + 60.0 * math.sqrt(rate_mu + 1.0) + 400)
     for k in range(1, max_iter + 1):
-        log_k, log_next = log_next, math.log(k + 1)
-        log_b += log_rate_mu - log_k
+        log_b += log_rate_mu - math.log(k)
         ratio = rate_mu / (k + 1)
-        # the tail bound is at least b_{k+1}: it misses the target while
-        # log b_{k+1} is above it by more than rounding, so skip its logs
-        if ratio < 1.0 and log_b + log_rate_mu - log_next <= log_target + 1e-6:
+        if ratio < 1.0:
             # geometric tail bound: sum_{j>k} b_j <= b_k * ratio/(1-ratio)
             log_tail = log_b + math.log(ratio) - math.log(1.0 - ratio)
             if log_tail <= log_target:
@@ -321,35 +318,36 @@ def evolve(gen: Generator, t: float, time_cap: float = DEFAULT_TIME_CAP) -> Semi
     return SemigroupOperator(base, t=t, trunc_error=err)
 
 
-def evolve_many(gen: Generator, ts, time_cap: float = DEFAULT_TIME_CAP) -> list[SemigroupOperator]:
-    """``[evolve(gen, t) for t in ts]``, each series term one (B, K, K) @ P product.
+def evolve_many(gen: Generator, ts) -> np.ndarray:
+    """The (B, K, K) stack of ``evolve(gen, t).matrix`` for t in ts, one stacked @ P per term.
 
     Time i gets the coefficient rate_i/k up to its own term count and 0.0
-    after it, so each operator has the bits (and ``trunc_error``) of
-    ``evolve(gen, t_i)``. P is formed once; only times that need steps are
-    squared. An invalid time raises what ``evolve`` raises for the first one.
+    after it, so each matrix has the bits of ``evolve(gen, t_i)``. P is
+    formed once; only times that need steps are squared. An invalid time
+    raises what ``evolve`` raises for the first one. No truncation bound
+    is returned; ``evolve`` gives that of one time.
     """
-    ts, (p, mu) = list(ts), _chain(gen)
+    p, mu = _chain(gen)
     plans, error = [], None
     for t in ts:
         try:
             # the identity is the series with no term past the first
-            plans.append(_plan(gen, t, time_cap, mu) or (0.0, 0, 0, 0.0))
+            plans.append(_plan(gen, t, DEFAULT_TIME_CAP, mu) or (0.0, 0, 0, 0.0))
         except (ValueError, SgineqError) as exc:
             error = exc
             break
-    rates, splits, terms, errs = np.array(plans, dtype=float).reshape(-1, 4).T
+    rates, splits, terms, _ = np.array(plans, dtype=float).reshape(-1, 4).T
     start = np.array([math.exp(-r) for r in rates])[:, None, None] * np.eye(gen.dim)
     coefs = (np.where(k <= terms, rates / k, 0.0)[:, None, None]
              for k in range(1, int(terms.max(initial=0)) + 1))
-    stack, errs = _series(start, p, coefs), errs.tolist()
+    stack = _series(start, p, coefs)
     for i in np.flatnonzero(splits):
-        stack[i], errs[i] = _square(stack[i], errs[i], int(splits[i]))
+        stack[i] = _square(stack[i], 0.0, int(splits[i]))[0]
     if not np.isfinite(stack).all():
         raise EvolveOverflowError(_OVERFLOW)
     if error is not None:  # after the overflow check, which concerns only earlier times
         raise error
-    return [SemigroupOperator(z, t=t or 0.0, trunc_error=e) for z, t, e in zip(stack, ts, errs)]
+    return stack
 
 
 def act(gen: Generator, t: float, F, time_cap: float = DEFAULT_TIME_CAP) -> np.ndarray:
@@ -401,15 +399,15 @@ def check_semigroup_axioms(
     entries = []
     sweep = tuple(h_values) if f is not None else ()
     ident, zs, zt, zst, *zhs = evolve_many(gen, [0.0, s, t, s + t, *sweep])
-    d0 = float(np.max(np.abs(ident.matrix - np.eye(gen.dim))))
+    d0 = float(np.max(np.abs(ident - np.eye(gen.dim))))
     entries.append(CheckEntry("identity_at_zero", d0 <= tol, d0, tol))
 
-    dcomp = float(np.max(np.abs(zs.matrix @ zt.matrix - zst.matrix)))
-    comp_tol = tol * (1.0 + float(np.max(np.abs(zst.matrix))))
+    dcomp = float(np.max(np.abs(zs @ zt - zst)))
+    comp_tol = tol * (1.0 + float(np.max(np.abs(zst))))
     entries.append(CheckEntry("composition", dcomp <= comp_tol, dcomp, comp_tol))
 
     if f is not None:
-        defects = [float(np.max(np.abs(zh.matrix @ f.values - f.values))) for zh in zhs]
+        defects = [float(np.max(np.abs(zh @ f.values - f.values))) for zh in zhs]
         decreasing = all(a >= b - tol for a, b in zip(defects, defects[1:]))
         worst = defects[-1]
         entries.append(CheckEntry("continuity_sweep_decreasing", decreasing, worst, tol))

@@ -87,7 +87,7 @@ __all__ = [
 # Cap on samples x (sum of generator dims) x families x times, the number
 # of sampled coordinates in verify's Jessen blocks, which bounds their memory.
 # At the cap, one 2-state generator with one family and one time verifies in
-# about 4.2 s on a 2-vCPU machine. The bundled config uses 2160.
+# about 2.9 s on a 2-vCPU machine. The bundled config uses 2160.
 MAX_SAMPLE_WORK = 2_000_000
 
 # Matrix entries per evolve_many stack in the semigroup-axiom suite, which
@@ -341,8 +341,8 @@ def run_semigroup_axiom_suite(generators, samples: int, seed: int, tol: float = 
         chunk = max(1, _STACK_ENTRIES // (3 * gen.dim ** 2))
         for lo in range(0, samples, chunk):
             s, t = pairs[lo:lo + chunk].T
-            ops = evolve_many(gen, np.column_stack([s, t, s + t]).ravel().tolist())
-            z = np.reshape([op.matrix for op in ops], (-1, 3, gen.dim, gen.dim))
+            z = evolve_many(gen, np.column_stack([s, t, s + t]).ravel().tolist())
+            z = z.reshape(-1, 3, gen.dim, gen.dim)
             zs, zt, zst = z.swapaxes(0, 1)
             worst_law = max(worst_law, float(np.max(np.abs(zs @ zt - zst))))
             worst_neg = max(worst_neg, float(-np.min(zst)))

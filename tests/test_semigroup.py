@@ -15,7 +15,6 @@ from sgineq.semigroup import (
     NotSquareError,
     SemigroupOperator,
     TimeCapError,
-    _plan,
     act,
     check_positivity_and_normalization,
     check_semigroup_axioms,
@@ -165,13 +164,15 @@ class TestEvolve:
         assert np.max(np.abs(ours - ref)) <= 1e-11
 
 
-def _same_operator(a, b):
-    return (a.matrix.tobytes() == b.matrix.tobytes() and a.trunc_error == b.trunc_error
-            and a.t == b.t)
+def _same_matrices(stack, gen, ts):
+    """Whether the stack holds the bits of ``evolve(gen, t).matrix`` for each t."""
+    want = [evolve(gen, t).matrix for t in ts]
+    return (stack.shape == (len(ts), gen.dim, gen.dim)
+            and all(z.tobytes() == w.tobytes() for z, w in zip(stack, want)))
 
 
 def _outcome(fn):
-    """The operators fn returns, or the type and message of what it raises."""
+    """What fn returns, or the type and message of what it raises."""
     try:
         return fn()
     except Exception as exc:  # any outcome is compared
@@ -188,19 +189,16 @@ class TestEvolveMany:
         lam = gen.uniform_rate or 1.0
         # lam*t above 128 needs squarings; mixed with unstepped times and repeats
         ts = [0.0, 1e-6, *rng.uniform(0.0, 3.0, size=4), 300.0 / lam, 0.7, 0.7, 129.0 / lam, 0.0]
-        many = evolve_many(gen, ts)
-        assert len(many) == len(ts)
-        assert all(_same_operator(op, evolve(gen, t)) for op, t in zip(many, ts))
+        assert _same_matrices(evolve_many(gen, ts), gen, ts)
 
     @pytest.mark.parametrize("q", [np.zeros((3, 3)), [[0.5, 0.2], [0.0, -0.1]], [[0.4]], BENCH_Q],
                              ids=["zero", "nonconservative", "one_state", "bench"])
     def test_special_generators_and_empty_list(self, q):
         gen = validate_generator(q)
         ts = [0.0, 0.25, 3.7, 3.7]
-        assert all(_same_operator(op, evolve(gen, t)) for op, t in zip(evolve_many(gen, ts), ts))
-        assert all(_same_operator(a, b) for a, b in zip(evolve_many(gen, iter(ts)), evolve_many(gen, ts)))
-        assert len(evolve_many(gen, iter(ts))) == len(ts)
-        assert evolve_many(gen, []) == []
+        assert _same_matrices(evolve_many(gen, ts), gen, ts)
+        assert _same_matrices(evolve_many(gen, iter(ts)), gen, ts)
+        assert _same_matrices(evolve_many(gen, []), gen, [])
 
     @pytest.mark.parametrize("q,ts", [
         (BENCH_Q, [0.5, -1.0, 0.2]),
@@ -216,43 +214,6 @@ class TestEvolveMany:
         want = _outcome(lambda: [evolve(gen, t) for t in ts])
         assert isinstance(want, tuple)
         assert _outcome(lambda: evolve_many(gen, ts)) == want
-
-    def test_time_cap_is_passed_through(self):
-        gen = validate_generator(BENCH_Q)
-        with pytest.raises(TimeCapError):
-            evolve_many(gen, [1.0, 10.0], time_cap=5.0)
-        op, = evolve_many(gen, [6000.0], time_cap=2e4)
-        assert _same_operator(op, evolve(gen, 6000.0, time_cap=2e4))
-
-
-def _schedule_reference(rate, mu):
-    """Term count and tail bound of one series step by the plain loop, which
-    evaluates the tail bound at every k once rate*mu/(k+1) is below 1."""
-    log_b, log_target = -rate, math.log(1e-17) + rate * (mu - 1.0)
-    k = 0
-    while True:
-        k += 1
-        log_b += math.log(rate * mu) - math.log(k)
-        ratio = rate * mu / (k + 1)
-        if ratio < 1.0:
-            log_tail = log_b + math.log(ratio) - math.log(1.0 - ratio)
-            if log_tail <= log_target:
-                return k, math.exp(log_tail)
-
-
-@pytest.mark.parametrize("seed", range(2))
-def test_term_schedule_matches_plain_loop(seed):
-    # lam = 1 and t <= 128 make the step rate t itself; rates next to the
-    # integers put rate*mu/(k+1) next to 1, where the tail check starts
-    gen = validate_generator([[-1.0, 1.0], [0.0, 0.0]])
-    rng = np.random.default_rng(seed)
-    ints = np.arange(1.0, 128.0)
-    rates = [*rng.uniform(0.0, 128.0, 200), *np.exp(rng.uniform(-30.0, 4.8, 200)),
-             *ints, *np.nextafter(ints, 0.0), *np.nextafter(ints, 200.0)]
-    for rate in rates:
-        for mu in (1.0, 1.0 + float(rng.exponential(0.5)), 1.0 + 5.0 / rate):
-            if rate * (mu - 1.0) <= 700.0:
-                assert _plan(gen, float(rate), 1e4, mu)[2:] == _schedule_reference(float(rate), mu)
 
 
 def _generator(k, seed, conservative=True):
