@@ -64,7 +64,7 @@ class OrderTolerance:
     def margin(self, f: np.ndarray, g: np.ndarray):
         """Band eps for each row (last axis) of two value arrays of one shape."""
         return self.atol + self.rtol * np.maximum(
-            np.max(np.abs(f), axis=-1), np.max(np.abs(g), axis=-1)
+            np.abs(f).max(axis=-1), np.abs(g).max(axis=-1)
         )
 
 
@@ -208,9 +208,12 @@ def partial_leq(
 def order_verdict(
     f: np.ndarray, g: np.ndarray, tol: OrderTolerance = DEFAULT_TOLERANCE
 ) -> Ordering:
-    """The verdict of ``partial_leq`` on two value arrays of one shape."""
-    leq = bool(leq_rows(f, g, tol))
-    geq = bool(leq_rows(g, f, tol))
+    """The verdict of ``partial_leq`` on two value arrays of one shape; one band and one
+    difference give both halves, as ``margin`` is symmetric and f - g = -(g - f) exactly."""
+    eps = tol.margin(f, g)
+    diff = g - f
+    leq = bool(diff.min(axis=-1) >= -eps)
+    geq = bool(diff.max(axis=-1) <= eps)
     if leq and geq:
         return Ordering.EQUAL
     if leq:

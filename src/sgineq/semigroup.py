@@ -19,7 +19,11 @@ as exp(tQ) = exp(tQ/2^s)^(2^s) with lam*t/2^s <= 128 per step; squaring
 nonnegative matrices keeps the structural sign property. The Poisson
 tail cut per step is relative 1e-17 and the bound is propagated through
 the squarings into ``trunc_error``, which bounds that truncation only,
-not the rounding of the sums and products.
+not the rounding of the sums and products. The term count is the first k
+whose geometric tail bound on the majorant b_k = exp(-rate) (rate mu)^k / k!
+meets that cut. The bound is at least b_{k+1}, so it is evaluated only once
+b_{k+1} is near the cut, and log k comes from a table grown on demand.
+A lam*t that underflows to 0 gives the identity.
 
 ``evolve`` forms Z(t) as a K x K matrix, ``evolve_many`` the (B, K, K)
 stack of Z(t) for many times at once with one stacked product per series
@@ -67,7 +71,8 @@ DEFAULT_TIME_CAP = 1e4
 _STEP_LIMIT = 128.0
 _TAIL_REL = 1e-17
 _ENTRY_CLAMP_BAND = 1e-12
-_OVERFLOW = "exp(tQ) exceeds double range for this generator"
+_OVERFLOW = "exp(tQ) or its uniformization exceeds double range for this generator"
+_LOGS = [0.0]  # _LOGS[k] = math.log(k) for k >= 1, grown by _plan as far as it needs
 
 
 class NotSquareError(SgineqError):
@@ -225,10 +230,12 @@ def _chain(gen: Generator) -> tuple[np.ndarray | None, float]:
 def _plan(gen: Generator, t: float, time_cap: float, mu: float):
     """Guards and series schedule of one time, given mu from ``_chain``.
 
-    None for the identity (t = 0 or Q = 0), else ``(rate, splits, terms,
-    tail)`` for 2^splits steps of rate <= _STEP_LIMIT. Scalar float
-    operations only, so a time gets the same plan in any batch.
+    None for the identity (t = 0, Q = 0 or lam*t below the double range),
+    else ``(rate, splits, terms, tail)`` for 2^splits steps of rate <=
+    _STEP_LIMIT. Scalar float operations only, so a time gets the same plan
+    in any batch, and the plan of a loop that tests the tail at every k.
     """
+    global _LOGS
     if not t >= 0:  # also rejects NaN
         raise ValueError("t must be nonnegative")
     lam = gen.uniform_rate
@@ -241,22 +248,30 @@ def _plan(gen: Generator, t: float, time_cap: float, mu: float):
         splits += 1
     rate = lam * (t / (2 ** splits))
     log_growth = rate * (mu - 1.0)
-    if log_growth > 700.0:
+    if not log_growth <= 700.0:  # also NaN or inf when P = I + Q/lam is not finite
         raise EvolveOverflowError(_OVERFLOW)
+    if rate == 0.0:  # lam*t underflowed: Z(t) = I to double precision
+        return None
     # scalar majorant b_k = exp(-rate) * (rate*mu)^k / k!, tracked in logs
-    log_b = -rate
     log_target = math.log(_TAIL_REL) + log_growth
     rate_mu = rate * mu
     log_rate_mu = math.log(rate_mu)
     max_iter = int(rate_mu + 60.0 * math.sqrt(rate_mu + 1.0) + 400)
+    logs = _LOGS
+    if len(logs) < max_iter + 2:  # replaced whole, so no concurrent call sees a partial table
+        logs = _LOGS = [0.0, *map(math.log, range(1, max_iter + 2))]
+    log_b = -rate + (log_rate_mu - logs[1])
     for k in range(1, max_iter + 1):
-        log_b += log_rate_mu - math.log(k)
-        ratio = rate_mu / (k + 1)
-        if ratio < 1.0:
-            # geometric tail bound: sum_{j>k} b_j <= b_k * ratio/(1-ratio)
-            log_tail = log_b + math.log(ratio) - math.log(1.0 - ratio)
-            if log_tail <= log_target:
-                return rate, splits, k, math.exp(log_tail)
+        log_next = log_b + (log_rate_mu - logs[k + 1])
+        # the tail bound below is >= b_{k+1}, so it can pass only once b_{k+1} nears the target
+        if log_next <= log_target + 1.0:
+            ratio = rate_mu / (k + 1)
+            if ratio < 1.0:
+                # geometric tail bound: sum_{j>k} b_j <= b_k * ratio/(1-ratio)
+                log_tail = log_b + math.log(ratio) - math.log(1.0 - ratio)
+                if log_tail <= log_target:
+                    return rate, splits, k, math.exp(log_tail)
+        log_b = log_next
     raise SgineqError("uniformization failed to reach its tail target")
 
 
@@ -312,8 +327,9 @@ def evolve(gen: Generator, t: float, time_cap: float = DEFAULT_TIME_CAP) -> Semi
         return SemigroupOperator(np.eye(gen.dim), t=t or 0.0, trunc_error=0.0)
     rate, splits, terms, err = plan
     base = _series(math.exp(-rate) * np.eye(gen.dim), p, (rate / k for k in range(1, terms + 1)))
-    base, err = _square(base, err, splits)
-    if not np.all(np.isfinite(base)):
+    if splits:
+        base, err = _square(base, err, splits)
+    if not np.isfinite(base).all():
         raise EvolveOverflowError(_OVERFLOW)
     return SemigroupOperator(base, t=t, trunc_error=err)
 

@@ -60,3 +60,32 @@ def brute_quad_form(h_map, x_list, xi_list, midpoint: bool) -> np.ndarray:
             term = xiv * xjv * np.asarray(h_map(arg), dtype=float)
             total = term if total is None else total + term
     return total
+
+
+def plain_term_schedule(lam: float, t: float, mu: float) -> tuple:
+    """(rate, splits, terms, tail) of the uniformization series at lam*t > 0.
+
+    The schedule as a plain loop: halve lam*t until it is at most 128,
+    then track log b_k = log(exp(-rate) (rate mu)^k / k!) with one
+    math.log per term and test the geometric tail bound
+    b_k ratio / (1 - ratio) against 1e-17 exp(rate (mu - 1)) at every k
+    with ratio = rate mu / (k + 1) < 1.
+    """
+    splits = 0
+    while lam * t / (2 ** splits) > 128.0:
+        splits += 1
+    rate = lam * (t / (2 ** splits))
+    log_growth = rate * (mu - 1.0)
+    log_b = -rate
+    log_target = math.log(1e-17) + log_growth
+    rate_mu = rate * mu
+    log_rate_mu = math.log(rate_mu)
+    max_iter = int(rate_mu + 60.0 * math.sqrt(rate_mu + 1.0) + 400)
+    for k in range(1, max_iter + 1):
+        log_b += log_rate_mu - math.log(k)
+        ratio = rate_mu / (k + 1)
+        if ratio < 1.0:
+            log_tail = log_b + math.log(ratio) - math.log(1.0 - ratio)
+            if log_tail <= log_target:
+                return rate, splits, k, math.exp(log_tail)
+    raise AssertionError("no term count reaches the tail target")

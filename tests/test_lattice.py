@@ -16,6 +16,7 @@ from sgineq.lattice import (
     meet,
     multiply,
     neg_part,
+    order_verdict,
     partial_leq,
     pos_part,
 )
@@ -206,6 +207,75 @@ def test_leq_rows_is_the_leq_half_of_partial_leq():
         verdict = partial_leq(LatticeElement(fr), LatticeElement(gr), tol)
         assert bool(got) == (verdict in (Ordering.LEQ, Ordering.EQUAL))
         assert bool(leq_rows(gr, fr, tol)) == (verdict in (Ordering.GEQ, Ordering.EQUAL))
+
+
+def _two_sided_verdict(f, g, tol):
+    """The verdict from one ``leq_rows`` call each way."""
+    leq, geq = bool(leq_rows(f, g, tol)), bool(leq_rows(g, f, tol))
+    return {(True, True): Ordering.EQUAL, (True, False): Ordering.LEQ,
+            (False, True): Ordering.GEQ, (False, False): Ordering.INCOMPARABLE}[leq, geq]
+
+
+def test_order_verdict_matches_two_sided_leq_rows():
+    tol = OrderTolerance(atol=0.25, rtol=0.0)
+    above, below = np.nextafter(0.25, 1.0), np.nextafter(0.25, 0.0)
+    cases = [
+        ([0.0, 1.0], [0.0, 1.0], Ordering.EQUAL),
+        ([0.0, 1.0], [1.0, 1.0], Ordering.LEQ),
+        ([1.0, 1.0], [0.0, 1.0], Ordering.GEQ),
+        ([0.0, 1.0], [1.0, 0.0], Ordering.INCOMPARABLE),
+        # ties exactly at +eps and -eps stay inside the band, one ulp more does not
+        ([0.0, 1.0], [0.25, 1.0], Ordering.EQUAL),
+        ([0.25, 1.0], [0.0, 1.0], Ordering.EQUAL),
+        ([0.0, 1.0], [0.25, 0.75], Ordering.EQUAL),
+        ([0.0, 1.0], [above, 1.0], Ordering.LEQ),
+        ([above, 1.0], [0.0, 1.0], Ordering.GEQ),
+        ([0.0, 0.5], [0.25, 0.5 - above], Ordering.GEQ),
+        ([0.0, 0.0], [-0.25, above], Ordering.LEQ),
+        # NaN in a row, in the band or in the difference: no half holds
+        ([np.nan, 1.0], [0.0, 1.0], Ordering.INCOMPARABLE),
+        ([0.0, 1.0], [0.0, np.nan], Ordering.INCOMPARABLE),
+        ([np.inf, 1.0], [np.inf, 1.0], Ordering.INCOMPARABLE),
+        ([np.inf, 1.0], [0.0, 1.0], Ordering.INCOMPARABLE),  # eps = 0.25 + 0 * inf
+    ]
+    for f, g, want in cases:
+        f, g = np.array(f), np.array(g)
+        with np.errstate(invalid="ignore"):
+            assert order_verdict(f, g, tol) is want, (f, g)
+            assert _two_sided_verdict(f, g, tol) is want, (f, g)
+            # one row as a 2-D input gets the same verdict
+            assert order_verdict(f[None, :], g[None, :], tol) is want
+
+    # a relative band: eps = 0.5 * max(|f|, |g|) = 1.0, tied at both signs
+    rel = OrderTolerance(atol=0.0, rtol=0.5)
+    assert order_verdict(np.array([2.0, 0.0]), np.array([1.0, 1.0]), rel) is Ordering.EQUAL
+
+    # several rows at once have no single verdict, in either form
+    with pytest.raises(ValueError):
+        order_verdict(np.zeros((3, 2)), np.ones((3, 2)), tol)
+    with pytest.raises(ValueError):
+        _two_sided_verdict(np.zeros((3, 2)), np.ones((3, 2)), tol)
+
+
+def test_order_verdict_matches_two_sided_leq_rows_on_random_ties():
+    rng = np.random.default_rng(11)
+    grid = np.array([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, np.nan, np.inf, -np.inf])
+    tols = [OrderTolerance(0.25, 0.0), OrderTolerance(0.0, 0.25), OrderTolerance(0.125, 0.125),
+            OrderTolerance(0.0, 0.0)]
+    seen = set()
+    for _ in range(3000):
+        k = int(rng.integers(1, 5))
+        p = [0.85] + [0.15 / (grid.size - 1)] * (grid.size - 1)
+        f = rng.choice(grid[:7], size=k)
+        g = f + rng.choice(grid, size=k, p=np.roll(p, 3))
+        tol = tols[int(rng.integers(0, len(tols)))]
+        if k > 1 and rng.uniform() < 0.5:
+            f, g = f[None, :], g[None, :]
+        with np.errstate(invalid="ignore"):
+            got, want = order_verdict(f, g, tol), _two_sided_verdict(f, g, tol)
+        assert got is want, (f, g, tol)
+        seen.add(got)
+    assert seen == set(Ordering)
 
 
 @given(_dyadic_pair())

@@ -6,7 +6,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from oracles import BENCH_Q, two_state_closed_form
+from oracles import BENCH_Q, plain_term_schedule, two_state_closed_form
+from sgineq import semigroup
 from sgineq.lattice import LatticeElement, lattice_norm
 from sgineq.reporting import all_passed
 from sgineq.semigroup import (
@@ -295,6 +296,70 @@ class TestAct:
         for bad in (np.ones(2), np.ones((1, 3)), np.array([[1.0, np.inf]])):
             with pytest.raises(ValueError):
                 act(bench, 1.0, bad)
+
+
+class TestTermSchedule:
+    """``_plan`` gives the tuple of the plain loop with one math.log per term."""
+
+    @staticmethod
+    def _assert_same(lam, ts, mus):
+        gen = validate_generator([[-lam, lam], [0.0, 0.0]])
+        assert gen.uniform_rate == lam
+        for t in ts:
+            for mu in mus:
+                assert semigroup._plan(gen, t, math.inf, mu) == plain_term_schedule(lam, t, mu), (t, mu)
+
+    def test_rate_from_tiny_to_the_step_limit(self):
+        ts = [*np.logspace(-300.0, math.log10(128.0), 301), 128.0]
+        self._assert_same(1.0, ts, [1.0, 1.5, 4.0])
+
+    def test_growth_up_to_the_overflow_guard(self):
+        # mu > 1 with log_growth = rate * (mu - 1) from 1e-3 up to 700
+        for rate in (1e-3, 0.1, 1.0, 10.0, 128.0):
+            mus = [1.0 + g / rate for g in (1e-3, 1.0, 50.0, 300.0, 699.0)]
+            self._assert_same(1.0, [rate], [mu for mu in mus if rate * (mu - 1.0) <= 700.0])
+        self._assert_same(1.0, [1.0], [701.0])
+
+    def test_both_sides_of_the_step_limit(self):
+        ts = [127.99999999999999, 128.0, 128.00000000000003, 129.0, 255.9, 256.0, 256.1,
+              1000.0, 9000.0, 1e4]
+        self._assert_same(1.0, ts, [1.0, 1.3])
+        self._assert_same(3.7, [v / 3.7 for v in ts], [1.0, 2.0])
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(20240821)
+        for _ in range(300):
+            lam = float(10.0 ** rng.uniform(-3.0, 3.0))
+            t = float(10.0 ** rng.uniform(-12.0, math.log10(5000.0))) / lam
+            rate = plain_term_schedule(lam, t, 1.0)[0]  # the step rate does not depend on mu
+            mu = 1.0 if rng.uniform() < 0.3 else 1.0 + rng.uniform(0.0, 699.0) / rate
+            self._assert_same(lam, [t], [mu])
+
+
+class TestDegenerateRates:
+    """lam*t below the double range, and a P = I + Q/lam beyond it."""
+
+    def test_underflowing_rate_is_the_identity(self):
+        gen = validate_generator([[-1e-300, 1e-300], [1e-300, -1e-300]])
+        assert gen.uniform_rate * 1e-300 == 0.0
+        block = np.array([[1.0, -2.0], [0.5, 3.0]])
+        op = evolve(gen, 1e-300)
+        assert op.matrix.tobytes() == np.eye(2).tobytes() and op.trunc_error == 0.0
+        assert evolve_many(gen, [1e-300, 0.0]).tobytes() == np.stack([np.eye(2)] * 2).tobytes()
+        assert np.array_equal(act(gen, 1e-300, block), block)
+
+    def test_non_finite_chain_is_an_overflow(self):
+        # Q/lam overflows off the diagonal, with lam*t underflowing to 0 (NaN growth)
+        # at t = 1e-300 and representable (infinite growth) at t = 1e-20
+        gen = validate_generator([[-1e-300, 1e10], [0.0, 0.0]])
+        outcomes = []
+        with np.errstate(over="ignore"):
+            for t in (1e-300, 1e-20):
+                outcomes += [_outcome(lambda: evolve(gen, t)),
+                             _outcome(lambda: evolve_many(gen, [0.0, t])),
+                             _outcome(lambda: act(gen, t, np.ones((1, 2))))]
+        assert outcomes[0][0] is EvolveOverflowError
+        assert outcomes == [outcomes[0]] * 6
 
 
 def _random_conservative(rng, max_norm=10.0):
