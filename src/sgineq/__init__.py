@@ -94,85 +94,3 @@ from .scenes import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # errors
-    "SgineqError",
-    "HypothesisViolationError",
-    "DimensionMismatchError",
-    "NegativeOffDiagonalError",
-    "TimeCapError",
-    "EvolveOverflowError",
-    "NonPositiveInputError",
-    "ExpOverflowError",
-    "RadiusViolationError",
-    "MaxTermsExceededError",
-    "NotNormalizedError",
-    "NonFiniteSideError",
-    "IllConditionedMidpointError",
-    # lattice
-    "LatticeAlgebra",
-    "LatticeElement",
-    "Ordering",
-    "OrderTolerance",
-    "DEFAULT_TOLERANCE",
-    "join",
-    "meet",
-    "abs_val",
-    "pos_part",
-    "neg_part",
-    "multiply",
-    "lattice_norm",
-    "partial_leq",
-    # semigroup
-    "Generator",
-    "SemigroupOperator",
-    "validate_generator",
-    "evolve",
-    "act",
-    "estimate_generator",
-    "check_semigroup_axioms",
-    "check_positivity_and_normalization",
-    # families
-    "OperatorFamily",
-    "PowerFamily",
-    "NegLogFamily",
-    "EntropyFamily",
-    "ExpFamily",
-    "HalfSquareFamily",
-    "CustomFamily",
-    "power_member",
-    "exp_member",
-    "LogSeriesConfig",
-    "log_series",
-    "second_derivative_check",
-    "convexity_probe",
-    # jessen
-    "JessenReport",
-    "verify_jessen",
-    "support_line_check",
-    "DualVector",
-    "AdjointPairingReport",
-    "verify_adjoint_pairing",
-    "dual_convexity_report",
-    "LipschitzEstimate",
-    "lipschitz_norm_estimate",
-    # expconv
-    "ExponentSet",
-    "LambdaGram",
-    "build_gram",
-    "lambda_residual",
-    "PsdReport",
-    "check_order_psd",
-    "QuadFormMode",
-    "quad_form_vector",
-    "exp_convexity_probe",
-    "MidpointEquivalenceReport",
-    "midpoint_equivalence_check",
-    # scenes
-    "ShiftScene",
-    "RotationScene",
-    "run_shift_example",
-    "run_rotation_example",
-]

@@ -30,16 +30,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import HypothesisViolationError
-from .lattice import (
-    DEFAULT_TOLERANCE,
-    LatticeElement,
-    Ordering,
-    OrderTolerance,
-    partial_leq,
-)
+from .lattice import LatticeElement, Ordering, partial_leq
 from .families import OperatorFamily, exp_member, power_member
-from .jessen import _require_finite, _require_normalized, jessen_sides
-from .semigroup import DEFAULT_TIME_CAP, Generator, SemigroupOperator, evolve
+from .jessen import _require_finite, _require_normalized
+from .semigroup import Generator, SemigroupOperator, evolve
 
 __all__ = [
     "IllConditionedMidpointError",
@@ -121,25 +115,14 @@ class ExponentSet:
         return 0.5 * (arr[:, None] + arr[None, :])
 
 
-def _residual(op: SemigroupOperator, fam: OperatorFamily, f: LatticeElement) -> LatticeElement:
-    phi_zf, z_phi_f = jessen_sides(op.act, fam, f.values[None, :])
-    return LatticeElement(z_phi_f[0] - phi_zf[0])
-
-
 def lambda_residual(
-    gen: Generator,
-    f: LatticeElement,
-    p: float,
-    t: float,
-    family_kind: str = "F",
-    allow_unnormalized: bool = False,
-    time_cap: float = DEFAULT_TIME_CAP,
+    gen: Generator, f: LatticeElement, p: float, t: float, family_kind: str = "F"
 ) -> LatticeElement:
-    """Composition residual of the family member with parameter p."""
-    _require_normalized(gen, allow_unnormalized)
+    """Composition residual of the family member with parameter p; the
+    generator must be conservative."""
+    _require_normalized(gen, False)
     _special_points(family_kind)
-    op = evolve(gen, t, time_cap=time_cap)
-    return _residual(op, _member(family_kind, p), f)
+    return LatticeElement(_midpoint_residuals(evolve(gen, t), family_kind, [p], f.values)[0])
 
 
 @dataclass(frozen=True)
@@ -251,8 +234,6 @@ def build_gram(
     t: float,
     pset: ExponentSet,
     couple_time: bool = False,
-    allow_unnormalized: bool = False,
-    time_cap: float = DEFAULT_TIME_CAP,
 ) -> LambdaGram:
     """Evaluate the residual on every pairwise midpoint of the set.
 
@@ -263,9 +244,9 @@ def build_gram(
     midpoint m], whose rows carry the bits of the single-row products.
     With ``couple_time`` the evolution is taken at the midpoint itself
     (which must then be nonnegative), one operator per midpoint; this
-    variant has no asserted sign.
+    variant has no asserted sign. The generator must be conservative.
     """
-    _require_normalized(gen, allow_unnormalized)
+    _require_normalized(gen, False)
     kind = pset.family_kind
     n = pset.size
     rows: dict[float, int] = {}
@@ -278,12 +259,12 @@ def build_gram(
     def coupled(mid: float):
         if mid < 0:
             raise ValueError(f"couple_time needs nonnegative midpoints, got {mid:g}")
-        return evolve(gen, mid, time_cap=time_cap), [mid]
+        return evolve(gen, mid), [mid]
 
     if couple_time:
         groups = map(coupled, rows)
     else:
-        groups = [(evolve(gen, t, time_cap=time_cap), list(rows))]
+        groups = [(evolve(gen, t), list(rows))]
     values = np.concatenate([_midpoint_residuals(op, kind, mids, f.values) for op, mids in groups])
     entries = values[index]
     entries.setflags(write=False)
@@ -464,18 +445,17 @@ def exp_convexity_probe(
     x_list,
     xi_list,
     mode: QuadFormMode = QuadFormMode.SUM,
-    tol: OrderTolerance = DEFAULT_TOLERANCE,
 ) -> Ordering:
     """Lattice-order verdict of the quadratic form against zero.
 
-    LEQ or EQUAL means the form is nonnegative within the tolerance
-    band, which is the exponential-convexity statement for the sampled
-    points and coefficients.
+    LEQ or EQUAL means the form is nonnegative within the band of
+    ``DEFAULT_TOLERANCE``, which is the exponential-convexity statement
+    for the sampled points and coefficients.
     """
     q = quad_form_vector(H, x_list, xi_list, mode)
     q_el = LatticeElement(q)
     zero = LatticeElement(np.zeros(q.size))
-    return partial_leq(zero, q_el, tol)
+    return partial_leq(zero, q_el)
 
 
 @dataclass(frozen=True)

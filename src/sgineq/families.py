@@ -25,13 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SgineqError
-from .lattice import (
-    DEFAULT_TOLERANCE,
-    LatticeElement,
-    Ordering,
-    OrderTolerance,
-    partial_leq,
-)
+from .lattice import LatticeElement, Ordering, partial_leq
 
 __all__ = [
     "NonPositiveInputError",
@@ -379,11 +373,11 @@ def convexity_probe(
     f: LatticeElement,
     g: LatticeElement,
     lam: float,
-    tol: OrderTolerance = DEFAULT_TOLERANCE,
 ) -> Ordering:
-    """Verdict of phi(lam*f + (1-lam)*g) against the chord value."""
+    """Verdict of phi(lam*f + (1-lam)*g) against the chord value within
+    ``DEFAULT_TOLERANCE``."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
     mix = lam * f + (1.0 - lam) * g
     chord = lam * fam.apply(f) + (1.0 - lam) * fam.apply(g)
-    return partial_leq(fam.apply(mix), chord, tol)
+    return partial_leq(fam.apply(mix), chord)

@@ -37,8 +37,7 @@ def _polyline(xs, ys, color) -> str:
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}" />'
 
 
-def write_curves_svg(path, coords, lhs, rhs, title: str,
-                     lhs_label: str = "phi(Z(t)f)", rhs_label: str = "Z(t)(phi f)") -> None:
+def write_curves_svg(path, coords, lhs, rhs, title: str) -> None:
     coords = np.asarray(coords, dtype=float)
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -64,9 +63,9 @@ def write_curves_svg(path, coords, lhs, rhs, title: str,
         _polyline(xs, ys_r, "#2040c0"),
         f'<text x="{_MARGIN}" y="24" font-family="monospace" font-size="13">{title}</text>',
         f'<text x="{_WIDTH - _MARGIN - 170}" y="{_MARGIN + 16}" font-family="monospace" '
-        f'font-size="12" fill="#c02020">{lhs_label}</text>',
+        f'font-size="12" fill="#c02020">phi(Z(t)f)</text>',
         f'<text x="{_WIDTH - _MARGIN - 170}" y="{_MARGIN + 32}" font-family="monospace" '
-        f'font-size="12" fill="#2040c0">{rhs_label}</text>',
+        f'font-size="12" fill="#2040c0">Z(t)(phi f)</text>',
         f'<text x="{_MARGIN}" y="{_HEIGHT - _MARGIN + 28}" font-family="monospace" '
         f'font-size="11">[{x_lo:.4g}, {x_hi:.4g}]</text>',
         "</svg>",

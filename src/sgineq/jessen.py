@@ -38,7 +38,7 @@ from .lattice import (
     order_verdict,
     partial_leq,
 )
-from .semigroup import DEFAULT_TIME_CAP, Generator, SemigroupOperator, act, evolve
+from .semigroup import Generator, SemigroupOperator, act, evolve
 
 __all__ = [
     "NotNormalizedError",
@@ -202,9 +202,7 @@ def verify_jessen(
     fam: OperatorFamily,
     f: LatticeElement,
     t: float,
-    tol: OrderTolerance = DEFAULT_TOLERANCE,
     allow_unnormalized: bool = False,
-    time_cap: float = DEFAULT_TIME_CAP,
 ) -> JessenReport:
     """Check phi(Z(t) f) <= Z(t) phi(f) in the componentwise order.
 
@@ -213,27 +211,27 @@ def verify_jessen(
     positive cone automatically. Z(t) is never formed: one
     ``semigroup.act`` call applies it to f and phi(f) together, which
     costs (2, K) x (K, K) products where ``evolve`` would need K x K ones.
+    The verdict is taken within ``DEFAULT_TOLERANCE``.
     """
     _require_normalized(gen, allow_unnormalized)
-    apply = partial(act, gen, t, time_cap=time_cap)
-    phi_zf, z_phi_f = jessen_sides(apply, fam, f.values[None, :])
-    return jessen_report(phi_zf[0], z_phi_f[0], tol, t, fam, gen)
+    phi_zf, z_phi_f = jessen_sides(partial(act, gen, t), fam, f.values[None, :])
+    return jessen_report(phi_zf[0], z_phi_f[0], DEFAULT_TOLERANCE, t, fam, gen)
 
 
 def support_line_check(
     fam: OperatorFamily,
     f: LatticeElement,
     f0: LatticeElement,
-    tol: OrderTolerance = DEFAULT_TOLERANCE,
 ) -> Ordering:
-    """Verdict of the tangent at f0 against phi(f); LEQ or EQUAL expected.
+    """Verdict of the tangent at f0 against phi(f) within ``DEFAULT_TOLERANCE``;
+    LEQ or EQUAL expected.
 
     The slope acts by pointwise multiplication with phi'(f0).
     """
     fam.check_domain(f.values)
     fam.check_domain(f0.values)
     tangent = fam.value(f0.values) + fam.derivative(f0.values) * (f.values - f0.values)
-    return partial_leq(LatticeElement(tangent), fam.apply(f), tol)
+    return partial_leq(LatticeElement(tangent), fam.apply(f))
 
 
 @dataclass(frozen=True)
@@ -256,15 +254,14 @@ def adjoint_pairing(
     fam: OperatorFamily,
     fstar: DualVector,
     f: LatticeElement,
-    transpose_tol: float = 1e-12,
-    gap_tol: float = 1e-9,
     allow_nonpositive_dual: bool = False,
 ) -> AdjointPairingReport:
     """Transpose identity plus the weak-form inequality for an evolved Z(t).
 
     The gap <f*, Z(t) phi(f)> - <f*, phi(Z(t) f)> must be nonnegative
     for positive duals, and must agree with the pairing of the residual.
-    A positive dual is required unless overridden.
+    A positive dual is required unless overridden. The transpose defect
+    passes at 1e-12 and the gap at -1e-9.
     """
     _require_positive_dual(fstar, allow_nonpositive_dual)
     lhs_pair = float(op.apply_adjoint(fstar.values) @ f.values)
@@ -280,8 +277,8 @@ def adjoint_pairing(
         weak_gap=weak_gap,
         residual_pairing=residual_pairing,
         consistency_defect=abs(weak_gap - residual_pairing),
-        transpose_ok=transpose_defect <= transpose_tol,
-        gap_ok=weak_gap >= -gap_tol,
+        transpose_ok=transpose_defect <= 1e-12,
+        gap_ok=weak_gap >= -1e-9,
     )
 
 
@@ -291,21 +288,18 @@ def verify_adjoint_pairing(
     fstar: DualVector,
     f: LatticeElement,
     t: float,
-    transpose_tol: float = 1e-12,
-    gap_tol: float = 1e-9,
-    allow_unnormalized: bool = False,
     allow_nonpositive_dual: bool = False,
 ) -> AdjointPairingReport:
     """Evolve Z(t) and run ``adjoint_pairing`` on it.
 
     The weak-form gap is only meaningful for a positive dual and a
-    conservative generator; both are required unless overridden.
+    conservative generator; the generator must be conservative, and the
+    dual positive unless overridden.
     """
     _require_positive_dual(fstar, allow_nonpositive_dual)
-    _require_normalized(gen, allow_unnormalized)
+    _require_normalized(gen, False)
     return adjoint_pairing(
-        evolve(gen, t), fam, fstar, f, transpose_tol=transpose_tol, gap_tol=gap_tol,
-        allow_nonpositive_dual=allow_nonpositive_dual,
+        evolve(gen, t), fam, fstar, f, allow_nonpositive_dual=allow_nonpositive_dual
     )
 
 

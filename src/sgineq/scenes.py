@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DEFAULT_TOLERANCE, Ordering, OrderTolerance, order_verdict
+from .lattice import Ordering, order_verdict
 
 __all__ = [
     "ShiftScene",
@@ -137,7 +137,7 @@ def _shift_left(values: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def run_shift_example(scene: ShiftScene, tol: OrderTolerance = DEFAULT_TOLERANCE) -> ShiftExampleReport:
+def run_shift_example(scene: ShiftScene) -> ShiftExampleReport:
     """Compare mirror(shift(f)) with shift(mirror(f)) on the grid.
 
     The verdict is taken on the interior window |x| <= L - t where the
@@ -153,7 +153,7 @@ def run_shift_example(scene: ShiftScene, tol: OrderTolerance = DEFAULT_TOLERANCE
     rhs = _shift_left(phi_f, k)    # evolve after mirror
 
     inside = np.abs(x) <= scene.half_width - scene.t + 1e-12
-    verdict = order_verdict(lhs[inside], rhs[inside], tol)
+    verdict = order_verdict(lhs[inside], rhs[inside])
 
     lhs_closed = np.exp(-((scene.t - x) ** 2))
     rhs_closed = np.exp(-((scene.t + x) ** 2))
@@ -238,9 +238,7 @@ class RotationExampleReport:
         }
 
 
-def run_rotation_example(
-    scene: RotationScene, tol: OrderTolerance = DEFAULT_TOLERANCE
-) -> RotationExampleReport:
+def run_rotation_example(scene: RotationScene) -> RotationExampleReport:
     """Compare mirror(rotate(f)) with rotate(mirror(f)) on the circle.
 
     Since C R_t = R_{-t} C, the two sides are f(t - z) and f(-t - z).
@@ -262,7 +260,7 @@ def run_rotation_example(
     lhs = rot_f[mirror]           # mirror after evolve
     rhs = np.roll(f[mirror], -k)  # evolve after mirror
 
-    verdict = order_verdict(lhs, rhs, tol)
+    verdict = order_verdict(lhs, rhs)
 
     t = scene.t
     lhs_closed = np.cos(t - z) + 1.0

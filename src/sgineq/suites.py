@@ -21,7 +21,7 @@ from .errors import SgineqError
 from .expconv import (
     ExponentSet,
     IllConditionedMidpointError,
-    _residual,
+    _midpoint_residuals,
     build_gram,
     check_order_psd,
     midpoint_equivalence_check,
@@ -35,7 +35,6 @@ from .families import (
     PowerFamily,
     family_from_json,
     family_to_json,
-    power_member,
 )
 from .jessen import (
     DualVector,
@@ -93,6 +92,9 @@ MAX_SAMPLE_WORK = 2_000_000
 # Matrix entries per evolve_many stack in the semigroup-axiom suite, which
 # bounds the memory of a chunk of triples at any sample count.
 _STACK_ENTRIES = 2 ** 16
+
+# Times of the random Jessen and adjoint suites.
+_SUITE_TIMES = (0.1, 1.0, 10.0)
 
 # Sampling boxes of random_domain_element: the positive cone, cut off
 # away from 0, for F-kind families and a symmetric box for H-kind ones.
@@ -287,8 +289,8 @@ def random_domain_element(rng, dim: int, kind: str) -> LatticeElement:
     return LatticeElement(rng.uniform(low, high, size=dim))
 
 
-def run_lattice_axiom_suite(dim: int, samples: int, seed: int, tol: float = 1e-12) -> list[CheckEntry]:
-    """Sampled identities of the componentwise lattice structure.
+def run_lattice_axiom_suite(dim: int, samples: int, seed: int) -> list[CheckEntry]:
+    """Sampled identities of the componentwise lattice structure, each within 1e-12.
 
     The samples are drawn as (samples, dim) blocks. R^(samples*dim) is
     itself a componentwise lattice algebra, so each identity is checked
@@ -323,15 +325,16 @@ def run_lattice_axiom_suite(dim: int, samples: int, seed: int, tol: float = 1e-1
                                         - row_norms(F) * row_norms(G)),
         "unit_norm": abs(lattice.lattice_norm(LatticeElement(np.ones(dim))) - 1.0),
     }
-    return [CheckEntry(name, defect <= tol, defect, tol) for name, defect in defects.items()]
+    return [CheckEntry(name, defect <= 1e-12, defect, 1e-12) for name, defect in defects.items()]
 
 
-def run_semigroup_axiom_suite(generators, samples: int, seed: int, tol: float = 1e-10) -> list[CheckEntry]:
-    """Axioms and positivity structure for each supplied generator.
+def run_semigroup_axiom_suite(generators, samples: int, seed: int) -> list[CheckEntry]:
+    """Axioms and positivity structure for each supplied generator, within 1e-10.
 
     The sampled (s, t, s + t) triples are evolved and reduced in stacked chunks.
     """
     rng = np.random.default_rng(seed)
+    tol = 1e-10
     entries = []
     for gen in generators:
         label = gen.name or f"dim{gen.dim}"
@@ -353,8 +356,8 @@ def run_semigroup_axiom_suite(generators, samples: int, seed: int, tol: float = 
         if gen.conservative:
             entries.append(CheckEntry(f"{label}:normalization", worst_norm <= tol, worst_norm, tol))
         f = LatticeElement(rng.uniform(-1.0, 2.0, size=gen.dim))
-        entries.extend(check_semigroup_axioms(gen, 0.4, 1.1, tol=tol, f=f))
-        entries.extend(check_positivity_and_normalization(gen, 0.7, f, tol=tol))
+        entries.extend(check_semigroup_axioms(gen, 0.4, 1.1, f=f))
+        entries.extend(check_positivity_and_normalization(gen, 0.7, f))
     return entries
 
 
@@ -378,44 +381,33 @@ class JessenSuiteResult:
         }
 
 
-def _slack_floor(residual: np.ndarray, tol: float = 1e-9):
-    """Lowest acceptable min slack, -tol * (1 + ||residual||), per row."""
-    return -tol * (1.0 + np.max(np.abs(residual), axis=-1))
+def _slack_floor(residual: np.ndarray):
+    """Lowest acceptable min slack, -1e-9 * (1 + ||residual||), per row."""
+    return -1e-9 * (1.0 + np.max(np.abs(residual), axis=-1))
 
 
-def run_jessen_random_suite(
-    n_cases: int,
-    seed: int,
-    t_values=(0.1, 1.0, 10.0),
-    families=None,
-    max_dim: int = 8,
-    max_norm: float = 5.0,
-    tol: OrderTolerance | None = None,
-    slack_tol: float = 1e-9,
-    keep_cases: bool = False,
-) -> JessenSuiteResult:
+def run_jessen_random_suite(n_cases: int, seed: int) -> JessenSuiteResult:
     """Random (generator, family, t, f) draws against the inequality.
 
     A case fails when the verdict is neither LEQ nor EQUAL, or the
-    minimal slack drops below -slack_tol * (1 + ||residual||).
+    minimal slack drops below -1e-9 * (1 + ||residual||); only failed
+    cases are kept.
     """
     rng = np.random.default_rng(seed)
-    families = list(families) if families is not None else benchmark_families()
-    tol = tol or OrderTolerance()
+    families = benchmark_families()
     result = JessenSuiteResult()
     for _ in range(n_cases):
-        gen = random_conservative_generator(rng, max_dim=max_dim, max_norm=max_norm)
+        gen = random_conservative_generator(rng)
         fam = families[int(rng.integers(0, len(families)))]
-        t = float(t_values[int(rng.integers(0, len(t_values)))])
+        t = _SUITE_TIMES[int(rng.integers(0, len(_SUITE_TIMES)))]
         f = random_domain_element(rng, gen.dim, _family_domain_kind(fam))
-        report = verify_jessen(gen, fam, f, t, tol=tol)
-        floor = float(_slack_floor(report.residual.values, slack_tol))
+        report = verify_jessen(gen, fam, f, t)
+        floor = float(_slack_floor(report.residual.values))
         ok = report.verdict in (Ordering.LEQ, Ordering.EQUAL) and report.min_slack >= floor
         result.min_slack = min(result.min_slack, report.min_slack)
         result.worst_scaled_slack = min(result.worst_scaled_slack, report.min_slack - floor)
         if not ok:
             result.failures += 1
-        if keep_cases or not ok:
             result.cases.append(report.to_json() | {"ok": ok})
     return result
 
@@ -431,14 +423,15 @@ class NegativeControlResult:
         return asdict(self)
 
 
-def run_negative_control(seed: int, attempts: int = 60, threshold: float = -1e-6) -> NegativeControlResult:
-    """Sample non-conservative positive generators until the inequality
-    breaks, witnessing that normalization is a real hypothesis."""
+def run_negative_control(seed: int) -> NegativeControlResult:
+    """Sample up to 60 non-conservative positive generators until the
+    inequality breaks by more than 1e-6, witnessing that normalization is
+    a real hypothesis."""
     rng = np.random.default_rng(seed)
     fam = PowerFamily(2.0)
     best = float("inf")
     witness = None
-    for i in range(1, attempts + 1):
+    for i in range(1, 61):
         gen = random_positive_generator(rng, max_dim=5, max_norm=3.0, name=f"control{i}")
         f = random_domain_element(rng, gen.dim, "F")
         t = float(rng.uniform(0.5, 2.0))
@@ -446,9 +439,9 @@ def run_negative_control(seed: int, attempts: int = 60, threshold: float = -1e-6
         if report.min_slack < best:
             best = report.min_slack
             witness = generator_to_json(gen) | {"t": t}
-        if best < threshold:
+        if best < -1e-6:
             return NegativeControlResult(True, i, best, witness)
-    return NegativeControlResult(False, attempts, best, witness)
+    return NegativeControlResult(False, 60, best, witness)
 
 
 @dataclass
@@ -467,38 +460,28 @@ class AdjointSuiteResult:
         return asdict(self)
 
 
-def run_adjoint_random_suite(
-    n_cases: int,
-    seed: int,
-    families=None,
-    t_values=(0.1, 1.0, 10.0),
-    max_dim: int = 8,
-    transpose_tol: float = 1e-12,
-    gap_tol: float = 1e-9,
-    consistency_tol: float = 1e-10,
-) -> AdjointSuiteResult:
-    """Transpose identity and weak-form gap over random triples."""
+def run_adjoint_random_suite(n_cases: int, seed: int) -> AdjointSuiteResult:
+    """Transpose identity and weak-form gap over random triples; the
+    weak gap must also match the residual pairing within 1e-10."""
     rng = np.random.default_rng(seed)
-    families = list(families) if families is not None else benchmark_families()
+    families = benchmark_families()
     worst_tr = 0.0
     worst_gap = float("inf")
     worst_cons = 0.0
     failures = 0
     for _ in range(n_cases):
-        gen = random_conservative_generator(rng, max_dim=max_dim)
+        gen = random_conservative_generator(rng)
         fam = families[int(rng.integers(0, len(families)))]
-        t = float(t_values[int(rng.integers(0, len(t_values)))])
+        t = _SUITE_TIMES[int(rng.integers(0, len(_SUITE_TIMES)))]
         f = random_domain_element(rng, gen.dim, _family_domain_kind(fam))
         raw = rng.uniform(0.0, 1.0, size=gen.dim)
         total = raw.sum()
         fstar = DualVector(raw / total if total > 0 else raw + 1.0 / gen.dim)
-        rep = verify_adjoint_pairing(
-            gen, fam, fstar, f, t, transpose_tol=transpose_tol, gap_tol=gap_tol
-        )
+        rep = verify_adjoint_pairing(gen, fam, fstar, f, t)
         worst_tr = max(worst_tr, rep.transpose_defect)
         worst_gap = min(worst_gap, rep.weak_gap)
         worst_cons = max(worst_cons, rep.consistency_defect)
-        if not (rep.transpose_ok and rep.gap_ok and rep.consistency_defect <= consistency_tol):
+        if not (rep.transpose_ok and rep.gap_ok and rep.consistency_defect <= 1e-10):
             failures += 1
     return AdjointSuiteResult(
         cases=n_cases,
@@ -540,28 +523,20 @@ def _sample_exponent_set(rng, kind: str) -> ExponentSet:
             continue
 
 
-def run_gram_random_suite(
-    n_instances: int,
-    kind: str,
-    seed: int,
-    t_values=(0.5, 2.0),
-    n_xi: int = 1000,
-    tol: float = 1e-8,
-    max_dim: int = 6,
-) -> GramSuiteResult:
-    """Random Gram instances with both PSD certificates."""
+def run_gram_random_suite(n_instances: int, kind: str, seed: int) -> GramSuiteResult:
+    """Random Gram instances with both PSD certificates, 1000 sampled forms each."""
     rng = np.random.default_rng(seed)
     worst_eig = float("inf")
     worst_quad = float("inf")
     max_entry = 0.0
     failures = 0
     for i in range(n_instances):
-        gen = random_conservative_generator(rng, max_dim=max_dim, max_norm=4.0)
+        gen = random_conservative_generator(rng, max_dim=6, max_norm=4.0)
         f = random_domain_element(rng, gen.dim, kind)
-        t = float(t_values[int(rng.integers(0, len(t_values)))])
+        t = (0.5, 2.0)[int(rng.integers(0, 2))]
         pset = _sample_exponent_set(rng, kind)
         gram = build_gram(gen, f, t, pset)
-        rep = check_order_psd(gram, n_xi=n_xi, seed=int(rng.integers(0, 2 ** 31)), tol=tol)
+        rep = check_order_psd(gram, n_xi=1000, seed=int(rng.integers(0, 2 ** 31)))
         worst_eig = min(worst_eig, rep.min_eigenvalue)
         worst_quad = min(worst_quad, rep.min_quadform)
         max_entry = max(max_entry, gram.max_abs_entry())
@@ -576,8 +551,8 @@ def run_gram_random_suite(
     )
 
 
-def run_midpoint_equivalence_suite(n_instances: int, seed: int, tol: float = 1e-12) -> dict:
-    """Substitution identity on random residual-based maps."""
+def run_midpoint_equivalence_suite(n_instances: int, seed: int) -> dict:
+    """Substitution identity on random residual-based maps, within 1e-12."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_instances):
@@ -589,12 +564,12 @@ def run_midpoint_equivalence_suite(n_instances: int, seed: int, tol: float = 1e-
         xs = rng.uniform(1.2, 2.4, size=n)
         xis = rng.uniform(-1.0, 1.0, size=n)
 
-        def h_map(p, _op=op, _f=f):
-            return _residual(_op, power_member(p), _f)
+        def h_map(p, _op=op, _f=f.values):
+            return LatticeElement(_midpoint_residuals(_op, "F", [p], _f)[0])
 
-        rep = midpoint_equivalence_check(h_map, xs, xis, tol=tol)
+        rep = midpoint_equivalence_check(h_map, xs, xis)
         worst = max(worst, rep.defect_double, rep.defect_half)
-    return {"instances": n_instances, "max_defect": worst, "pass": worst <= tol}
+    return {"instances": n_instances, "max_defect": worst, "pass": worst <= 1e-12}
 
 
 def run_config_verification(cfg: SuiteConfig) -> dict:

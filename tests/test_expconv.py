@@ -17,7 +17,7 @@ from sgineq.expconv import (
     quad_form_vector,
 )
 from sgineq.families import CustomFamily, EntropyFamily, ExpFamily, HalfSquareFamily, NegLogFamily
-from sgineq.jessen import NonFiniteSideError, NotNormalizedError
+from sgineq.jessen import NonFiniteSideError, NotNormalizedError, jessen_sides
 from sgineq.lattice import LatticeElement, Ordering
 from sgineq.semigroup import SemigroupOperator, evolve, validate_generator
 from sgineq.suites import random_conservative_generator, random_domain_element
@@ -213,6 +213,12 @@ class TestBuildGram:
         assert rows[0][:3] == (2.0, 2.0, 0)
 
 
+def _residual(op, fam, f):
+    """Z phi(f) - phi(Z f) of one element through ``jessen_sides``."""
+    phi_zf, z_phi_f = jessen_sides(op.act, fam, f.values[None, :])
+    return LatticeElement(z_phi_f[0] - phi_zf[0])
+
+
 def _gram_bits_reference(gen, f, t, pset, couple_time):
     """Gram entries from one ``_residual`` call per (i, j) pair."""
     n = pset.size
@@ -221,7 +227,7 @@ def _gram_bits_reference(gen, f, t, pset, couple_time):
         for j, pj in enumerate(pset.p):
             mid = 0.5 * (pi + pj)
             op = evolve(gen, mid if couple_time else t)
-            want[i, j] = expconv._residual(op, expconv._member(pset.family_kind, mid), f).values
+            want[i, j] = _residual(op, expconv._member(pset.family_kind, mid), f).values
     return want
 
 
@@ -256,6 +262,10 @@ class TestGramBits:
         assert gram.entries.tobytes() == want.tobytes()
         assert gram.coordinate_matrices.tobytes() == coord.tobytes()
         assert gram.min_eigenvalues.tobytes() == np.linalg.eigvalsh(coord)[:, 0].tobytes()
+        op, kind = evolve(gen, t), pset.family_kind
+        for p in pset.p:
+            got = lambda_residual(gen, f, p, t, kind).values
+            assert got.tobytes() == _residual(op, expconv._member(kind, p), f).values.tobytes()
 
     def test_duplicate_midpoints_evaluated_once(self, bench_gen, bench_f, monkeypatch):
         seen = []

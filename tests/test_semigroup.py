@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import BENCH_Q, plain_term_schedule, two_state_closed_form
 from sgineq import semigroup
+from sgineq.expconv import ExponentSet, build_gram, lambda_residual
+from sgineq.families import PowerFamily
+from sgineq.jessen import verify_jessen
 from sgineq.lattice import LatticeElement, lattice_norm
 from sgineq.reporting import all_passed
 from sgineq.semigroup import (
@@ -119,13 +123,14 @@ class TestEvolve:
             assert op.trunc_error <= 1e-14 * norm
 
     @pytest.mark.parametrize("rate_time", [0.1, 1.0, 10.0, 128.0, 129.0, 1000.0, 9000.0])
-    def test_trunc_error_budget_over_rates(self, rate_time):
+    def test_trunc_error_budget_over_rates(self, rate_time, monkeypatch):
         # lam * t above 128 splits the series into 2^s steps and squares
+        monkeypatch.setattr(semigroup, "DEFAULT_TIME_CAP", 2e4)
         rng = np.random.default_rng(int(rate_time * 10))
         for _ in range(3):
             gen = random_conservative_generator(rng, max_dim=8)
             lam = float(np.max(np.abs(np.diag(gen.q))))
-            op = evolve(gen, rate_time / lam, time_cap=2e4)
+            op = evolve(gen, rate_time / lam)
             norm = np.max(np.sum(np.abs(op.matrix), axis=1))
             assert 0.0 < op.trunc_error <= 1e-14 * norm
 
@@ -133,6 +138,24 @@ class TestEvolve:
         gen = validate_generator(BENCH_Q)  # norm 2
         with pytest.raises(TimeCapError):
             evolve(gen, 6000.0)
+
+    @pytest.mark.parametrize("entry", ["evolve", "act", "verify_jessen", "lambda_residual",
+                                       "build_gram"])
+    def test_time_cap_reaches_every_entry_point(self, entry):
+        gen = validate_generator(BENCH_Q)  # norm 2
+        f = LatticeElement([4.0, 1.0])
+        run = {
+            "evolve": lambda t: evolve(gen, t),
+            "act": lambda t: act(gen, t, f.values[None, :]),
+            "verify_jessen": lambda t: verify_jessen(gen, PowerFamily(2.0), f, t),
+            "lambda_residual": lambda t: lambda_residual(gen, f, 2.0, t),
+            "build_gram": lambda t: build_gram(gen, f, t, ExponentSet((2.0, 3.0))),
+        }[entry]
+        at_cap = semigroup.DEFAULT_TIME_CAP / 2.0
+        assert at_cap * gen.sup_norm == semigroup.DEFAULT_TIME_CAP
+        run(at_cap)
+        with pytest.raises(TimeCapError):
+            run(math.nextafter(at_cap, math.inf))
 
     def test_overflow_detected(self):
         gen = validate_generator([[1.0, 0.0], [0.0, 1.0]])
@@ -353,7 +376,8 @@ class TestDegenerateRates:
         # at t = 1e-300 and representable (infinite growth) at t = 1e-20
         gen = validate_generator([[-1e-300, 1e10], [0.0, 0.0]])
         outcomes = []
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             for t in (1e-300, 1e-20):
                 outcomes += [_outcome(lambda: evolve(gen, t)),
                              _outcome(lambda: evolve_many(gen, [0.0, t])),
