@@ -475,9 +475,8 @@ def midpoint_equivalence_check(
     H: Callable[[float], LatticeElement],
     x_list,
     xi_list,
-    tol: float = 1e-12,
 ) -> MidpointEquivalenceReport:
-    """SUM on x equals MIDPOINT on 2x, and MIDPOINT on x equals SUM on x/2.
+    """SUM on x equals MIDPOINT on 2x, and MIDPOINT on x equals SUM on x/2, within 1e-12.
 
     Doubling and halving are exact float operations, so both defects are
     zero whenever H is deterministic.
@@ -492,5 +491,5 @@ def midpoint_equivalence_check(
     defect_half = float(np.max(np.abs(q_mid - q_sum_halved)))
 
     return MidpointEquivalenceReport(
-        defect_double=defect_double, defect_half=defect_half, tol=tol
+        defect_double=defect_double, defect_half=defect_half, tol=1e-12
     )

@@ -89,3 +89,43 @@ def plain_term_schedule(lam: float, t: float, mu: float) -> tuple:
             if log_tail <= log_target:
                 return rate, splits, k, math.exp(log_tail)
     raise AssertionError("no term count reaches the tail target")
+
+
+def eye_plus_chain(gen):
+    """(P, mu) of ``semigroup._chain`` with P formed as np.eye(K) + Q/lam.
+
+    The chain as a sum of two K x K arrays, the reference for the P that
+    ``_chain`` builds in place; (None, 1.0) for Q = 0.
+    """
+    if not gen.uniform_rate:
+        return None, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.eye(gen.dim) + gen.q / gen.uniform_rate
+        return p, max(1.0, float(p.sum(axis=1).max()))
+
+
+def row_block_act(gen, t: float, F) -> np.ndarray:
+    """Z(t) applied to the rows of F as the series in F @ (P^T)^k.
+
+    The row-block route: P = I + Q/lam is transposed into a contiguous
+    copy and every term is one (S, K) x (K, K) product, with the schedule
+    of ``plain_term_schedule`` and 2^splits steps in sequence.
+    """
+    block = np.array(F, dtype=float)
+    p, mu = eye_plus_chain(gen)
+    if p is None or t == 0.0:
+        return block
+    rate, splits, terms, _ = plain_term_schedule(gen.uniform_rate, t, mu)
+    pt = np.ascontiguousarray(p.T)
+    for _ in range(2 ** splits):
+        term = math.exp(-rate) * block
+        block = term.copy()
+        for k in range(1, terms + 1):
+            term = term @ pt * (rate / k)
+            block += term
+    return block
+
+
+def abs_row_sum_norm(q) -> float:
+    """max_i sum_j |q_ij|, with |Q| formed entry by entry."""
+    return float(np.max(np.sum(np.abs(np.asarray(q, dtype=float)), axis=1)))

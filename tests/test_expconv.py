@@ -459,5 +459,5 @@ class TestMidpointEquivalence:
 
     def test_report_tol_echo(self, bench_gen, bench_f):
         H = _bench_H(bench_gen, bench_f)
-        rep = midpoint_equivalence_check(H, [1.0, 2.0], [0.5, -0.5], tol=1e-10)
-        assert rep.tol == 1e-10
+        rep = midpoint_equivalence_check(H, [1.0, 2.0], [0.5, -0.5])
+        assert rep.tol == 1e-12

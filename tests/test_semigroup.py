@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,14 @@ import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
-from oracles import BENCH_Q, plain_term_schedule, two_state_closed_form
+from oracles import (
+    BENCH_Q,
+    abs_row_sum_norm,
+    eye_plus_chain,
+    plain_term_schedule,
+    row_block_act,
+    two_state_closed_form,
+)
 from sgineq import semigroup
 from sgineq.expconv import ExponentSet, build_gram, lambda_residual
 from sgineq.families import PowerFamily
@@ -319,6 +327,115 @@ class TestAct:
         for bad in (np.ones(2), np.ones((1, 3)), np.array([[1.0, np.inf]])):
             with pytest.raises(ValueError):
                 act(bench, 1.0, bad)
+
+
+def _birth_death(k, seed):
+    """Conservative tridiagonal generator with rates in [0.5, 1.5]."""
+    rng = np.random.default_rng([seed, k])
+    q = np.zeros((k, k))
+    idx = np.arange(k - 1)
+    q[idx, idx + 1] = rng.uniform(0.5, 1.5, size=k - 1)
+    q[idx + 1, idx] = rng.uniform(0.5, 1.5, size=k - 1)
+    q[np.diag_indices(k)] = -q.sum(axis=1)
+    return validate_generator(q)
+
+
+def _traced_peak(fn):
+    """Peak bytes traced while fn runs, above what was traced when it started."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _random_chain_generator(k):
+    """K = k: conservative for odd k, with row sums up to 0.1 for even k."""
+    q = _generator(k, seed=9).q
+    surplus = np.random.default_rng(k).uniform(0.0, 0.1, size=k) * (k % 2 == 0)
+    return validate_generator(q + np.diag(surplus))
+
+
+# -0.0 entries keep their sign in Q/lam, where np.eye(K) + Q/lam made them +0.0
+SIGNED_ZERO_Q = [[-1.0, -0.0, 1.0], [0.5, -0.5, -0.0], [-0.0, 2.0, -2.0]]
+CHAIN_GENERATORS = {
+    **{f"random{k}": lambda k=k: _random_chain_generator(k) for k in range(1, 9)},
+    "one_state": lambda: validate_generator([[-0.4]]),
+    "dense64": lambda: _generator(64, seed=9),
+    "birth_death300": lambda: _birth_death(300, seed=9),
+    "signed_zero": lambda: validate_generator(SIGNED_ZERO_Q),
+    "zero_diagonal_rows": lambda: validate_generator(
+        [[0.0, 0.0, 0.0], [1.0, -1.5, 0.5], [-0.0, 0.0, 0.0]]),
+    "zero_diagonal_nonconservative": lambda: validate_generator(
+        [[0.0, 0.7, -0.0], [0.2, 0.0, 0.3], [-0.0, 1.0, 0.0]]),
+    "positive_diagonal": lambda: validate_generator([[0.01, 0.2], [-0.0, -2.0]]),
+}
+
+
+class TestChain:
+    """P = Q/lam with 1 added to its diagonal in place, one K x K array per call."""
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_GENERATORS))
+    def test_evolve_bytes_match_eye_plus_chain(self, monkeypatch, name):
+        gen = CHAIN_GENERATORS[name]()
+        lam = gen.uniform_rate or 1.0
+        # lam*t of 129 and 1000 need one and three squarings
+        ts = [0.0, 0.3, 1.0, 129.0 / lam, 1000.0 / lam]
+        ops = [evolve(gen, t) for t in ts]
+        stack = evolve_many(gen, ts)
+        monkeypatch.setattr(semigroup, "_chain", eye_plus_chain)
+        want = [evolve(gen, t) for t in ts]
+        assert [(op.matrix.tobytes(), op.trunc_error) for op in ops] == [
+            (op.matrix.tobytes(), op.trunc_error) for op in want]
+        assert stack.tobytes() == evolve_many(gen, ts).tobytes()
+
+    def test_signed_zeros_reach_the_chain(self):
+        gen = validate_generator(SIGNED_ZERO_Q)
+        p, mu = semigroup._chain(gen)
+        ref_p, ref_mu = eye_plus_chain(gen)
+        assert np.signbit(p).sum() == 3 and not np.signbit(ref_p).any()
+        assert np.array_equal(p, ref_p) and mu == ref_mu
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_GENERATORS))
+    def test_act_matches_row_block_route(self, name):
+        gen = CHAIN_GENERATORS[name]()
+        lam = gen.uniform_rate or 1.0
+        block = np.random.default_rng(gen.dim).uniform(-2.0, 2.0, size=(3, gen.dim))
+        for t in (0.1, 1.0, 10.0, 300.0 / lam):
+            got = act(gen, t, block)
+            want = row_block_act(gen, t, block)
+            # P @ X sums each product in another order than X @ P^T: about 1e-15
+            # relative on the K = 300 chain at t = 10, 3.4e-15 on a dense K = 64 one
+            assert got.flags.c_contiguous and got.shape == block.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_act_allocates_one_chain(self):
+        k = 300
+        gen = _birth_death(k, seed=0)
+        block = np.random.default_rng(0).uniform(0.5, 2.0, size=(2, k))
+        assert _traced_peak(lambda: act(gen, 1.0, block)) < 1.5 * k * k * 8
+
+    def test_sup_norm_allocates_no_matrix(self):
+        k = 300
+        gen = _birth_death(k, seed=0)
+        assert _traced_peak(lambda: gen.sup_norm) < k * k * 8 / 4
+
+    def test_sup_norm_is_the_abs_row_sum(self):
+        rng = np.random.default_rng(12)
+        for k in range(1, 9):
+            for _ in range(50):
+                # integer entries sum exactly in any order
+                q = rng.integers(0, 20, size=(k, k)).astype(float)
+                q[rng.uniform(size=(k, k)) < 0.3] = -0.0
+                np.fill_diagonal(q, rng.integers(-60, 20, size=k))
+                assert validate_generator(q).sup_norm == abs_row_sum_norm(q)
+        for k in range(2, 9):
+            for seed in range(100):
+                gen = _generator(k, seed=seed, conservative=seed % 2 == 0)
+                want = abs_row_sum_norm(gen.q)
+                assert abs(gen.sup_norm - want) <= 4 * math.ulp(want)
 
 
 class TestTermSchedule:

@@ -325,11 +325,12 @@ class TestLatticeAxiomSuite:
         assert check in failed
 
 
-def semigroup_suite_reference(generators, samples, seed, tol=1e-10):
+def semigroup_suite_reference(generators, samples, seed):
     """Entries of run_semigroup_axiom_suite from a per-sample loop over the
     same draws: three ``evolve`` calls and one matrix product per (s, t)
     sample, with each defect as its bytes."""
     rng = np.random.default_rng(seed)
+    tol = 1e-10
     entries = []
     for gen in generators:
         label = gen.name or f"dim{gen.dim}"
@@ -347,8 +348,8 @@ def semigroup_suite_reference(generators, samples, seed, tol=1e-10):
         if gen.conservative:
             sampled.append((f"{label}:normalization", norm <= tol, norm, tol))
         f = LatticeElement(rng.uniform(-1.0, 2.0, size=gen.dim))
-        fixed = (check_semigroup_axioms(gen, 0.4, 1.1, tol=tol, f=f)
-                 + check_positivity_and_normalization(gen, 0.7, f, tol=tol))
+        fixed = (check_semigroup_axioms(gen, 0.4, 1.1, f=f)
+                 + check_positivity_and_normalization(gen, 0.7, f))
         entries += sampled + [(e.name, e.passed, e.defect, e.tol) for e in fixed]
     return [(name, ok, np.float64(defect).tobytes(), bound) for name, ok, defect, bound in entries]
 
