@@ -27,10 +27,10 @@ A lam*t that underflows to 0 gives the identity.
 
 ``evolve`` forms Z(t) as a K x K matrix, ``evolve_many`` the (B, K, K)
 stack for many times with one stacked product per series term, and
-``act`` sums the series on the column block X = F^T of a few vectors by
-products P @ X, never forming Z(t) or P^T (2^s steps run in sequence, as
-squaring needs the matrix). P is Q/lam with 1 added to its diagonal in
-place; ``sup_norm`` sums row i of |Q| as rowsum_i(Q) - q_ii + |q_ii|.
+``act`` sums the series on a block F of a few row vectors by products
+F @ P^T, with P^T a view of P, never forming Z(t) (2^s steps run in
+sequence, as squaring needs the matrix). P is Q/lam with 1 added to its
+diagonal in place; ``sup_norm`` sums row i of |Q| as rowsum_i(Q) - q_ii + |q_ii|.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def validate_generator(q, name: str | None = None) -> Generator:
         Frozen wrapper with ``conservative`` set when every row sums to
         zero within 1e-12.
     """
-    arr = np.array(q, dtype=float)
+    arr = np.array(q, dtype=float, order="C")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotSquareError(f"generator must be square, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -227,7 +227,7 @@ def _chain(gen: Generator) -> tuple[np.ndarray | None, float]:
     # a P beyond double range is reported by _plan's growth guard
     with np.errstate(over="ignore", invalid="ignore"):
         p = gen.q / gen.uniform_rate
-        p.reshape(-1)[:: gen.dim + 1] += 1.0
+        p.flat[:: gen.dim + 1] += 1.0
         return p, max(1.0, float(p.sum(axis=1).max()))
 
 
@@ -279,15 +279,15 @@ def _plan(gen: Generator, t: float, time_cap: float, mu: float):
     raise SgineqError("uniformization failed to reach its tail target")
 
 
-def _series(term: np.ndarray, m: np.ndarray, coefs, left: bool = False) -> np.ndarray:
-    """Sum of term_0 = ``term`` and term_k = term_{k-1} @ m * c_k (m @ term_{k-1} * c_k if left).
+def _series(term: np.ndarray, m: np.ndarray, coefs) -> np.ndarray:
+    """Sum of term_0 = ``term`` and term_k = term_{k-1} @ m * c_k over the ``coefs``.
 
     With term = exp(-rate) * start and c_k = rate/k, this is the uniformized
     series; for a nonnegative start no cancellation gives a negative entry.
     """
     total = term.copy()
     for c in coefs:
-        term = (m @ term if left else term @ m) * c
+        term = term @ m * c
         total += term
     return total
 
@@ -372,8 +372,8 @@ def act(gen: Generator, t: float, F) -> np.ndarray:
     """Apply Z(t) = exp(tQ) to every row of an (S, K) block without forming Z(t).
 
     Returns the (S, K) block whose row i is Z(t) F[i]. The series is the
-    one ``evolve`` sums, applied to the column block X = F^T: each term
-    costs one product P @ X instead of a K x K one. Squaring needs the
+    one ``evolve`` sums, applied to the rows: each term costs one
+    (S, K) x (K, K) product by P^T, a view of P, not a K x K one. Squaring needs the
     whole matrix, so where ``evolve`` would split lam*t into 2^s steps
     and square, ``act`` runs the 2^s steps one after the other. The
     guards (negative t, time cap, overflow) are those of ``evolve``.
@@ -381,7 +381,7 @@ def act(gen: Generator, t: float, F) -> np.ndarray:
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[1] != gen.dim:
         raise ValueError(f"act needs an (S, {gen.dim}) block, got shape {F.shape}")
-    block = F.T
+    block = F.copy()
     p, mu = _chain(gen)
     plan = _plan(gen, t, DEFAULT_TIME_CAP, mu)
     if plan is not None:
@@ -390,13 +390,13 @@ def act(gen: Generator, t: float, F) -> np.ndarray:
         # overflow across the steps is caught by the finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(2 ** splits):
-                block = _series(math.exp(-rate) * block, p, coefs, left=True)
+                block = _series(math.exp(-rate) * block, p.T, coefs)
     if not np.isfinite(block).all():
         # a non-finite entry of F reaches the result through the first term
         if not np.isfinite(F).all():
             raise ValueError("act needs a block with finite entries")
         raise EvolveOverflowError("exp(tQ) applied to the block exceeds double range")
-    return block.T.copy()
+    return block
 
 
 def check_semigroup_axioms(
@@ -454,8 +454,8 @@ def check_positivity_and_normalization(
 
     pos_in = float(np.max(np.maximum(f.values, 0.0)))
     pos_out = float(np.max(np.maximum(zf, 0.0)))
-    dpos = pos_out - pos_in
-    entries.append(CheckEntry("positive_part_contraction", dpos <= _AXIOM_TOL, dpos, _AXIOM_TOL))
+    dcontr = pos_out - pos_in
+    entries.append(CheckEntry("positive_part_contraction", dcontr <= _AXIOM_TOL, dcontr, _AXIOM_TOL))
     return entries
 
 

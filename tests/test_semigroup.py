@@ -371,6 +371,7 @@ CHAIN_GENERATORS = {
     "zero_diagonal_nonconservative": lambda: validate_generator(
         [[0.0, 0.7, -0.0], [0.2, 0.0, 0.3], [-0.0, 1.0, 0.0]]),
     "positive_diagonal": lambda: validate_generator([[0.01, 0.2], [-0.0, -2.0]]),
+    "fortran_order": lambda: validate_generator(np.asfortranarray(_generator(5, seed=3).q)),
 }
 
 
@@ -398,6 +399,15 @@ class TestChain:
         assert np.signbit(p).sum() == 3 and not np.signbit(ref_p).any()
         assert np.array_equal(p, ref_p) and mu == ref_mu
 
+    def test_chain_of_a_fortran_ordered_q(self):
+        # the diagonal add must reach P whatever the layout of q
+        q = np.asfortranarray(_generator(6, seed=4, conservative=False).q)
+        assert validate_generator(q).q.flags.c_contiguous
+        gen = semigroup.Generator(q=q, conservative=False)
+        p, mu = semigroup._chain(gen)
+        ref_p, ref_mu = eye_plus_chain(gen)
+        assert np.array_equal(p, ref_p) and mu == ref_mu
+
     @pytest.mark.parametrize("name", sorted(CHAIN_GENERATORS))
     def test_act_matches_row_block_route(self, name):
         gen = CHAIN_GENERATORS[name]()
@@ -406,8 +416,9 @@ class TestChain:
         for t in (0.1, 1.0, 10.0, 300.0 / lam):
             got = act(gen, t, block)
             want = row_block_act(gen, t, block)
-            # P @ X sums each product in another order than X @ P^T: about 1e-15
-            # relative on the K = 300 chain at t = 10, 3.4e-15 on a dense K = 64 one
+            # a product with the view P^T sums in another order than one with a
+            # contiguous copy: 1.0e-15 relative on the K = 300 chain at t = 10,
+            # up to 3e-15 on dense K = 64 ones at lam*t = 300
             assert got.flags.c_contiguous and got.shape == block.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
