@@ -48,11 +48,9 @@ from .jessen import (
     AdjointPairingReport,
     DualVector,
     JessenReport,
-    LipschitzEstimate,
     NonFiniteSideError,
     NotNormalizedError,
     dual_convexity_report,
-    lipschitz_norm_estimate,
     support_line_check,
     verify_adjoint_pairing,
     verify_jessen,

@@ -5,9 +5,7 @@ For the power family the residual
     Lambda(p) = Z(t) F_p(f) - F_p(Z(t) f)
 
 is treated as a function of the family parameter p at a fixed semigroup
-time t (the parameter is decoupled from the time; evaluating Z at the
-midpoint itself is available behind ``couple_time`` and is reported,
-never asserted). A Gram matrix over an exponent set evaluates Lambda at
+time t. A Gram matrix over an exponent set evaluates Lambda at
 the pairwise midpoints (p_i + p_j)/2, and positivity of the residual
 map in the exponential-convexity sense reduces to every per-coordinate
 real symmetric matrix being positive semidefinite.
@@ -32,7 +30,7 @@ import numpy as np
 from .errors import HypothesisViolationError
 from .lattice import LatticeElement, Ordering, partial_leq
 from .families import OperatorFamily, exp_member, power_member
-from .jessen import _require_finite, _require_normalized
+from .jessen import _members_sides, _require_normalized
 from .semigroup import Generator, SemigroupOperator, evolve
 
 __all__ = [
@@ -139,14 +137,10 @@ class LambdaGram:
     entries: np.ndarray
     coordinate_matrices: np.ndarray
     min_eigenvalues: np.ndarray
-    coupled: bool = False
 
     @property
     def dim(self) -> int:
         return self.entries.shape[2]
-
-    def entry(self, i: int, j: int) -> LatticeElement:
-        return LatticeElement(self.entries[i, j])
 
     def max_abs_entry(self) -> float:
         return float(np.max(np.abs(self.entries)))
@@ -156,7 +150,6 @@ class LambdaGram:
             "p": list(self.pset.p),
             "family_kind": self.pset.family_kind,
             "t": self.t,
-            "coupled": self.coupled,
             "coordinates": [
                 {
                     "index": k,
@@ -176,55 +169,12 @@ class LambdaGram:
                     yield (self.pset.p[i], self.pset.p[j], k, float(self.entries[i, j, k]))
 
 
-def _at_midpoint(mid: float, fn, *args):
-    """``fn(*args)``, naming the midpoint in the message of any error.
-
-    The message of the caught error itself is rewritten, so its type
-    (and exit code) is kept whatever its constructor takes.
-    """
-    try:
-        return fn(*args)
-    except Exception as err:
-        err.args = (f"at midpoint {mid:g}: {err}",)
-        raise
-
-
-def _require_rows_finite(mids, fams, rows: np.ndarray) -> None:
-    """``_require_finite`` on each member's row, checked in one pass; on
-    failure the first failing member raises, naming its midpoint."""
-    if not np.isfinite(rows).all():
-        for mid, fam, row in zip(mids, fams, rows):
-            _at_midpoint(mid, _require_finite, fam, row)
-
-
 def _midpoint_residuals(op: SemigroupOperator, kind: str, mids, f: np.ndarray) -> np.ndarray:
-    """Rows Z phi_m(f) - phi_m(Z f), one per midpoint m of ``mids``.
-
-    Z(t) is applied once, to the block [f; phi_m(f) for each m]. The
-    checks are those of ``jessen_sides`` for each member: domain of f,
-    finite phi_m(f), then, after the action, domain of Z f, finite
-    phi_m(Z f) and finite Z phi_m(f). Each check runs over all members
-    before the next one, so where several members fail, the error named
-    is that of the first member to fail the earliest check.
-    """
-    fams = []
-    block = np.empty((len(mids) + 1, f.size))
-    phi_zf = np.empty((len(mids), f.size))
-    block[0] = f
-    # an overflow is reported by _require_finite, naming the family
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m, mid in enumerate(mids):
-            fams.append(_member(kind, mid))
-            _at_midpoint(mid, fams[m].check_domain, f)
-            block[m + 1] = fams[m].value(f)
-        _require_rows_finite(mids, fams, block[1:])
-        both = op.act(block)
-        zf, z_phi_f = both[0], both[1:]
-        for m, (mid, fam) in enumerate(zip(mids, fams)):
-            _at_midpoint(mid, fam.check_domain, zf)
-            phi_zf[m] = fam.value(zf)
-        _require_rows_finite(mids, fams, phi_zf)
-        _require_rows_finite(mids, fams, z_phi_f)
+    """Rows Z phi_m(f) - phi_m(Z f), one per midpoint m of ``mids``, from
+    one ``_members_sides`` call, whose errors name their midpoint."""
+    fams = [_member(kind, mid) for mid in mids]
+    where = [f"at midpoint {mid:g}" for mid in mids]
+    phi_zf, z_phi_f = _members_sides(op.act, fams, f[None, :], where)
     return z_phi_f - phi_zf
 
 
@@ -233,18 +183,15 @@ def build_gram(
     f: LatticeElement,
     t: float,
     pset: ExponentSet,
-    couple_time: bool = False,
 ) -> LambdaGram:
     """Evaluate the residual on every pairwise midpoint of the set.
 
     Each distinct midpoint is evaluated once, in (i <= j) order, and its
     row is shared between (i, j) and (j, i), so the Gram tensor is
-    symmetric by construction. Z(t) is applied once per operator: one
+    symmetric by construction. Z(t) is evolved once and applied once: one
     ``SemigroupOperator.act`` on the block [f; phi_m(f) for every
     midpoint m], whose rows carry the bits of the single-row products.
-    With ``couple_time`` the evolution is taken at the midpoint itself
-    (which must then be nonnegative), one operator per midpoint; this
-    variant has no asserted sign. The generator must be conservative.
+    The generator must be conservative.
     """
     _require_normalized(gen, False)
     kind = pset.family_kind
@@ -255,17 +202,7 @@ def build_gram(
         for j in range(i, n):
             mid = 0.5 * (pi + pset.p[j])
             index[i, j] = index[j, i] = rows.setdefault(mid, len(rows))
-
-    def coupled(mid: float):
-        if mid < 0:
-            raise ValueError(f"couple_time needs nonnegative midpoints, got {mid:g}")
-        return evolve(gen, mid), [mid]
-
-    if couple_time:
-        groups = map(coupled, rows)
-    else:
-        groups = [(evolve(gen, t), list(rows))]
-    values = np.concatenate([_midpoint_residuals(op, kind, mids, f.values) for op, mids in groups])
+    values = _midpoint_residuals(evolve(gen, t), kind, list(rows), f.values)
     entries = values[index]
     entries.setflags(write=False)
 
@@ -277,7 +214,6 @@ def build_gram(
         entries=entries,
         coordinate_matrices=coord,
         min_eigenvalues=min_eigs,
-        coupled=couple_time,
     )
 
 

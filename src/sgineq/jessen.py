@@ -43,7 +43,6 @@ from .semigroup import Generator, SemigroupOperator, act, evolve
 __all__ = [
     "NotNormalizedError",
     "NonPositiveDualError",
-    "DegenerateBoxError",
     "NonFiniteSideError",
     "DualVector",
     "JessenReport",
@@ -56,8 +55,6 @@ __all__ = [
     "verify_adjoint_pairing",
     "DualConvexityReport",
     "dual_convexity_report",
-    "LipschitzEstimate",
-    "lipschitz_norm_estimate",
 ]
 
 
@@ -67,10 +64,6 @@ class NotNormalizedError(HypothesisViolationError):
 
 class NonPositiveDualError(HypothesisViolationError):
     """A dual vector with negative coefficients was passed as positive."""
-
-
-class DegenerateBoxError(HypothesisViolationError):
-    """Sampling box with empty interior."""
 
 
 class NonFiniteSideError(SgineqError, ValueError):
@@ -140,41 +133,80 @@ def _require_positive_dual(fstar: DualVector, allow_nonpositive_dual: bool) -> N
         )
 
 
-def _require_finite(fam: OperatorFamily, values: np.ndarray) -> np.ndarray:
+def _require_finite(fam: OperatorFamily, values: np.ndarray) -> None:
     if not np.isfinite(values).all():
         raise NonFiniteSideError(
             f"{fam.label}: phi(f), phi(Z f) and Z phi(f) must have finite entries"
         )
-    return values
 
 
-def _pointwise(fam: OperatorFamily, block: np.ndarray) -> np.ndarray:
-    flat = block.ravel()
-    fam.check_domain(flat)
-    return _require_finite(fam, fam.value(flat)).reshape(block.shape)
+def _members_sides(
+    apply: Callable[[np.ndarray], np.ndarray],
+    fams: list[OperatorFamily],
+    F: np.ndarray,
+    where: list[str] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """phi_m(Z f) and Z phi_m(f) for every member phi_m of ``fams`` and
+    every row f of an (S, K) block ``F``.
+
+    ``apply`` maps an (N, K) block to the block of its rows under Z(t):
+    ``SemigroupOperator.act`` of an evolved matrix, or ``semigroup.act``
+    bound to a generator and a time, which never forms Z(t). It is called
+    once, on [F; phi_1(F); ...; phi_M(F)]. Both results are (M S, K)
+    blocks in that member order; the second is a view of the result of
+    ``apply``, and for one member the first is a view of phi(Z F).
+
+    Checks, in order: F in the domain, finite phi_m(F), Z F in the
+    domain, finite phi_m(Z F), finite Z phi_m(F). Each runs over all
+    members before the next, so the error raised is that of the first
+    member to fail the earliest check. With ``where``, its message is
+    rewritten to begin with ``where[m]`` and the error itself re-raised,
+    so its type (and exit code) is kept. The family sees each block
+    flattened to one vector (a domain error names the entry by its
+    row-major index), since phi acts entry by entry.
+    """
+    def each(check):
+        for m, fam in enumerate(fams):
+            try:
+                check(m, fam)
+            except Exception as err:
+                if where is not None:
+                    err.args = (f"{where[m]}: {err}",)
+                raise
+
+    def finite(rows):
+        # one pass over all members; only a failure looks for the member
+        if not np.isfinite(rows).all():
+            rows = rows.reshape(len(fams), -1)
+            each(lambda m, fam: _require_finite(fam, rows[m]))
+
+    S, K = F.shape
+    flat = F.ravel()
+    # an overflow is reported by _require_finite, naming the family
+    with np.errstate(over="ignore", invalid="ignore"):
+        each(lambda m, fam: fam.check_domain(flat))
+        block = np.concatenate((flat, *[fam.value(flat) for fam in fams])).reshape(-1, K)
+        finite(block[S:])
+        both = apply(block)
+        zf = both[:S].ravel()
+        each(lambda m, fam: fam.check_domain(zf))
+        values = [fam.value(zf) for fam in fams]
+        # one member's values are used as they are: no copy on that path
+        phi_zf = (values[0] if len(fams) == 1 else np.concatenate(values)).reshape(-1, K)
+        finite(phi_zf)
+        finite(both[S:])
+    return phi_zf, both[S:]
 
 
 def jessen_sides(
     apply: Callable[[np.ndarray], np.ndarray], fam: OperatorFamily, F: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The two sides phi(Z f) and Z phi(f) for every row f of a block.
+    """The two sides phi(Z f) and Z phi(f) for every row f of a block:
+    ``_members_sides`` of the one member ``fam``, with the same checks.
 
-    ``apply`` maps an (N, K) block to the block of its rows under Z(t):
-    ``SemigroupOperator.act`` of an evolved matrix, or ``semigroup.act``
-    bound to a generator and a time, which never forms Z(t). ``F`` is an
-    (S, K) block of sample rows; ``apply`` is called once, on the
-    stacked block [F; phi(F)]. Both results are (S, K) and their
-    difference is the residual. Domain membership is checked for F and
-    for Z F, and every side must be finite (``NonFiniteSideError``). The
-    family sees each block flattened to one vector (a domain error names
-    the entry by its row-major index), since phi acts entry by entry.
+    Both results are (S, K) and their difference is the residual.
     """
-    # an overflow is reported by _require_finite, naming the family
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi_f = _pointwise(fam, F)
-        both = apply(np.concatenate((F, phi_f)))
-        phi_zf = _pointwise(fam, both[: len(F)])
-    return phi_zf, _require_finite(fam, both[len(F):])
+    return _members_sides(apply, [fam], F)
 
 
 def jessen_report(
@@ -244,6 +276,12 @@ class AdjointPairingReport:
     consistency_defect: float
     transpose_ok: bool
     gap_ok: bool
+
+    @property
+    def passed(self) -> bool:
+        """Transpose identity and gap hold, and the gap matches the
+        residual pairing within 1e-10."""
+        return self.transpose_ok and self.gap_ok and self.consistency_defect <= 1e-10
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -342,48 +380,3 @@ def dual_convexity_report(
     chord = lam * x2star.pair(phi_f) + (1.0 - lam) * x2star.pair(fam.apply(g))
     gap = chord - x2star.pair(fam.apply(mix))
     return DualConvexityReport(linearity_defect=linearity_defect, scalar_convexity_gap=gap)
-
-
-@dataclass(frozen=True)
-class LipschitzEstimate:
-    """Sampled lower bound for the Lipschitz constant on a box."""
-
-    value: float
-    n_samples: int
-    lower_bound: bool = True
-
-
-def lipschitz_norm_estimate(
-    fam: OperatorFamily,
-    box_low,
-    box_high,
-    n_samples: int,
-    seed: int,
-) -> LipschitzEstimate:
-    """Max sampled difference quotient of phi over pairs in a box.
-
-    Sampling is a fixed stream for a given seed, so the estimate is
-    nondecreasing in n_samples. The value is a lower bound for the true
-    Lipschitz constant on the box, never an upper bound.
-    """
-    low = np.asarray(box_low, dtype=float)
-    high = np.asarray(box_high, dtype=float)
-    if low.shape != high.shape or low.ndim != 1:
-        raise ValueError("box bounds must be one dimensional and matching")
-    if np.any(high <= low):
-        raise DegenerateBoxError("box must have nonempty interior in every coordinate")
-    if n_samples < 2:
-        raise ValueError("need at least one sample pair")
-
-    rng = np.random.default_rng(seed)
-    pairs = rng.uniform(low, high, size=(n_samples, 2, low.size))
-    best = 0.0
-    for x1, x2 in pairs:
-        denom = float(np.max(np.abs(x1 - x2)))
-        if denom == 0.0:
-            continue
-        fam.check_domain(x1)
-        fam.check_domain(x2)
-        num = float(np.max(np.abs(fam.value(x1) - fam.value(x2))))
-        best = max(best, num / denom)
-    return LipschitzEstimate(value=best, n_samples=n_samples)

@@ -372,14 +372,6 @@ class JessenSuiteResult:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def aggregate_json(self) -> dict:
-        return {
-            "cases": len(self.cases),
-            "min_slack": self.min_slack,
-            "worst_scaled_slack": self.worst_scaled_slack,
-            "failures": self.failures,
-        }
-
 
 def _slack_floor(residual: np.ndarray):
     """Lowest acceptable min slack, -1e-9 * (1 + ||residual||), per row."""
@@ -481,7 +473,7 @@ def run_adjoint_random_suite(n_cases: int, seed: int) -> AdjointSuiteResult:
         worst_tr = max(worst_tr, rep.transpose_defect)
         worst_gap = min(worst_gap, rep.weak_gap)
         worst_cons = max(worst_cons, rep.consistency_defect)
-        if not (rep.transpose_ok and rep.gap_ok and rep.consistency_defect <= 1e-10):
+        if not rep.passed:
             failures += 1
     return AdjointSuiteResult(
         cases=n_cases,
@@ -581,7 +573,9 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
     adjoint suites; the Jessen samples of each (generator, family, t)
     are drawn and checked as one block. A Jessen sample passes when its
     verdict is LEQ or EQUAL and its min slack clears the floor
-    -1e-9 * (1 + ||residual||), the rule of ``run_jessen_random_suite``.
+    -1e-9 * (1 + ||residual||), the rule of ``run_jessen_random_suite``;
+    an adjoint sample passes by ``AdjointPairingReport.passed``, the rule
+    of ``run_adjoint_random_suite``.
     """
     bad = [g for g in cfg.generators if not g.conservative]
     if bad and not cfg.allow_unnormalized:
@@ -593,7 +587,6 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
 
     rng = np.random.default_rng(cfg.seed)
     report: dict = {"config": cfg.to_json(), "suites": {}}
-    failures = 0
 
     dims = sorted({g.dim for g in cfg.generators})
     lat_entries = []
@@ -603,7 +596,6 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
         "checks": [e.to_json() for e in lat_entries],
         "passed": all_passed(lat_entries),
     }
-    failures += 0 if all_passed(lat_entries) else 1
 
     semi_entries = run_semigroup_axiom_suite(
         asserted_gens, max(2, cfg.samples // 10), int(rng.integers(0, 2 ** 31))
@@ -612,7 +604,6 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
         "checks": [e.to_json() for e in semi_entries],
         "passed": all_passed(semi_entries),
     }
-    failures += 0 if all_passed(semi_entries) else 1
 
     evolved = [{t: evolve(gen, t) for t in dict.fromkeys(cfg.t_grid)} for gen in asserted_gens]
     tol = cfg.order_tol
@@ -642,7 +633,6 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
         "failed_cases": jessen_cases,
         "passed": jessen_failures == 0,
     }
-    failures += 0 if jessen_failures == 0 else 1
 
     adj_worst_tr = 0.0
     adj_worst_gap = float("inf")
@@ -657,7 +647,7 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
                 rep = adjoint_pairing(ops[t], fam, fstar, f)
                 adj_worst_tr = max(adj_worst_tr, rep.transpose_defect)
                 adj_worst_gap = min(adj_worst_gap, rep.weak_gap)
-                if not (rep.transpose_ok and rep.gap_ok):
+                if not rep.passed:
                     adj_failures += 1
     report["suites"]["adjoint"] = {
         "aggregate": {
@@ -667,7 +657,6 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
         },
         "passed": adj_failures == 0,
     }
-    failures += 0 if adj_failures == 0 else 1
 
     gram_failures = 0
     gram_records = []
@@ -693,7 +682,8 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
         "records": gram_records,
         "passed": gram_failures == 0,
     }
-    failures += 0 if gram_failures == 0 else 1
+    # taken before the observed controls, which never flip the verdict
+    report["passed"] = all(suite["passed"] for suite in report["suites"].values())
 
     if bad:
         observed = []
@@ -709,6 +699,4 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
             "note": "non-conservative generators under override; diagnostics only",
             "cases": observed,
         }
-
-    report["passed"] = failures == 0
     return report

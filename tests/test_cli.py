@@ -186,10 +186,12 @@ class TestVerify:
         assert "PowerF(1000)" in res.stderr and "finite" in res.stderr
         assert not (tmp_path / "o" / "report.json").exists()
 
-    @pytest.mark.parametrize("name,code", [("rate_underflow", 0), ("chain_overflow", 64)])
+    @pytest.mark.parametrize("name,code", [("rate_underflow", 0), ("chain_overflow", 64),
+                                           ("chain_overflow_conservative", 64)])
     def test_degenerate_rate_configs_keep_the_exit_code_contract(self, tmp_path, capsys, name, code):
         # lam*t underflows to 0: Z(t) = I and the run passes. With P = I + Q/lam
-        # beyond double range as well, the evolution cannot run: usage error
+        # beyond double range, the evolution cannot run: usage error, for a
+        # non-conservative generator and for a conservative one alike
         cfgfile = SOURCE_ROOT.parent / "configs" / f"{name}.json"
         assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == code
         err = capsys.readouterr().err

@@ -16,7 +16,14 @@ from sgineq.expconv import (
     midpoint_equivalence_check,
     quad_form_vector,
 )
-from sgineq.families import CustomFamily, EntropyFamily, ExpFamily, HalfSquareFamily, NegLogFamily
+from sgineq.families import (
+    CustomFamily,
+    EntropyFamily,
+    ExpFamily,
+    HalfSquareFamily,
+    NegLogFamily,
+    NonPositiveInputError,
+)
 from sgineq.jessen import NonFiniteSideError, NotNormalizedError, jessen_sides
 from sgineq.lattice import LatticeElement, Ordering
 from sgineq.semigroup import SemigroupOperator, evolve, validate_generator
@@ -193,13 +200,23 @@ class TestBuildGram:
         with pytest.raises(NonFiniteSideError, match=r"at midpoint 1001: PowerF\(1001\)"):
             build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 2000.0)))
 
-    def test_coupled_time_smoke(self, bench_gen, bench_f):
-        gram = build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 4.0)),
-                          couple_time=True)
-        assert gram.coupled
-        rep = check_order_psd(gram, n_xi=50, seed=3)
-        # reported, not asserted: just require the machinery to run
-        assert isinstance(rep.spectral_pass, bool)
+    def test_earliest_check_fails_first_across_members(self, bench_gen, bench_f, monkeypatch):
+        # member 1 has a non-finite phi(f), member 2 refuses f itself: the
+        # domain check runs over every member before the finiteness check
+        def refuse(x):
+            raise NonPositiveInputError("refused input")
+
+        members = {
+            2.0: CustomFamily(fn=lambda x: np.full_like(x, np.inf), d2=np.ones_like, name="inf"),
+            3.0: CustomFamily(fn=np.array, d2=np.ones_like, name="refusing", domain=refuse),
+        }
+        monkeypatch.setattr(expconv, "_member", lambda kind, p: members[p])
+        op = evolve(bench_gen, 1.0)
+        with pytest.raises(NonPositiveInputError, match=r"^at midpoint 3: refused input$"):
+            expconv._midpoint_residuals(op, "F", [2.0, 3.0], bench_f.values)
+        members[3.0] = CustomFamily(fn=np.array, d2=np.ones_like, name="plain")
+        with pytest.raises(NonFiniteSideError, match=r"^at midpoint 2: inf: "):
+            expconv._midpoint_residuals(op, "F", [2.0, 3.0], bench_f.values)
 
     def test_json_and_csv_exports(self, bench_gen, bench_f):
         gram = build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 4.0)))
@@ -219,14 +236,14 @@ def _residual(op, fam, f):
     return LatticeElement(z_phi_f[0] - phi_zf[0])
 
 
-def _gram_bits_reference(gen, f, t, pset, couple_time):
+def _gram_bits_reference(gen, f, t, pset):
     """Gram entries from one ``_residual`` call per (i, j) pair."""
     n = pset.size
+    op = evolve(gen, t)
     want = np.empty((n, n, f.dim))
     for i, pi in enumerate(pset.p):
         for j, pj in enumerate(pset.p):
             mid = 0.5 * (pi + pj)
-            op = evolve(gen, mid if couple_time else t)
             want[i, j] = _residual(op, expconv._member(pset.family_kind, mid), f).values
     return want
 
@@ -234,30 +251,28 @@ def _gram_bits_reference(gen, f, t, pset, couple_time):
 def _gram_bit_cases():
     rng = np.random.default_rng(77)
     cases = [
-        ("F_random", "F", (1.7, 2.6, 3.1, 4.4, 4.9), False),
-        ("F_special_0_and_1", "F", (-1.0, 0.5, 1.0, 1.5, 3.0), False),
-        ("F_duplicate_midpoints", "F", (2.0, 3.0, 4.0, 5.0), False),
-        ("H_random", "H", (-1.8, -0.3, 0.7, 1.9), False),
-        ("H_special_0", "H", (-2.0, 0.0, 2.0, 3.5), False),
-        ("F_coupled", "F", (1.5, 2.0, 3.0, 4.0), True),
-        ("H_coupled", "H", (0.0, 0.5, 2.0), True),
+        ("F_random", "F", (1.7, 2.6, 3.1, 4.4, 4.9)),
+        ("F_special_0_and_1", "F", (-1.0, 0.5, 1.0, 1.5, 3.0)),
+        ("F_duplicate_midpoints", "F", (2.0, 3.0, 4.0, 5.0)),
+        ("H_random", "H", (-1.8, -0.3, 0.7, 1.9)),
+        ("H_special_0", "H", (-2.0, 0.0, 2.0, 3.5)),
     ]
     out = []
-    for label, kind, ps, coupled in cases:
+    for label, kind, ps in cases:
         for k in range(3):
             gen = random_conservative_generator(rng, min_dim=2 + k, max_dim=2 + 2 * k, max_norm=4.0)
             f = random_domain_element(rng, gen.dim, kind)
             t = float(rng.uniform(0.2, 3.0))
-            out.append(pytest.param(gen, f, t, ExponentSet(ps, family_kind=kind), coupled,
+            out.append(pytest.param(gen, f, t, ExponentSet(ps, family_kind=kind),
                                     id=f"{label}-{k}"))
     return out
 
 
 class TestGramBits:
-    @pytest.mark.parametrize("gen,f,t,pset,coupled", _gram_bit_cases())
-    def test_match_per_midpoint_residuals(self, gen, f, t, pset, coupled):
-        gram = build_gram(gen, f, t, pset, couple_time=coupled)
-        want = _gram_bits_reference(gen, f, t, pset, coupled)
+    @pytest.mark.parametrize("gen,f,t,pset", _gram_bit_cases())
+    def test_match_per_midpoint_residuals(self, gen, f, t, pset):
+        gram = build_gram(gen, f, t, pset)
+        want = _gram_bits_reference(gen, f, t, pset)
         coord = np.ascontiguousarray(want.transpose(2, 0, 1))
         assert gram.entries.tobytes() == want.tobytes()
         assert gram.coordinate_matrices.tobytes() == coord.tobytes()
@@ -282,9 +297,6 @@ class TestGramBits:
                             lambda self, F: blocks.append(F.shape) or act(self, F))
         build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 3.0, 4.0)))
         assert blocks == [(6, 2)]      # f and the 5 distinct midpoints 2, 2.5, 3, 3.5, 4
-        blocks.clear()
-        build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 3.0, 4.0)), couple_time=True)
-        assert blocks == [(2, 2)] * 5
 
 
 

@@ -14,7 +14,6 @@ from sgineq.families import (
     PowerFamily,
 )
 from sgineq.jessen import (
-    DegenerateBoxError,
     DualVector,
     NonFiniteSideError,
     NonPositiveDualError,
@@ -23,7 +22,6 @@ from sgineq.jessen import (
     dual_convexity_report,
     jessen_report,
     jessen_sides,
-    lipschitz_norm_estimate,
     support_line_check,
     verify_adjoint_pairing,
     verify_jessen,
@@ -299,42 +297,3 @@ class TestDualConvexity:
             rep = dual_convexity_report(PowerFamily(2.0), x1, x2, f, g, lam)
             assert rep.linearity_defect <= 1e-12
             assert rep.scalar_convexity_gap >= -1e-10
-
-
-class TestLipschitz:
-    def test_identity_on_unit_box(self):
-        est = lipschitz_norm_estimate(IDENTITY, [0.0, 0.0], [1.0, 1.0],
-                                      2000, seed=7)
-        assert 1.0 - 1e-9 <= est.value <= 1.0
-        assert est.lower_bound
-
-    def test_quadratic_box_bracket(self):
-        est = lipschitz_norm_estimate(PowerFamily(2.0), [1.0, 1.0], [2.0, 2.0],
-                                      10_000, seed=11)
-        # scalar map x^2/2 on [1,2]: true constant sup (x+y)/2 = 2
-        assert est.value >= 1.9
-        assert est.value <= 2.0 + 1e-12
-
-    def test_zero_map(self):
-        zero = CustomFamily(fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                            d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                            name="zero")
-        est = lipschitz_norm_estimate(zero, [0.0], [1.0], 100, seed=3)
-        assert est.value == 0.0
-
-    def test_prefix_monotone(self):
-        vals = [lipschitz_norm_estimate(PowerFamily(2.0), [1.0], [2.0],
-                                        n, seed=5).value
-                for n in (10, 100, 1000)]
-        assert vals[0] <= vals[1] <= vals[2]
-
-    def test_degenerate_box(self):
-        with pytest.raises(DegenerateBoxError):
-            lipschitz_norm_estimate(PowerFamily(2.0), [1.0, 1.0], [1.0, 2.0],
-                                    100, seed=1)
-        with pytest.raises(DegenerateBoxError):
-            lipschitz_norm_estimate(PowerFamily(2.0), [2.0], [1.0], 100, seed=1)
-
-    def test_sample_count_gate(self):
-        with pytest.raises(ValueError):
-            lipschitz_norm_estimate(PowerFamily(2.0), [1.0], [2.0], 1, seed=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tempfile
@@ -85,7 +86,8 @@ def reference_aggregates(cfg):
                 rep = verify_adjoint_pairing(gen, fam, DualVector(raw / max(raw.sum(), 1e-12)), f, t)
                 worst_tr = max(worst_tr, rep.transpose_defect)
                 worst_gap = min(worst_gap, rep.weak_gap)
-                adj_failures += not (rep.transpose_ok and rep.gap_ok)
+                adj_failures += not (rep.transpose_ok and rep.gap_ok
+                                     and rep.consistency_defect <= 1e-10)
     adjoint_agg = {
         "max_transpose_defect": worst_tr,
         "min_weak_gap": worst_gap,
@@ -125,6 +127,18 @@ class TestConfigVerification:
         report = run_config_verification(config_from_json(data))
         assert report["passed"] is True
         assert sorted(calls) == sorted((name, t) for name in ("three", "benchmark2") for t in (0.5, 1.0))
+
+    def test_adjoint_sample_fails_on_consistency_defect(self, monkeypatch):
+        # a weak gap that disagrees with the residual pairing fails a
+        # verify sample, as it fails one of run_adjoint_random_suite
+        real = suites.adjoint_pairing
+        monkeypatch.setattr(suites, "adjoint_pairing", lambda *args: dataclasses.replace(
+            real(*args), consistency_defect=1.0))
+        report = run_config_verification(config_from_json(DEFAULT_CONFIG))
+        adjoint = report["suites"]["adjoint"]
+        assert adjoint["passed"] is False
+        assert adjoint["aggregate"]["failures"] > 0
+        assert report["passed"] is False
 
     def test_slack_floor_fails_residual_inside_loose_band(self):
         # Row sums of 1e-12 pass as conservative, but at t = 1e6 Z(t) scales
