@@ -31,7 +31,6 @@ from .families import (
     ExpFamily,
     ExpOverflowError,
     HalfSquareFamily,
-    LogSeriesConfig,
     MaxTermsExceededError,
     NegLogFamily,
     NonPositiveInputError,
@@ -58,7 +57,6 @@ from .jessen import (
 from .lattice import (
     DEFAULT_TOLERANCE,
     DimensionMismatchError,
-    LatticeAlgebra,
     LatticeElement,
     Ordering,
     OrderTolerance,

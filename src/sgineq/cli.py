@@ -25,6 +25,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -75,19 +76,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def _dump_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=_jsonable) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_meta(outdir: Path, argv, started: float, extra: dict | None = None) -> None:
+def _write_meta(outdir: Path, argv, started: float, report: str) -> None:
     from . import __version__
 
     meta = {
@@ -95,9 +88,8 @@ def _write_meta(outdir: Path, argv, started: float, extra: dict | None = None) -
         "duration_s": time.monotonic() - started,
         "argv": list(argv),
         "version": __version__,
+        "report": report,
     }
-    if extra:
-        meta.update(extra)
     _dump_json(outdir / "report_meta.json", meta)
 
 
@@ -133,7 +125,7 @@ def cmd_verify(args, argv) -> int:
     report = run_config_verification(cfg)
     outdir = _resolve_outdir(args.out, cfg.output_dir)
     _dump_json(outdir / "report.json", report)
-    _write_meta(outdir, argv, started, {"report": "report.json"})
+    _write_meta(outdir, argv, started, "report.json")
     for name, suite in report["suites"].items():
         if "passed" in suite:
             status = "pass" if suite["passed"] else "FAIL"
@@ -143,29 +135,18 @@ def cmd_verify(args, argv) -> int:
     return 0 if report["passed"] else 1
 
 
-def _figure_shift(t: float, outdir: Path, stem: str) -> dict:
+def _figure(outdir: Path, stem: str, title: str, line: str, scene, run) -> dict:
+    """Run the scene that ``scene()`` builds, write its curves to ``stem``.csv
+    and .svg and print its verdict after ``line``; a scene that cannot be
+    built is a usage error."""
     try:
-        scene = ShiftScene(t=t)
+        built = scene()
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    rep = run_shift_example(scene)
+    rep = run(built)
     write_curves_csv(outdir / f"{stem}.csv", rep.coords, rep.lhs, rep.rhs)
-    write_curves_svg(outdir / f"{stem}.svg", rep.coords, rep.lhs, rep.rhs,
-                     title=f"shift scene, t={t:g}")
-    print(f"1a t={t:g} verdict={rep.verdict.name}")
-    return rep.to_json()
-
-
-def _figure_rotation(k: int, n: int, outdir: Path, stem: str) -> dict:
-    try:
-        scene = RotationScene(k=k, n_points=n)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    rep = run_rotation_example(scene)
-    write_curves_csv(outdir / f"{stem}.csv", rep.coords, rep.lhs, rep.rhs)
-    write_curves_svg(outdir / f"{stem}.svg", rep.coords, rep.lhs, rep.rhs,
-                     title=f"rotation scene, k={k}, n={n}")
-    print(f"1b k={k} n={n} verdict={rep.verdict.name}")
+    write_curves_svg(outdir / f"{stem}.svg", rep.coords, rep.lhs, rep.rhs, title=title)
+    print(f"{line} verdict={rep.verdict.name}")
     return rep.to_json()
 
 
@@ -179,15 +160,18 @@ def cmd_figure(args, argv) -> int:
         single = len(ts) == 1
         for t in ts:
             stem = "figure1a" if single else f"figure1a_t{t:g}"
-            records.append(_figure_shift(t, outdir, stem))
+            records.append(_figure(outdir, stem, f"shift scene, t={t:g}", f"1a t={t:g}",
+                                   partial(ShiftScene, t=t), run_shift_example))
     else:
         ks = args.k if args.k else [90]
         single = len(ks) == 1
         for k in ks:
             stem = "figure1b" if single else f"figure1b_k{k}"
-            records.append(_figure_rotation(k, args.n, outdir, stem))
+            scene = partial(RotationScene, k=k, n_points=args.n)
+            records.append(_figure(outdir, stem, f"rotation scene, k={k}, n={args.n}",
+                                   f"1b k={k} n={args.n}", scene, run_rotation_example))
     _dump_json(outdir / "figure_report.json", {"which": which, "cases": records})
-    _write_meta(outdir, argv, started, {"report": "figure_report.json"})
+    _write_meta(outdir, argv, started, "figure_report.json")
     return 0
 
 
@@ -276,7 +260,7 @@ def cmd_expconv(args, argv) -> int:
                     rec["generator"], g["t"], " ".join(f"{p:g}" for p in g["p"]),
                     coord["index"], repr(coord["min_eigenvalue"]),
                 ])
-    _write_meta(outdir, argv, started, {"report": "gram.json"})
+    _write_meta(outdir, argv, started, "gram.json")
     return 0 if all_pass else 1
 
 

@@ -311,9 +311,8 @@ def check_order_psd(gram: LambdaGram, n_xi: int, seed: int, tol: float = 1e-8) -
     xi = xi / norms
 
     entries = gram.entries
-    dim = entries.shape[2]
-    stacked = np.ascontiguousarray(entries.transpose(2, 0, 1)).reshape(dim * n, n)
-    forms = np.sum((stacked @ xi.T).reshape(dim, n, n_xi) * xi.T, axis=1)
+    stacked = gram.coordinate_matrices.reshape(-1, n)
+    forms = np.sum((stacked @ xi.T).reshape(-1, n, n_xi) * xi.T, axis=1)
     screened = np.min(forms, axis=0)
     delta = 2.0 * ((_gamma(2 * n) + _gamma(n * n + 1)) * n * peak
                    + n * n * (1.0 + peak) * _UNDERFLOW_STEP)

@@ -43,7 +43,6 @@ __all__ = [
     "exp_member",
     "family_from_json",
     "family_to_json",
-    "LogSeriesConfig",
     "log_series",
     "second_derivative_check",
     "convexity_probe",
@@ -54,6 +53,11 @@ __all__ = [
 STRICT_POSITIVITY_TOL = 1e-12
 EXP_ARG_LIMIT = 700.0
 MIN_FD_STEP = 1e-6
+# log_series: term tolerance, term budget, and the margin of the guarded
+# radius ||e - f|| <= 1 - margin; read at call time
+LOG_SERIES_TOL = 1e-14
+LOG_SERIES_MAX_TERMS = 10 ** 6
+LOG_SERIES_RADIUS_MARGIN = 0.1
 
 
 class NonPositiveInputError(SgineqError):
@@ -308,22 +312,16 @@ def family_from_json(data: dict) -> OperatorFamily:
     raise ValueError(f"unknown family selector {data!r}")
 
 
-@dataclass(frozen=True)
-class LogSeriesConfig:
-    tol: float = 1e-14
-    max_terms: int = 10 ** 6
-    radius_margin: float = 0.1
-
-
-def log_series(f: LatticeElement, cfg: LogSeriesConfig = LogSeriesConfig()) -> LatticeElement:
+def log_series(f: LatticeElement) -> LatticeElement:
     """Algebra logarithm by the power series -sum_n (e-f)^n / n.
 
-    Requires ||e - f|| <= 1 - radius_margin in the sup norm; terms are
-    accumulated until the term norm drops below ``cfg.tol``.
+    Requires ||e - f|| <= 1 - LOG_SERIES_RADIUS_MARGIN in the sup norm;
+    terms are accumulated until the term norm drops below LOG_SERIES_TOL,
+    within LOG_SERIES_MAX_TERMS terms.
     """
     u = 1.0 - f.values
     radius = float(np.max(np.abs(u)))
-    bound = 1.0 - cfg.radius_margin
+    bound = 1.0 - LOG_SERIES_RADIUS_MARGIN
     if radius > bound:
         raise RadiusViolationError(
             f"||e - f|| = {radius:g} exceeds the guarded radius {bound:g}"
@@ -333,12 +331,12 @@ def log_series(f: LatticeElement, cfg: LogSeriesConfig = LogSeriesConfig()) -> L
     n = 1
     while True:
         term_norm = float(np.max(np.abs(power))) / n
-        if term_norm < cfg.tol:
+        if term_norm < LOG_SERIES_TOL:
             break
         n += 1
-        if n > cfg.max_terms:
+        if n > LOG_SERIES_MAX_TERMS:
             raise MaxTermsExceededError(
-                f"series did not reach tol {cfg.tol:g} within {cfg.max_terms} terms"
+                f"series did not reach tol {LOG_SERIES_TOL:g} within {LOG_SERIES_MAX_TERMS} terms"
             )
         power = power * u
         total = total + power / n

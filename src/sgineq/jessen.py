@@ -85,10 +85,6 @@ class DualVector:
         object.__setattr__(self, "values", arr)
 
     @property
-    def dim(self) -> int:
-        return self.values.size
-
-    @property
     def positive(self) -> bool:
         return bool(np.all(self.values >= 0.0))
 
@@ -126,8 +122,8 @@ def _require_normalized(gen: Generator, allow_unnormalized: bool) -> None:
         )
 
 
-def _require_positive_dual(fstar: DualVector, allow_nonpositive_dual: bool) -> None:
-    if not fstar.positive and not allow_nonpositive_dual:
+def _require_positive_dual(fstar: DualVector) -> None:
+    if not fstar.positive:
         raise NonPositiveDualError(
             "dual vector has negative coefficients; the weak inequality needs f* >= 0"
         )
@@ -292,17 +288,16 @@ def adjoint_pairing(
     fam: OperatorFamily,
     fstar: DualVector,
     f: LatticeElement,
-    allow_nonpositive_dual: bool = False,
 ) -> AdjointPairingReport:
     """Transpose identity plus the weak-form inequality for an evolved Z(t).
 
     The gap <f*, Z(t) phi(f)> - <f*, phi(Z(t) f)> must be nonnegative
     for positive duals, and must agree with the pairing of the residual.
-    A positive dual is required unless overridden. The transpose defect
-    passes at 1e-12 and the gap at -1e-9.
+    A positive dual is required. The transpose defect passes at 1e-12
+    and the gap at -1e-9.
     """
-    _require_positive_dual(fstar, allow_nonpositive_dual)
-    lhs_pair = float(op.apply_adjoint(fstar.values) @ f.values)
+    _require_positive_dual(fstar)
+    lhs_pair = float(op.matrix.T @ fstar.values @ f.values)
     rhs_pair = float(fstar.values @ (op.matrix @ f.values))
     transpose_defect = abs(lhs_pair - rhs_pair)
 
@@ -326,19 +321,16 @@ def verify_adjoint_pairing(
     fstar: DualVector,
     f: LatticeElement,
     t: float,
-    allow_nonpositive_dual: bool = False,
 ) -> AdjointPairingReport:
     """Evolve Z(t) and run ``adjoint_pairing`` on it.
 
     The weak-form gap is only meaningful for a positive dual and a
-    conservative generator; the generator must be conservative, and the
-    dual positive unless overridden.
+    conservative generator, so both are required; a dual with a negative
+    coefficient is reported before a generator that is not conservative.
     """
-    _require_positive_dual(fstar, allow_nonpositive_dual)
+    _require_positive_dual(fstar)
     _require_normalized(gen, False)
-    return adjoint_pairing(
-        evolve(gen, t), fam, fstar, f, allow_nonpositive_dual=allow_nonpositive_dual
-    )
+    return adjoint_pairing(evolve(gen, t), fam, fstar, f)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ __all__ = [
     "Ordering",
     "OrderTolerance",
     "DEFAULT_TOLERANCE",
-    "LatticeAlgebra",
     "LatticeElement",
     "join",
     "meet",
@@ -83,37 +82,6 @@ def _as_values(values) -> np.ndarray:
     return arr
 
 
-class LatticeAlgebra:
-    """Finite index set K with optional coordinate labels."""
-
-    def __init__(self, dim: int, labels=None):
-        if dim < 1:
-            raise ValueError("dim must be at least 1")
-        if labels is not None:
-            labels = list(labels)
-            if len(labels) != dim:
-                raise ValueError("labels length must match dim")
-        self.dim = int(dim)
-        self.labels = labels
-
-    def element(self, values) -> "LatticeElement":
-        el = LatticeElement(values)
-        if el.dim != self.dim:
-            raise DimensionMismatchError(
-                f"got {el.dim} values for an algebra of dim {self.dim}"
-            )
-        return el
-
-    def unit(self) -> "LatticeElement":
-        return LatticeElement(np.ones(self.dim))
-
-    def zero(self) -> "LatticeElement":
-        return LatticeElement(np.zeros(self.dim))
-
-    def __repr__(self):
-        return f"LatticeAlgebra(dim={self.dim})"
-
-
 class LatticeElement:
     """Immutable real vector; arithmetic is componentwise."""
 
@@ -133,9 +101,6 @@ class LatticeElement:
     def __sub__(self, other):
         _check_same(self, other)
         return LatticeElement(self.values - other.values)
-
-    def __neg__(self):
-        return LatticeElement(-self.values)
 
     def __mul__(self, other):
         if isinstance(other, LatticeElement):

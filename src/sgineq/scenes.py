@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 
+# Half width L of the shift scene's grid on [-L, L] and its step; read at call time.
+SHIFT_HALF_WIDTH = 6.0
+SHIFT_STEP = 0.05
+
+
 def _int_ratio(value: float, step: float, what: str) -> int:
     ratio = value / step
     if not math.isfinite(ratio):
@@ -56,33 +61,31 @@ def _int_ratio(value: float, step: float, what: str) -> int:
 
 @dataclass(frozen=True)
 class ShiftScene:
-    """Left shift of a Gaussian bump against its mirror on [-L, L]."""
+    """Left shift of a Gaussian bump against its mirror on [-L, L], with
+    L = SHIFT_HALF_WIDTH and the grid step SHIFT_STEP."""
 
     t: float
-    half_width: float = 6.0
-    step: float = 0.05
 
     def __post_init__(self):
-        if self.step <= 0 or self.half_width <= 0:
+        if SHIFT_STEP <= 0 or SHIFT_HALF_WIDTH <= 0:
             raise ValueError("step and half_width must be positive")
         if self.t < 0:
             raise ValueError("t must be nonnegative")
-        _int_ratio(self.half_width, self.step, "half_width")
-        _int_ratio(self.t, self.step, "t")
-        if self.t >= self.half_width:
+        _int_ratio(self.t, SHIFT_STEP, "t")
+        if self.t >= SHIFT_HALF_WIDTH:
             raise ValueError("t must stay below half_width so the interior window is nonempty")
 
     @property
     def shift_steps(self) -> int:
-        return _int_ratio(self.t, self.step, "t")
+        return _int_ratio(self.t, SHIFT_STEP, "t")
 
     @property
     def n_points(self) -> int:
-        return 2 * _int_ratio(self.half_width, self.step, "half_width") + 1
+        return 2 * _int_ratio(SHIFT_HALF_WIDTH, SHIFT_STEP, "half_width") + 1
 
     def grid(self) -> np.ndarray:
-        m = _int_ratio(self.half_width, self.step, "half_width")
-        return (np.arange(2 * m + 1) - m) * self.step
+        m = _int_ratio(SHIFT_HALF_WIDTH, SHIFT_STEP, "half_width")
+        return (np.arange(2 * m + 1) - m) * SHIFT_STEP
 
     def profile(self) -> np.ndarray:
         x = self.grid()
@@ -152,7 +155,7 @@ def run_shift_example(scene: ShiftScene) -> ShiftExampleReport:
     lhs = zf[::-1].copy()          # mirror after evolve
     rhs = _shift_left(phi_f, k)    # evolve after mirror
 
-    inside = np.abs(x) <= scene.half_width - scene.t + 1e-12
+    inside = np.abs(x) <= SHIFT_HALF_WIDTH - scene.t + 1e-12
     verdict = order_verdict(lhs[inside], rhs[inside])
 
     lhs_closed = np.exp(-((scene.t - x) ** 2))
@@ -173,7 +176,7 @@ def run_shift_example(scene: ShiftScene) -> ShiftExampleReport:
         lhs_at_t=float(lhs[center]),
         rhs_at_t=float(rhs[center]),
         closed_form_defect=defect,
-        window=(-(scene.half_width - scene.t), scene.half_width - scene.t),
+        window=(-(SHIFT_HALF_WIDTH - scene.t), SHIFT_HALF_WIDTH - scene.t),
         coords=x,
         lhs=lhs,
         rhs=rhs,

@@ -114,10 +114,6 @@ class Generator:
         """lam with P = I + Q/lam >= 0: max |Q_ii|, else the largest entry (0.0 for Q = 0)."""
         return float(np.max(np.abs(np.diag(self.q)))) or float(np.max(self.q))
 
-    def __repr__(self):
-        tag = self.name or "generator"
-        return f"Generator({tag}, dim={self.dim}, conservative={self.conservative})"
-
 
 def validate_generator(q, name: str | None = None) -> Generator:
     """Check the positive minimum principle and classify row sums.
@@ -208,16 +204,8 @@ class SemigroupOperator:
         """
         return (self.matrix @ np.asarray(F, dtype=float)[:, :, None])[:, :, 0]
 
-    def apply_adjoint(self, values) -> np.ndarray:
-        """Transpose action on a dual coefficient vector."""
-        return self.matrix.T @ np.asarray(values, dtype=float)
-
     def row_sums(self) -> np.ndarray:
         return self.matrix.sum(axis=1)
-
-    def is_normalized(self) -> bool:
-        """Per-time normalization predicate: Z(t) e = e within 1e-10."""
-        return bool(np.max(np.abs(self.row_sums() - 1.0)) <= 1e-10)
 
 
 def _chain(gen: Generator) -> tuple[np.ndarray | None, float]:
@@ -231,7 +219,7 @@ def _chain(gen: Generator) -> tuple[np.ndarray | None, float]:
         return p, max(1.0, float(p.sum(axis=1).max()))
 
 
-def _plan(gen: Generator, t: float, time_cap: float, mu: float):
+def _plan(gen: Generator, t: float, mu: float):
     """Guards and series schedule of one time, given mu from ``_chain``.
 
     None for the identity (t = 0, Q = 0 or lam*t below the double range),
@@ -245,8 +233,8 @@ def _plan(gen: Generator, t: float, time_cap: float, mu: float):
     lam = gen.uniform_rate
     if t == 0.0 or lam == 0.0:
         return None
-    if t * gen.sup_norm > time_cap:
-        raise TimeCapError(f"t*||Q|| = {t * gen.sup_norm:g} exceeds the cap {time_cap:g}")
+    if t * gen.sup_norm > DEFAULT_TIME_CAP:
+        raise TimeCapError(f"t*||Q|| = {t * gen.sup_norm:g} exceeds the cap {DEFAULT_TIME_CAP:g}")
     splits = 0
     while lam * t / (2 ** splits) > _STEP_LIMIT:
         splits += 1
@@ -324,7 +312,7 @@ def evolve(gen: Generator, t: float) -> SemigroupOperator:
         squarings is not included in it.
     """
     p, mu = _chain(gen)
-    plan = _plan(gen, t, DEFAULT_TIME_CAP, mu)
+    plan = _plan(gen, t, mu)
     if plan is None:
         return SemigroupOperator(np.eye(gen.dim), t=t or 0.0, trunc_error=0.0)
     rate, splits, terms, err = plan
@@ -350,7 +338,7 @@ def evolve_many(gen: Generator, ts) -> np.ndarray:
     for t in ts:
         try:
             # the identity is the series with no term past the first
-            plans.append(_plan(gen, t, DEFAULT_TIME_CAP, mu) or (0.0, 0, 0, 0.0))
+            plans.append(_plan(gen, t, mu) or (0.0, 0, 0, 0.0))
         except (ValueError, SgineqError) as exc:
             error = exc
             break
@@ -383,7 +371,7 @@ def act(gen: Generator, t: float, F) -> np.ndarray:
         raise ValueError(f"act needs an (S, {gen.dim}) block, got shape {F.shape}")
     block = F.copy()
     p, mu = _chain(gen)
-    plan = _plan(gen, t, DEFAULT_TIME_CAP, mu)
+    plan = _plan(gen, t, mu)
     if plan is not None:
         rate, splits, terms, _ = plan
         coefs = [rate / k for k in range(1, terms + 1)]
@@ -403,16 +391,16 @@ def check_semigroup_axioms(
     gen: Generator,
     s: float,
     t: float,
-    f: LatticeElement | None = None,
+    f: LatticeElement,
 ) -> list[CheckEntry]:
     """Identity, composition, and a strong-continuity proxy, within 1e-10.
 
-    The continuity sweep needs a sample element f; it checks that
+    The continuity sweep on the sample element f checks that
     ||Z(h)f - f|| decreases along h = 1e-1, ..., 1e-6 (first order in
     h, with slope ||Qf||).
     """
     entries = []
-    sweep = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6) if f is not None else ()
+    sweep = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     ident, zs, zt, zst, *zhs = evolve_many(gen, [0.0, s, t, s + t, *sweep])
     d0 = float(np.max(np.abs(ident - np.eye(gen.dim))))
     entries.append(CheckEntry("identity_at_zero", d0 <= _AXIOM_TOL, d0, _AXIOM_TOL))
@@ -421,11 +409,10 @@ def check_semigroup_axioms(
     comp_tol = _AXIOM_TOL * (1.0 + float(np.max(np.abs(zst))))
     entries.append(CheckEntry("composition", dcomp <= comp_tol, dcomp, comp_tol))
 
-    if f is not None:
-        defects = [float(np.max(np.abs(zh @ f.values - f.values))) for zh in zhs]
-        decreasing = all(a >= b - _AXIOM_TOL for a, b in zip(defects, defects[1:]))
-        worst = defects[-1]
-        entries.append(CheckEntry("continuity_sweep_decreasing", decreasing, worst, _AXIOM_TOL))
+    defects = [float(np.max(np.abs(zh @ f.values - f.values))) for zh in zhs]
+    decreasing = all(a >= b - _AXIOM_TOL for a, b in zip(defects, defects[1:]))
+    worst = defects[-1]
+    entries.append(CheckEntry("continuity_sweep_decreasing", decreasing, worst, _AXIOM_TOL))
     return entries
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +105,21 @@ class ConfigError(SgineqError):
     """Config cannot be used: missing fields, wrong shapes, empty lists."""
 
 
+def _integral(value) -> bool:
+    """A JSON number with an integral value; true and false are not numbers."""
+    return type(value) is int or type(value) is float and value.is_integer()
+
+
+# Config fields taken as they are, each with its test and what the test asks
+# for; a value that fails it is a usage error, never coerced.
+_OPTIONS = (
+    ("samples", _integral, "an integral number"),
+    ("seed", _integral, "an integral number"),
+    ("allow_unnormalized", lambda v: type(v) is bool, "true or false"),
+    ("output_dir", lambda v: type(v) is str, "a string"),
+)
+
+
 @dataclass
 class SuiteConfig:
     generators: list
@@ -192,19 +207,23 @@ def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
     tols = data.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ConfigError("tolerances must be a JSON object")
+    # only the fields the config sets are passed, so SuiteConfig holds every default
+    options = {}
+    for key, valid, kind in _OPTIONS:
+        if key in data:
+            if not valid(data[key]):
+                raise ConfigError(f"{key} must be {kind}, got {data[key]!r}")
+            options[key] = int(data[key]) if valid is _integral else data[key]
     try:
+        for key, name in (("atol", "atol"), ("rtol", "rtol"), ("psd", "psd_tol")):
+            if key in tols:
+                options[name] = float(tols[key])
         cfg = SuiteConfig(
             generators=generators,
             families=families,
             t_grid=t_grid,
             p_sets=[[float(p) for p in ps] for ps in data.get("p_sets", [])],
-            samples=int(data.get("samples", 50)),
-            seed=int(data.get("seed", 20240821)),
-            atol=float(tols.get("atol", 1e-9)),
-            rtol=float(tols.get("rtol", 1e-12)),
-            psd_tol=float(tols.get("psd", 1e-8)),
-            allow_unnormalized=bool(data.get("allow_unnormalized", False)),
-            output_dir=str(data.get("output_dir", "out")),
+            **options,
         )
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad config value: {err}") from err
@@ -368,10 +387,6 @@ class JessenSuiteResult:
     worst_scaled_slack: float = float("inf")
     failures: int = 0
 
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
 
 def _slack_floor(residual: np.ndarray):
     """Lowest acceptable min slack, -1e-9 * (1 + ||residual||), per row."""
@@ -411,9 +426,6 @@ class NegativeControlResult:
     min_slack: float
     generator: dict | None
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def run_negative_control(seed: int) -> NegativeControlResult:
     """Sample up to 60 non-conservative positive generators until the
@@ -443,13 +455,6 @@ class AdjointSuiteResult:
     min_weak_gap: float
     max_consistency_defect: float
     failures: int
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def run_adjoint_random_suite(n_cases: int, seed: int) -> AdjointSuiteResult:
@@ -491,13 +496,6 @@ class GramSuiteResult:
     min_quadform: float
     max_entry: float
     failures: int
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def _sample_exponent_set(rng, kind: str) -> ExponentSet:
@@ -544,9 +542,10 @@ def run_gram_random_suite(n_instances: int, kind: str, seed: int) -> GramSuiteRe
 
 
 def run_midpoint_equivalence_suite(n_instances: int, seed: int) -> dict:
-    """Substitution identity on random residual-based maps, within 1e-12."""
+    """Substitution identity on random residual-based maps; the suite passes
+    when every instance passes ``MidpointEquivalenceReport.passed``."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst, passed = 0.0, True
     for _ in range(n_instances):
         gen = random_conservative_generator(rng, max_dim=5, max_norm=3.0)
         f = random_domain_element(rng, gen.dim, "F")
@@ -561,7 +560,8 @@ def run_midpoint_equivalence_suite(n_instances: int, seed: int) -> dict:
 
         rep = midpoint_equivalence_check(h_map, xs, xis)
         worst = max(worst, rep.defect_double, rep.defect_half)
-    return {"instances": n_instances, "max_defect": worst, "pass": worst <= 1e-12}
+        passed = passed and rep.passed
+    return {"instances": n_instances, "max_defect": worst, "pass": passed}
 
 
 def run_config_verification(cfg: SuiteConfig) -> dict:
@@ -584,6 +584,8 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
             f"{label} is not conservative; set allow_unnormalized to run it as a control"
         )
     asserted_gens = [g for g in cfg.generators if g.conservative]
+    # a guard-band midpoint is a hypothesis violation whatever the generators
+    psets = [ExponentSet(ps, family_kind="F") for ps in cfg.p_sets]
 
     rng = np.random.default_rng(cfg.seed)
     report: dict = {"config": cfg.to_json(), "suites": {}}
@@ -661,10 +663,7 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
     gram_failures = 0
     gram_records = []
     for gen in asserted_gens:
-        for ps in cfg.p_sets:
-            # a guard-band hit raises here and surfaces as a hypothesis
-            # violation, matching the exit-code contract
-            pset = ExponentSet(ps, family_kind="F")
+        for pset in psets:
             for t in cfg.t_grid:
                 if t == 0.0:
                     continue

@@ -163,6 +163,48 @@ class TestVerify:
         assert "Traceback" not in res.stderr
         assert not (tmp_path / "o" / "report.json").exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("allow_unnormalized", "false"), ("allow_unnormalized", "no"),
+        ("allow_unnormalized", 0.5), ("allow_unnormalized", 1),
+        ("samples", 2.9), ("samples", True), ("samples", "5"),
+        ("seed", 7.5), ("seed", False), ("seed", "99"),
+        ("output_dir", 5), ("output_dir", None),
+    ])
+    def test_field_of_the_wrong_type_is_usage_error(self, tmp_path, capsys, field, value):
+        # the non-conservative generator passes as an observed control under
+        # the override, so a value taken for true or cut to an int would pass
+        cfg = small_config(generators=[*small_config()["generators"],
+                                       {"q": [[0.0, 1.0], [0.0, 0.0]], "name": "drifty"}],
+                           allow_unnormalized=True)
+        cfg[field] = value
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(cfg))
+        assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 64
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_integral_float_fields_are_taken_as_ints(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(small_config(samples=3.0, seed=99.0, allow_unnormalized=False)))
+        assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+        config = json.loads((tmp_path / "o" / "report.json").read_text())["config"]
+        assert (config["samples"], config["seed"]) == (3, 99)
+        assert type(config["samples"]) is int and type(config["seed"]) is int
+
+    @pytest.mark.parametrize("generators", [["benchmark2"], ["benchmark2", "drifty"], ["drifty"]])
+    def test_guard_band_p_set_is_a_hypothesis_violation_for_any_generators(
+            self, tmp_path, capsys, generators):
+        # the midpoint 1 + 1e-7 lies within MIDPOINT_GUARD of the special point 1
+        q = {"benchmark2": [[-1.0, 1.0], [1.0, -1.0]], "drifty": [[0.0, 1.0], [0.0, 0.0]]}
+        cfg = small_config(generators=[{"q": q[name], "name": name} for name in generators],
+                           p_sets=[[1.0, 1.0 + 2e-7]], allow_unnormalized=True)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(cfg))
+        assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        assert "midpoint" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_over_budget_samples_is_usage_error(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(small_config(samples=1e9)))

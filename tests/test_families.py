@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sgineq import families
 from sgineq.families import (
     CustomFamily,
     EntropyFamily,
     ExpFamily,
     ExpOverflowError,
     HalfSquareFamily,
-    LogSeriesConfig,
     MaxTermsExceededError,
     NegLogFamily,
     NonPositiveInputError,
@@ -164,10 +164,10 @@ class TestLogSeries:
         out = log_series(el(0.1, 1.9))  # ||e - f|| = 0.9 exactly
         assert abs(out.values[0] - math.log(0.1)) <= 1e-10
 
-    def test_max_terms(self):
-        cfg = LogSeriesConfig(tol=1e-14, max_terms=3, radius_margin=0.1)
+    def test_max_terms(self, monkeypatch):
+        monkeypatch.setattr(families, "LOG_SERIES_MAX_TERMS", 3)
         with pytest.raises(MaxTermsExceededError):
-            log_series(el(0.2, 1.0), cfg)
+            log_series(el(0.2, 1.0))
 
     def test_random_agreement_and_inverse(self, rng):
         worst_log = 0.0

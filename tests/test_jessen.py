@@ -270,15 +270,13 @@ class TestAdjointPairing:
         op = evolve(bench_gen, 1.0)
         with pytest.raises(NonPositiveDualError):
             adjoint_pairing(op, PowerFamily(2.0), DualVector([1.0, -0.5]), bench_f)
-        rep = adjoint_pairing(op, PowerFamily(2.0), DualVector([1.0, -0.5]), bench_f,
-                              allow_nonpositive_dual=True)
-        assert rep.transpose_ok
 
-    def test_nonpositive_dual_override(self, bench_gen, bench_f):
-        rep = verify_adjoint_pairing(bench_gen, PowerFamily(2.0),
-                                     DualVector([1.0, -0.5]), bench_f, 1.0,
-                                     allow_nonpositive_dual=True)
-        assert rep.transpose_ok
+    def test_nonpositive_dual_reported_before_unnormalized_generator(self, bench_f):
+        leaky = validate_generator([[-1.0, 0.5], [0.0, 0.0]])
+        with pytest.raises(NonPositiveDualError):
+            verify_adjoint_pairing(leaky, PowerFamily(2.0), DualVector([1.0, -0.5]), bench_f, 1.0)
+        with pytest.raises(NotNormalizedError):
+            verify_adjoint_pairing(leaky, PowerFamily(2.0), DualVector([1.0, 0.5]), bench_f, 1.0)
 
     def test_dual_positive_cache(self):
         assert DualVector([0.0, 2.0]).positive

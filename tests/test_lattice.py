@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from sgineq.lattice import (
     DEFAULT_TOLERANCE,
     DimensionMismatchError,
-    LatticeAlgebra,
     LatticeElement,
     Ordering,
     OrderTolerance,
@@ -63,8 +62,7 @@ class TestBasicOps:
         assert lattice_norm(el(-2, 3)) == 3.0
 
     def test_unit_norm(self):
-        alg = LatticeAlgebra(4)
-        assert lattice_norm(alg.unit()) == 1.0
+        assert lattice_norm(LatticeElement(np.ones(4))) == 1.0
 
     def test_norm_submultiplicative_example(self):
         f, g = el(1, 2), el(3, -1)
@@ -74,9 +72,8 @@ class TestBasicOps:
         same(multiply(el(1, 2), el(3, 4)), [3, 8])
 
     def test_unit_law(self):
-        alg = LatticeAlgebra(2)
         f = el(7.0, -3.5)
-        same(multiply(alg.unit(), f), [7.0, -3.5])
+        same(multiply(LatticeElement(np.ones(2)), f), [7.0, -3.5])
 
     def test_zero_divisors(self):
         same(multiply(el(1, 0), el(0, 1)), [0, 0])
@@ -284,14 +281,6 @@ def test_modulus_triangle(fg):
     lhs = abs_val(f + g).values
     rhs = (abs_val(f) + abs_val(g)).values
     assert np.all(lhs <= rhs)
-
-
-def test_algebra_element_roundtrip():
-    alg = LatticeAlgebra(3, labels=("a", "b", "c"))
-    f = alg.element([1.0, 2.0, 3.0])
-    assert f.values.shape == (3,)
-    with pytest.raises(DimensionMismatchError):
-        alg.element([1.0, 2.0])
 
 
 def test_element_values_read_only():

@@ -452,13 +452,18 @@ class TestChain:
 class TestTermSchedule:
     """``_plan`` gives the tuple of the plain loop with one math.log per term."""
 
+    @pytest.fixture(autouse=True)
+    def _no_time_cap(self, monkeypatch):
+        # the plain loop has no time cap
+        monkeypatch.setattr(semigroup, "DEFAULT_TIME_CAP", math.inf)
+
     @staticmethod
     def _assert_same(lam, ts, mus):
         gen = validate_generator([[-lam, lam], [0.0, 0.0]])
         assert gen.uniform_rate == lam
         for t in ts:
             for mu in mus:
-                assert semigroup._plan(gen, t, math.inf, mu) == plain_term_schedule(lam, t, mu), (t, mu)
+                assert semigroup._plan(gen, t, mu) == plain_term_schedule(lam, t, mu), (t, mu)
 
     def test_rate_from_tiny_to_the_step_limit(self):
         ts = [*np.logspace(-300.0, math.log10(128.0), 301), 128.0]
@@ -667,11 +672,6 @@ class TestOperatorSurface:
     def test_below_band_rejected(self):
         with pytest.raises(ValueError):
             SemigroupOperator(np.array([[1.0, -1e-6], [0.0, 1.0]]), t=0.0)
-
-    def test_is_normalized_per_time(self, bench_gen):
-        assert evolve(bench_gen, 2.2).is_normalized()
-        leaky = validate_generator([[-1.0, 0.5], [0.0, 0.0]])
-        assert not evolve(leaky, 1.0).is_normalized()
 
     def test_apply_dim_mismatch(self, bench_gen):
         op = evolve(bench_gen, 1.0)
