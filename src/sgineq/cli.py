@@ -18,7 +18,6 @@ overrides every output-directory setting.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -32,14 +31,7 @@ import numpy as np
 
 from .errors import HypothesisViolationError, SgineqError
 from .expconv import ExponentSet, build_gram, check_order_psd
-from .figio import write_curves_csv, write_curves_svg
 from .lattice import LatticeElement
-from .scenes import (
-    RotationScene,
-    ShiftScene,
-    run_rotation_example,
-    run_shift_example,
-)
 from .semigroup import validate_generator
 from .suites import ConfigError, SuiteConfig, config_from_json, run_config_verification
 
@@ -139,6 +131,8 @@ def _figure(outdir: Path, stem: str, title: str, line: str, scene, run) -> dict:
     """Run the scene that ``scene()`` builds, write its curves to ``stem``.csv
     and .svg and print its verdict after ``line``; a scene that cannot be
     built is a usage error."""
+    from .figio import write_curves_csv, write_curves_svg
+
     try:
         built = scene()
     except ValueError as err:
@@ -151,6 +145,9 @@ def _figure(outdir: Path, stem: str, title: str, line: str, scene, run) -> dict:
 
 
 def cmd_figure(args, argv) -> int:
+    # scenes (and figio, in _figure) load only here, so verify and expconv never import them
+    from .scenes import RotationScene, ShiftScene, run_rotation_example, run_shift_example
+
     started = time.monotonic()
     outdir = _resolve_outdir(args.out)
     which = {"shift": "1a", "rotation": "1b"}.get(args.which, args.which)
@@ -202,6 +199,8 @@ def _check_expconv_flags(args) -> None:
 
 
 def cmd_expconv(args, argv) -> int:
+    import csv
+
     started = time.monotonic()
     _check_expconv_flags(args)
     instances = []
@@ -209,28 +208,31 @@ def cmd_expconv(args, argv) -> int:
         cfg = _load_config(args.config)
         if not cfg.p_sets:
             raise ConfigError("expconv needs at least one p_set in the config")
+        # built before any instance, so a guard-band midpoint is a hypothesis
+        # violation whatever the times, as in verify
+        psets = [ExponentSet(ps, family_kind=args.family) for ps in cfg.p_sets]
         outdir = _resolve_outdir(args.out, cfg.output_dir)
         rng = np.random.default_rng(cfg.seed)
         for gen in cfg.generators:
-            for ps in cfg.p_sets:
+            for pset in psets:
                 for t in cfg.t_grid:
                     if t == 0.0:
                         continue
                     f = LatticeElement(rng.uniform(0.2, 3.0, size=gen.dim))
-                    instances.append((gen, f, t, ps, cfg.psd_tol, cfg.seed))
+                    instances.append((gen, f, t, pset, cfg.psd_tol, cfg.seed))
     else:
         if not args.p:
             raise ConfigError("expconv needs --p values or --config")
+        pset = ExponentSet(args.p, family_kind=args.family)
         outdir = _resolve_outdir(args.out)
         gen = validate_generator([[-1.0, 1.0], [1.0, -1.0]], name="benchmark2")
         f = LatticeElement([4.0, 1.0])
-        instances.append((gen, f, args.t, list(args.p), args.tol, args.seed))
+        instances.append((gen, f, args.t, pset, args.tol, args.seed))
 
     results = []
     csv_rows = []
     all_pass = True
-    for gen, f, t, ps, tol, seed in instances:
-        pset = ExponentSet(ps, family_kind=args.family)
+    for gen, f, t, pset, tol, seed in instances:
         gram = build_gram(gen, f, t, pset)
         rep = check_order_psd(gram, n_xi=args.n_xi, seed=seed, tol=tol)
         all_pass = all_pass and rep.passed

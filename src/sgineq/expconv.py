@@ -21,9 +21,8 @@ y = 2x; both probes and the substitution identity are exposed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,7 +72,6 @@ def _member(kind: str, p: float) -> OperatorFamily:
     return power_member(p) if kind == "F" else exp_member(p)
 
 
-@dataclass(frozen=True)
 class ExponentSet:
     """Finite parameter set whose pairwise midpoints are all evaluable.
 
@@ -84,8 +82,7 @@ class ExponentSet:
     a 1/(p(p-1)) resp. 1/p^2 factor there.
     """
 
-    p: tuple
-    family_kind: str = "F"
+    __slots__ = ("p", "family_kind")
 
     def __init__(self, p, family_kind: str = "F"):
         specials = _special_points(family_kind)
@@ -101,8 +98,7 @@ class ExponentSet:
                             f"midpoint ({pi!r}+{pj!r})/2 = {mid!r} lies within "
                             f"{MIDPOINT_GUARD:g} of {sp:g}"
                         )
-        object.__setattr__(self, "p", points)
-        object.__setattr__(self, "family_kind", family_kind)
+        self.p, self.family_kind = points, family_kind
 
     @property
     def size(self) -> int:
@@ -123,8 +119,7 @@ def lambda_residual(
     return LatticeElement(_midpoint_residuals(evolve(gen, t), family_kind, [p], f.values)[0])
 
 
-@dataclass(frozen=True)
-class LambdaGram:
+class LambdaGram(NamedTuple):
     """Residual values over all pairwise midpoints of an exponent set.
 
     ``entries[i, j, k]`` is coordinate k of Lambda at (p_i + p_j)/2;
@@ -217,8 +212,7 @@ def build_gram(
     )
 
 
-@dataclass(frozen=True)
-class PsdReport:
+class PsdReport(NamedTuple):
     """Spectral certificate plus sampled quadratic forms for one Gram."""
 
     spectral_pass: bool
@@ -235,7 +229,7 @@ class PsdReport:
         return self.spectral_pass and self.sampled_pass
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 # Unit roundoff of double precision.
@@ -393,8 +387,7 @@ def exp_convexity_probe(
     return partial_leq(zero, q_el)
 
 
-@dataclass(frozen=True)
-class MidpointEquivalenceReport:
+class MidpointEquivalenceReport(NamedTuple):
     """Substitution identity between the SUM and MIDPOINT forms."""
 
     defect_double: float

@@ -19,7 +19,6 @@ family carries a user map together with its analytic second derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -79,6 +78,7 @@ class MaxTermsExceededError(SgineqError):
 class OperatorFamily:
     """Convex scalar map with analytic first and second derivatives."""
 
+    __slots__ = ()
     label: str = "family"
 
     def value(self, x: np.ndarray) -> np.ndarray:
@@ -113,15 +113,15 @@ def _require_positive(x: np.ndarray, label: str) -> None:
         )
 
 
-@dataclass(frozen=True, repr=False)
 class PowerFamily(OperatorFamily):
     """x^p / (p(p-1)) on the strictly positive cone, p not in {0, 1}."""
 
-    exponent: float
+    __slots__ = ("exponent",)
 
-    def __post_init__(self):
-        if self.exponent in (0.0, 1.0):
+    def __init__(self, exponent: float):
+        if exponent in (0.0, 1.0):
             raise ValueError("exponent 0 and 1 have dedicated branches")
+        self.exponent = exponent
 
     @property
     def label(self):
@@ -142,7 +142,6 @@ class PowerFamily(OperatorFamily):
         return np.power(x, self.exponent - 2.0)
 
 
-@dataclass(frozen=True, repr=False)
 class NegLogFamily(OperatorFamily):
     """-log x, the p = 0 branch of the power family."""
 
@@ -161,7 +160,6 @@ class NegLogFamily(OperatorFamily):
         return np.power(x, -2.0)
 
 
-@dataclass(frozen=True, repr=False)
 class EntropyFamily(OperatorFamily):
     """x log x, the p = 1 branch of the power family."""
 
@@ -180,15 +178,15 @@ class EntropyFamily(OperatorFamily):
         return 1.0 / x
 
 
-@dataclass(frozen=True, repr=False)
 class ExpFamily(OperatorFamily):
     """exp(p*x) / p^2 for p != 0, defined on all of the algebra."""
 
-    rate: float
+    __slots__ = ("rate",)
 
-    def __post_init__(self):
-        if self.rate == 0.0:
+    def __init__(self, rate: float):
+        if rate == 0.0:
             raise ValueError("rate 0 has the half-square branch")
+        self.rate = rate
 
     @property
     def label(self):
@@ -212,7 +210,6 @@ class ExpFamily(OperatorFamily):
         return np.exp(self.rate * x)
 
 
-@dataclass(frozen=True, repr=False)
 class HalfSquareFamily(OperatorFamily):
     """x^2 / 2, the p = 0 branch of the exponential family."""
 
@@ -228,15 +225,16 @@ class HalfSquareFamily(OperatorFamily):
         return np.ones_like(x)
 
 
-@dataclass(frozen=True, repr=False)
 class CustomFamily(OperatorFamily):
     """User-supplied convex map; the second derivative must be analytic."""
 
-    fn: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray] | None = None
-    name: str = "custom"
-    domain: Callable[[np.ndarray], None] | None = None
+    __slots__ = ("fn", "d2", "d1", "name", "domain")
+
+    def __init__(self, fn: Callable[[np.ndarray], np.ndarray],
+                 d2: Callable[[np.ndarray], np.ndarray],
+                 d1: Callable[[np.ndarray], np.ndarray] | None = None, name: str = "custom",
+                 domain: Callable[[np.ndarray], None] | None = None):
+        self.fn, self.d2, self.d1, self.name, self.domain = fn, d2, d1, name, domain
 
     @property
     def label(self):
@@ -289,7 +287,10 @@ def family_to_json(fam: OperatorFamily) -> dict:
 
 
 def _finite_parameter(data: dict) -> float:
-    value = float(data["t"])
+    value = data["t"]
+    if type(value) is not int and type(value) is not float:  # no bool, no numeric string
+        raise TypeError(f"family parameter t must be a number, got {value!r}")
+    value = float(value)
     if not np.isfinite(value):
         raise ValueError(f"family parameter must be finite, got {value!r}")
     return value

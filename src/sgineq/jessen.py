@@ -22,9 +22,8 @@ finite certificates.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,18 +70,17 @@ class NonFiniteSideError(SgineqError, ValueError):
     so the inequality cannot be checked on this input."""
 
 
-@dataclass(frozen=True)
 class DualVector:
     """Coefficient vector of a linear functional <f*, f> = sum f*_i f_i."""
 
-    values: np.ndarray
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+    def __init__(self, values):
+        arr = np.array(values, dtype=float)
         if arr.ndim != 1 or not np.all(np.isfinite(arr)):
             raise ValueError("dual vectors are finite one dimensional arrays")
         arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        self.values = arr
 
     @property
     def positive(self) -> bool:
@@ -92,8 +90,7 @@ class DualVector:
         return float(self.values @ f.values)
 
 
-@dataclass(frozen=True)
-class JessenReport:
+class JessenReport(NamedTuple):
     """Outcome of one inequality check."""
 
     residual: LatticeElement
@@ -262,8 +259,7 @@ def support_line_check(
     return partial_leq(LatticeElement(tangent), fam.apply(f))
 
 
-@dataclass(frozen=True)
-class AdjointPairingReport:
+class AdjointPairingReport(NamedTuple):
     """Weak-form adjoint check at one (generator, family, dual, f, t)."""
 
     transpose_defect: float
@@ -280,7 +276,7 @@ class AdjointPairingReport:
         return self.transpose_ok and self.gap_ok and self.consistency_defect <= 1e-10
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def adjoint_pairing(
@@ -333,8 +329,7 @@ def verify_adjoint_pairing(
     return adjoint_pairing(evolve(gen, t), fam, fstar, f)
 
 
-@dataclass(frozen=True)
-class DualConvexityReport:
+class DualConvexityReport(NamedTuple):
     """Checkable fragments of convexity on the dual side."""
 
     linearity_defect: float

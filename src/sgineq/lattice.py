@@ -10,7 +10,6 @@ Order comparisons return one of four verdicts, with a tolerance band
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -49,16 +48,15 @@ class Ordering(Enum):
     INCOMPARABLE = "INCOMPARABLE"
 
 
-@dataclass(frozen=True)
 class OrderTolerance:
     """Tolerance band for order verdicts."""
 
-    atol: float = 1e-9
-    rtol: float = 1e-12
+    __slots__ = ("atol", "rtol")
 
-    def __post_init__(self):
-        if self.atol < 0 or self.rtol < 0:
+    def __init__(self, atol: float = 1e-9, rtol: float = 1e-12):
+        if atol < 0 or rtol < 0:
             raise ValueError("tolerances must be nonnegative")
+        self.atol, self.rtol = atol, rtol
 
     def margin(self, f: np.ndarray, g: np.ndarray):
         """Band eps for each row (last axis) of two value arrays of one shape."""

@@ -28,7 +28,7 @@ the full-turn subgroup, which the report records separately.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,21 +59,21 @@ def _int_ratio(value: float, step: float, what: str) -> int:
     return int(k)
 
 
-@dataclass(frozen=True)
 class ShiftScene:
     """Left shift of a Gaussian bump against its mirror on [-L, L], with
     L = SHIFT_HALF_WIDTH and the grid step SHIFT_STEP."""
 
-    t: float
+    __slots__ = ("t",)
 
-    def __post_init__(self):
+    def __init__(self, t: float):
         if SHIFT_STEP <= 0 or SHIFT_HALF_WIDTH <= 0:
             raise ValueError("step and half_width must be positive")
-        if self.t < 0:
+        if t < 0:
             raise ValueError("t must be nonnegative")
-        _int_ratio(self.t, SHIFT_STEP, "t")
-        if self.t >= SHIFT_HALF_WIDTH:
+        _int_ratio(t, SHIFT_STEP, "t")
+        if t >= SHIFT_HALF_WIDTH:
             raise ValueError("t must stay below half_width so the interior window is nonempty")
+        self.t = t
 
     @property
     def shift_steps(self) -> int:
@@ -104,8 +104,7 @@ class ShiftScene:
         return np.eye(self.n_points)[::-1].copy()
 
 
-@dataclass(frozen=True)
-class ShiftExampleReport:
+class ShiftExampleReport(NamedTuple):
     t: float
     verdict: Ordering
     argmax_lhs: float
@@ -183,18 +182,17 @@ def run_shift_example(scene: ShiftScene) -> ShiftExampleReport:
     )
 
 
-@dataclass(frozen=True)
 class RotationScene:
     """Rotation of cos z + 1 against conjugation on an N-point circle."""
 
-    k: int
-    n_points: int = 360
+    __slots__ = ("k", "n_points")
 
-    def __post_init__(self):
-        if self.n_points < 3:
+    def __init__(self, k: int, n_points: int = 360):
+        if n_points < 3:
             raise ValueError("need at least 3 circle points")
-        if not 0 <= self.k <= self.n_points:
+        if not 0 <= k <= n_points:
             raise ValueError("k must lie in {0, ..., N}")
+        self.k, self.n_points = k, n_points
 
     @property
     def t(self) -> float:
@@ -218,8 +216,7 @@ class RotationScene:
         return np.mod(-np.arange(n), n)
 
 
-@dataclass(frozen=True)
-class RotationExampleReport:
+class RotationExampleReport(NamedTuple):
     k: int
     n_points: int
     t: float

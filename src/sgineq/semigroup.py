@@ -30,13 +30,14 @@ stack for many times with one stacked product per series term, and
 ``act`` sums the series on a block F of a few row vectors by products
 F @ P^T, with P^T a view of P, never forming Z(t) (2^s steps run in
 sequence, as squaring needs the matrix). P is Q/lam with 1 added to its
-diagonal in place; ``sup_norm`` sums row i of |Q| as rowsum_i(Q) - q_ii + |q_ii|.
+diagonal in place; ``sup_norm`` sums row i of |Q| as rowsum_i(Q) - q_ii + |q_ii|,
+and the largest row sum of P is 1 + max_i rowsum_i(Q)/lam, both from one cached
+vector of the row sums of Q.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -92,22 +93,25 @@ class EvolveOverflowError(SgineqError):
     """exp(tQ) has entries beyond double range."""
 
 
-@dataclass(frozen=True)
 class Generator:
     """Validated Metzler matrix with its conservativity certificate."""
 
-    q: np.ndarray
-    conservative: bool
-    name: str | None = None
+    def __init__(self, q: np.ndarray, conservative: bool, name: str | None = None):
+        self.q, self.conservative, self.name = q, conservative, name
 
     @property
     def dim(self) -> int:
         return self.q.shape[0]
 
     @cached_property
+    def row_sums(self) -> np.ndarray:
+        """rowsum_i(Q), read by ``sup_norm`` and by ``_chain`` for mu."""
+        return self.q.sum(axis=1)
+
+    @cached_property
     def sup_norm(self) -> float:
         """Max absolute row sum of Q, formed as max_i rowsum_i(Q) - q_ii + |q_ii| (Q is Metzler)."""
-        return float(np.max(self.q.sum(axis=1) - self.q.diagonal() + np.abs(self.q.diagonal())))
+        return float(np.max(self.row_sums - self.q.diagonal() + np.abs(self.q.diagonal())))
 
     @cached_property
     def uniform_rate(self) -> float:
@@ -128,7 +132,7 @@ def validate_generator(q, name: str | None = None) -> Generator:
     Returns
     -------
     Generator
-        Frozen wrapper with ``conservative`` set when every row sums to
+        Wrapper with ``conservative`` set when every row sums to
         zero within 1e-12.
     """
     arr = np.array(q, dtype=float, order="C")
@@ -161,7 +165,6 @@ def generator_to_json(gen: Generator) -> dict:
     return out
 
 
-@dataclass(frozen=True)
 class SemigroupOperator:
     """One evolution matrix Z(t), entrywise nonnegative.
 
@@ -171,19 +174,17 @@ class SemigroupOperator:
     by up to about 1000 times ``trunc_error`` at K <= 8.
     """
 
-    matrix: np.ndarray
-    t: float
-    trunc_error: float = 0.0
+    __slots__ = ("matrix", "t", "trunc_error")
 
-    def __post_init__(self):
-        arr = np.array(self.matrix, dtype=float)
+    def __init__(self, matrix: np.ndarray, t: float, trunc_error: float = 0.0):
+        arr = np.array(matrix, dtype=float)
         low = arr.min()
         if low < -_ENTRY_CLAMP_BAND:
             raise ValueError(f"operator entry {low} below the positivity band")
         if low < 0.0:
             arr[arr < 0.0] = 0.0
         arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        self.matrix, self.t, self.trunc_error = arr, t, trunc_error
 
     @property
     def dim(self) -> int:
@@ -209,14 +210,17 @@ class SemigroupOperator:
 
 
 def _chain(gen: Generator) -> tuple[np.ndarray | None, float]:
-    """P = I + Q/lam >= 0 and its largest row sum mu (at least 1); (None, 1.0) for Q = 0."""
-    if not gen.uniform_rate:
+    """P = I + Q/lam >= 0 and its largest row sum mu = 1 + max_i rowsum_i(Q)/lam (at
+    least 1), taken from the row sums of Q, not summed over P; (None, 1.0) for Q = 0."""
+    lam = gen.uniform_rate
+    if not lam:
         return None, 1.0
-    # a P beyond double range is reported by _plan's growth guard
+    # a P beyond double range is reported by _plan's growth guard; mu is a Python
+    # float there, as float division gives inf without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        p = gen.q / gen.uniform_rate
+        p = gen.q / lam
         p.flat[:: gen.dim + 1] += 1.0
-        return p, max(1.0, float(p.sum(axis=1).max()))
+    return p, max(1.0, 1.0 + float(gen.row_sums.max()) / lam)
 
 
 def _plan(gen: Generator, t: float, mu: float):

@@ -1,7 +1,7 @@
 """Randomized verification suites and config-driven report assembly.
 
 Every suite takes a seed, draws from one ``numpy.random.default_rng``
-stream, and reports plain dict/dataclass records, so a fixed config and
+stream, and reports plain dict/tuple records, so a fixed config and
 seed reproduce the same report bytes. Negative-control material
 (non-conservative generators under the explicit override) is kept in an
 ``observed`` section separate from asserted checks, so it never flips
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,8 +105,13 @@ class ConfigError(SgineqError):
     """Config cannot be used: missing fields, wrong shapes, empty lists."""
 
 
+def _number(value) -> bool:
+    """A JSON number; true and false are not numbers, nor is a numeric string."""
+    return type(value) is int or type(value) is float
+
+
 def _integral(value) -> bool:
-    """A JSON number with an integral value; true and false are not numbers."""
+    """A JSON number with an integral value."""
     return type(value) is int or type(value) is float and value.is_integer()
 
 
@@ -120,8 +125,7 @@ _OPTIONS = (
 )
 
 
-@dataclass
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     generators: list
     families: list
     t_grid: list
@@ -177,9 +181,14 @@ def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
         raise ConfigError("generator list is empty")
     if not raw_fams:
         raise ConfigError("family list is empty")
+    if not all(map(_number, raw_times)):
+        raise ConfigError(f"t_grid entries must be numbers, got {raw_times!r}")
+    raw_psets = data.get("p_sets", [])
+    if not all(isinstance(ps, (list, tuple)) and all(map(_number, ps)) for ps in raw_psets):
+        raise ConfigError(f"p_sets must be lists of numbers, got {raw_psets!r}")
     try:
         t_grid = [float(t) for t in raw_times]
-    except (TypeError, ValueError, OverflowError) as err:
+    except OverflowError as err:
         raise ConfigError(f"t_grid entries must be numbers: {err}") from err
     if not t_grid or not all(math.isfinite(t) and t >= 0 for t in t_grid):
         raise ConfigError("t_grid must be nonempty with finite nonnegative entries")
@@ -217,12 +226,14 @@ def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
     try:
         for key, name in (("atol", "atol"), ("rtol", "rtol"), ("psd", "psd_tol")):
             if key in tols:
+                if not _number(tols[key]):
+                    raise ConfigError(f"tolerances.{key} must be a number, got {tols[key]!r}")
                 options[name] = float(tols[key])
         cfg = SuiteConfig(
             generators=generators,
             families=families,
             t_grid=t_grid,
-            p_sets=[[float(p) for p in ps] for ps in data.get("p_sets", [])],
+            p_sets=[[float(p) for p in ps] for ps in raw_psets],
             **options,
         )
     except (TypeError, ValueError, OverflowError) as err:
@@ -380,12 +391,11 @@ def run_semigroup_axiom_suite(generators, samples: int, seed: int) -> list[Check
     return entries
 
 
-@dataclass
-class JessenSuiteResult:
-    cases: list = field(default_factory=list)
-    min_slack: float = float("inf")
-    worst_scaled_slack: float = float("inf")
-    failures: int = 0
+class JessenSuiteResult(NamedTuple):
+    cases: list
+    min_slack: float
+    worst_scaled_slack: float
+    failures: int
 
 
 def _slack_floor(residual: np.ndarray):
@@ -402,7 +412,8 @@ def run_jessen_random_suite(n_cases: int, seed: int) -> JessenSuiteResult:
     """
     rng = np.random.default_rng(seed)
     families = benchmark_families()
-    result = JessenSuiteResult()
+    cases = []
+    min_slack = worst_scaled = float("inf")
     for _ in range(n_cases):
         gen = random_conservative_generator(rng)
         fam = families[int(rng.integers(0, len(families)))]
@@ -411,16 +422,14 @@ def run_jessen_random_suite(n_cases: int, seed: int) -> JessenSuiteResult:
         report = verify_jessen(gen, fam, f, t)
         floor = float(_slack_floor(report.residual.values))
         ok = report.verdict in (Ordering.LEQ, Ordering.EQUAL) and report.min_slack >= floor
-        result.min_slack = min(result.min_slack, report.min_slack)
-        result.worst_scaled_slack = min(result.worst_scaled_slack, report.min_slack - floor)
+        min_slack = min(min_slack, report.min_slack)
+        worst_scaled = min(worst_scaled, report.min_slack - floor)
         if not ok:
-            result.failures += 1
-            result.cases.append(report.to_json() | {"ok": ok})
-    return result
+            cases.append(report.to_json() | {"ok": ok})
+    return JessenSuiteResult(cases, min_slack, worst_scaled, len(cases))
 
 
-@dataclass
-class NegativeControlResult:
+class NegativeControlResult(NamedTuple):
     found: bool
     attempts: int
     min_slack: float
@@ -448,8 +457,7 @@ def run_negative_control(seed: int) -> NegativeControlResult:
     return NegativeControlResult(False, 60, best, witness)
 
 
-@dataclass
-class AdjointSuiteResult:
+class AdjointSuiteResult(NamedTuple):
     cases: int
     max_transpose_defect: float
     min_weak_gap: float
@@ -489,8 +497,7 @@ def run_adjoint_random_suite(n_cases: int, seed: int) -> AdjointSuiteResult:
     )
 
 
-@dataclass
-class GramSuiteResult:
+class GramSuiteResult(NamedTuple):
     instances: int
     min_eigenvalue: float
     min_quadform: float

@@ -91,17 +91,22 @@ def plain_term_schedule(lam: float, t: float, mu: float) -> tuple:
     raise AssertionError("no term count reaches the tail target")
 
 
-def eye_plus_chain(gen):
+def eye_plus_chain(gen, mu_from_p=False):
     """(P, mu) of ``semigroup._chain`` with P formed as np.eye(K) + Q/lam.
 
     The chain as a sum of two K x K arrays, the reference for the P that
-    ``_chain`` builds in place; (None, 1.0) for Q = 0.
+    ``_chain`` builds in place; (None, 1.0) for Q = 0. mu is
+    max(1, 1 + max_i rowsum_i(Q)/lam) in Python floats, as ``_chain``
+    takes it; with ``mu_from_p`` it is the largest row sum of P summed
+    over P, which can differ from that in the last bits.
     """
     if not gen.uniform_rate:
         return None, 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         p = np.eye(gen.dim) + gen.q / gen.uniform_rate
-        return p, max(1.0, float(p.sum(axis=1).max()))
+        if mu_from_p:
+            return p, max(1.0, float(p.sum(axis=1).max()))
+    return p, max(1.0, 1.0 + float(gen.q.sum(axis=1).max()) / gen.uniform_rate)
 
 
 def row_block_act(gen, t: float, F) -> np.ndarray:

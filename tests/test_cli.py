@@ -184,6 +184,26 @@ class TestVerify:
         assert field in err and "Traceback" not in err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    @pytest.mark.parametrize("overrides,named", [
+        ({"t_grid": [True, 2.0]}, "t_grid"), ({"t_grid": [0.5, "2"]}, "t_grid"),
+        ({"p_sets": [[True, 4.0]]}, "p_sets"), ({"p_sets": [[2.0, "4"]]}, "p_sets"),
+        ({"p_sets": ["24"]}, "p_sets"),
+        ({"tolerances": {"atol": True}}, "tolerances.atol"),
+        ({"tolerances": {"rtol": "1e-12"}}, "tolerances.rtol"),
+        ({"tolerances": {"psd": False}}, "tolerances.psd"),
+        ({"families": [{"family": "PowerF", "t": "2"}]}, "t must be a number"),
+        ({"families": [{"family": "ExpH", "t": True}]}, "t must be a number"),
+    ], ids=["t_grid_bool", "t_grid_str", "p_set_bool", "p_set_str", "p_set_not_list", "atol_bool",
+            "rtol_str", "psd_bool", "power_t_str", "exp_t_bool"])
+    def test_number_field_of_the_wrong_type_is_usage_error(self, tmp_path, capsys, overrides, named):
+        # each of these values would be coerced by float() into a config that runs
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(small_config(**overrides)))
+        assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 64
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_integral_float_fields_are_taken_as_ints(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(small_config(samples=3.0, seed=99.0, allow_unnormalized=False)))
@@ -347,6 +367,16 @@ class TestExpconv:
         doc = json.loads((tmp_path / "o" / "gram.json").read_text())
         # one gram per generator x p_set x nonzero t
         assert len(doc["instances"]) == 2
+
+    def test_config_route_checks_p_sets_with_no_instance(self, tmp_path, capsys):
+        # t = 0 gives no Gram instance, but a guard-band midpoint is still a
+        # hypothesis violation, as in verify
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(small_config(t_grid=[0.0], p_sets=[[1.0, 1.0000002]])))
+        for command in ("verify", "expconv"):
+            assert cli.main([command, "--config", str(cfgfile), "--out", str(tmp_path / command)]) == 2
+            assert "midpoint" in capsys.readouterr().err
+        assert not (tmp_path / "expconv" / "gram.json").exists()
 
     @pytest.mark.parametrize("flags,message", [
         (["--t", "-1"], "--t must be a finite nonnegative time, got -1"),

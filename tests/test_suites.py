@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import tempfile
@@ -132,8 +131,8 @@ class TestConfigVerification:
         # a weak gap that disagrees with the residual pairing fails a
         # verify sample, as it fails one of run_adjoint_random_suite
         real = suites.adjoint_pairing
-        monkeypatch.setattr(suites, "adjoint_pairing", lambda *args: dataclasses.replace(
-            real(*args), consistency_defect=1.0))
+        monkeypatch.setattr(suites, "adjoint_pairing", lambda *args: real(*args)._replace(
+            consistency_defect=1.0))
         report = run_config_verification(config_from_json(DEFAULT_CONFIG))
         adjoint = report["suites"]["adjoint"]
         assert adjoint["passed"] is False
