@@ -33,6 +33,13 @@ sequence, as squaring needs the matrix). P is Q/lam with 1 added to its
 diagonal in place; ``sup_norm`` sums row i of |Q| as rowsum_i(Q) - q_ii + |q_ii|,
 and the largest row sum of P is 1 + max_i rowsum_i(Q)/lam, both from one cached
 vector of the row sums of Q.
+
+All three share one series kernel, ``_series``, in which no term
+allocates: the sum and two term buffers are made once per call, the two
+buffers alternate, and each term is scaled and added in place. A 2-D term
+at K > 1 is one ``ndarray.dot`` product into the other buffer, a stacked
+one (or one at K = 1) ``np.matmul(out=)``; the arithmetic and its order
+are those of ``term @ P * c``, so the bits are those of that allocating loop.
 """
 
 from __future__ import annotations
@@ -203,7 +210,10 @@ class SemigroupOperator:
         carries the same bits as ``matrix @ f`` on that row alone (a
         plain ``F @ matrix.T`` goes through a matrix product and does not).
         """
-        return (self.matrix @ np.asarray(F, dtype=float)[:, :, None])[:, :, 0]
+        F = np.asarray(F, dtype=float)
+        if F.ndim != 2 or F.shape[1] != self.dim:
+            raise ValueError(f"act needs an (S, {self.dim}) block, got shape {F.shape}")
+        return (self.matrix @ F[:, :, None])[:, :, 0]
 
     def row_sums(self) -> np.ndarray:
         return self.matrix.sum(axis=1)
@@ -276,11 +286,27 @@ def _series(term: np.ndarray, m: np.ndarray, coefs) -> np.ndarray:
 
     With term = exp(-rate) * start and c_k = rate/k, this is the uniformized
     series; for a nonnegative start no cancellation gives a negative entry.
+    No term allocates: two buffers alternate, ``term`` itself (overwritten,
+    so callers pass a temporary) and one more, and each term is scaled and
+    added in place, with the arithmetic and its order of ``term @ m * c``.
+    A 2-D term is the product ``ndarray.dot`` into the other buffer, the same
+    BLAS call without the dispatch of the ``np.matmul`` gufunc, which costs
+    more than the product itself at K <= 8. A (B, K, K) stack goes through
+    ``np.matmul(out=)``, and so does K = 1: ``dot`` takes a (1, 1) operand
+    for a scalar and multiplies outside BLAS, which can flip the sign of a
+    zero and round subnormals apart from ``@``.
     """
     total = term.copy()
+    cur, nxt = term, np.empty_like(total)
+    gufunc = term.ndim > 2 or m.shape[-1] == 1
     for c in coefs:
-        term = term @ m * c
-        total += term
+        if gufunc:
+            np.matmul(cur, m, out=nxt)
+        else:
+            cur.dot(m, nxt)
+        nxt *= c
+        total += nxt
+        cur, nxt = nxt, cur
     return total
 
 
@@ -320,7 +346,7 @@ def evolve(gen: Generator, t: float) -> SemigroupOperator:
     if plan is None:
         return SemigroupOperator(np.eye(gen.dim), t=t or 0.0, trunc_error=0.0)
     rate, splits, terms, err = plan
-    base = _series(math.exp(-rate) * np.eye(gen.dim), p, (rate / k for k in range(1, terms + 1)))
+    base = _series(math.exp(-rate) * np.eye(gen.dim), p, [rate / k for k in range(1, terms + 1)])
     if splits:
         base, err = _square(base, err, splits)
     if not np.isfinite(base).all():

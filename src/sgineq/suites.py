@@ -86,7 +86,7 @@ __all__ = [
 # Cap on samples x (sum of generator dims) x families x times, the number
 # of sampled coordinates in verify's Jessen blocks, which bounds their memory.
 # At the cap, one 2-state generator with one family and one time verifies in
-# 2.6-3.9 s on a shared 2-vCPU machine. The bundled config uses 2160.
+# 2.9-4.5 s on a shared 2-vCPU machine. The bundled config uses 2160.
 MAX_SAMPLE_WORK = 2_000_000
 
 # Matrix entries per evolve_many stack in the semigroup-axiom suite, which

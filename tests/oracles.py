@@ -109,6 +109,19 @@ def eye_plus_chain(gen, mu_from_p=False):
     return p, max(1.0, 1.0 + float(gen.q.sum(axis=1).max()) / gen.uniform_rate)
 
 
+def plain_series(term, m, coefs) -> np.ndarray:
+    """The uniformized series sum with two new arrays per term.
+
+    The allocating loop: term_k = term_{k-1} @ m * c_k and total += term_k,
+    the reference for the in-place buffers of ``semigroup._series``.
+    """
+    total = term.copy()
+    for c in coefs:
+        term = term @ m * c
+        total += term
+    return total
+
+
 def row_block_act(gen, t: float, F) -> np.ndarray:
     """Z(t) applied to the rows of F as the series in F @ (P^T)^k.
 

@@ -13,6 +13,7 @@ from oracles import (
     BENCH_Q,
     abs_row_sum_norm,
     eye_plus_chain,
+    plain_series,
     plain_term_schedule,
     row_block_act,
     two_state_closed_form,
@@ -376,6 +377,27 @@ CHAIN_GENERATORS = {
 }
 
 
+def _blocks(k, seed):
+    """(S, K) blocks for ``act``: a random one, the same in Fortran order, and one
+    row with a signed zero and an entry small enough to underflow."""
+    rng = np.random.default_rng([seed, k])
+    block = rng.uniform(-2.0, 2.0, size=(3, k))
+    row = rng.uniform(-2.0, 2.0, size=(1, k))
+    row[0, 0], row[0, -1] = -0.0, -1e-300
+    return [block, np.asfortranarray(block), row]
+
+
+def _kernel_outputs(gen, ts, blocks):
+    """Bytes of ``evolve`` (matrix and trunc_error), ``evolve_many`` and ``act``, or what they raise."""
+    def matrix_and_error(t):
+        op = evolve(gen, t)
+        return op.matrix.tobytes(), op.trunc_error
+
+    return ([_outcome(lambda t=t: matrix_and_error(t)) for t in ts],
+            _outcome(lambda: evolve_many(gen, ts).tobytes()),
+            [_outcome(lambda t=t, b=b: act(gen, t, b).tobytes()) for t in ts for b in blocks])
+
+
 class TestChain:
     """P = Q/lam with 1 added to its diagonal in place, one K x K array per call."""
 
@@ -385,13 +407,9 @@ class TestChain:
         lam = gen.uniform_rate or 1.0
         # lam*t of 129 and 1000 need one and three squarings
         ts = [0.0, 0.3, 1.0, 129.0 / lam, 1000.0 / lam]
-        ops = [evolve(gen, t) for t in ts]
-        stack = evolve_many(gen, ts)
+        got = _kernel_outputs(gen, ts, [])
         monkeypatch.setattr(semigroup, "_chain", eye_plus_chain)
-        want = [evolve(gen, t) for t in ts]
-        assert [(op.matrix.tobytes(), op.trunc_error) for op in ops] == [
-            (op.matrix.tobytes(), op.trunc_error) for op in want]
-        assert stack.tobytes() == evolve_many(gen, ts).tobytes()
+        assert got == _kernel_outputs(gen, ts, [])
 
     @pytest.mark.parametrize("name", sorted(CHAIN_GENERATORS))
     def test_mu_summed_over_p_gives_the_same_matrices(self, monkeypatch, name):
@@ -434,6 +452,54 @@ class TestChain:
             # up to 3e-15 on dense K = 64 ones at lam*t = 300
             assert got.flags.c_contiguous and got.shape == block.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", sorted(CHAIN_GENERATORS))
+    def test_series_bytes_match_plain_series(self, monkeypatch, name):
+        gen = CHAIN_GENERATORS[name]()
+        lam = gen.uniform_rate or 1.0
+        # lam*t of 129 and 1000: one and three squarings, 2 and 8 steps of act
+        ts = [0.0, 0.3, 1.0, 129.0 / lam, 1000.0 / lam]
+        got = _kernel_outputs(gen, ts, _blocks(gen.dim, seed=len(name)))
+        monkeypatch.setattr(semigroup, "_series", plain_series)
+        assert got == _kernel_outputs(gen, ts, _blocks(gen.dim, seed=len(name)))
+
+    def test_series_bytes_match_plain_series_random(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        draws = []
+        for i in range(200):
+            k = int(rng.integers(1, 9))
+            gen = (random_conservative_generator(rng, min_dim=k, max_dim=k, max_norm=rng.uniform(0.5, 40.0))
+                   if i % 2 else random_positive_generator(rng, max_dim=max(k, 2), max_norm=rng.uniform(0.5, 3.0)))
+            lam = gen.uniform_rate or 1.0
+            ts = [float(rng.uniform(0.0, 2.0)), float(rng.uniform(1.0, 128.0)) / lam, 129.0 / lam]
+            draws.append((gen, ts, _blocks(gen.dim, seed=i)))
+        got = [_kernel_outputs(*draw) for draw in draws]
+        monkeypatch.setattr(semigroup, "_series", plain_series)
+        assert got == [_kernel_outputs(*draw) for draw in draws]
+
+    @pytest.mark.parametrize("name", ["random1", "random5", "dense64", "fortran_order"])
+    def test_results_share_no_memory(self, name):
+        gen = CHAIN_GENERATORS[name]()
+        lam = gen.uniform_rate or 1.0
+        ts = [0.0, 1.0, 129.0 / lam]
+        for F in _blocks(gen.dim, seed=3):  # one of them in Fortran order
+            before = F.tobytes()
+            outs = [act(gen, t, F) for t in ts]
+            assert F.tobytes() == before
+            assert not any(np.shares_memory(out, F) for out in outs)
+            assert not any(np.shares_memory(a, b) for i, a in enumerate(outs) for b in outs[:i])
+        first, first_stack = evolve(gen, 1.0).matrix, evolve_many(gen, ts)
+        kept = first.tobytes(), first_stack.tobytes()
+        second, second_stack = evolve(gen, 1.0).matrix, evolve_many(gen, ts)
+        assert (first.tobytes(), first_stack.tobytes()) == kept
+        assert not np.shares_memory(first, second) and not np.shares_memory(first_stack, second_stack)
+
+    @pytest.mark.parametrize("name", ["random1", "random5", "birth_death300"])
+    def test_act_on_an_empty_block(self, name):
+        gen = CHAIN_GENERATORS[name]()
+        for t in (0.0, 1.0, 1000.0 / (gen.uniform_rate or 1.0)):
+            got = act(gen, t, np.empty((0, gen.dim)))
+            assert got.shape == (0, gen.dim)
 
     def test_act_allocates_one_chain(self):
         k = 300
@@ -685,6 +751,12 @@ class TestOperatorSurface:
     def test_below_band_rejected(self):
         with pytest.raises(ValueError):
             SemigroupOperator(np.array([[1.0, -1e-6], [0.0, 1.0]]), t=0.0)
+
+    def test_act_rejects_malformed_blocks(self, bench_gen):
+        op = evolve(bench_gen, 1.0)
+        for bad in (np.ones(2), np.ones((1, 3)), np.ones((1, 2, 2))):
+            with pytest.raises(ValueError, match=r"act needs an \(S, 2\) block, got shape"):
+                op.act(bad)
 
     def test_apply_dim_mismatch(self, bench_gen):
         op = evolve(bench_gen, 1.0)
