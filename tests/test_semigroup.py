@@ -398,6 +398,12 @@ def _kernel_outputs(gen, ts, blocks):
             [_outcome(lambda t=t, b=b: act(gen, t, b).tobytes()) for t in ts for b in blocks])
 
 
+def _raised(outputs):
+    """The (type, message) pairs among the outcomes of ``_kernel_outputs``."""
+    matrices, stack, acts = outputs
+    return [o for o in [*matrices, stack, *acts] if isinstance(o, tuple) and isinstance(o[0], type)]
+
+
 class TestChain:
     """P = Q/lam with 1 added to its diagonal in place, one K x K array per call."""
 
@@ -407,9 +413,13 @@ class TestChain:
         lam = gen.uniform_rate or 1.0
         # lam*t of 129 and 1000 need one and three squarings
         ts = [0.0, 0.3, 1.0, 129.0 / lam, 1000.0 / lam]
-        got = _kernel_outputs(gen, ts, [])
+        ops = [evolve(gen, t) for t in ts]
+        stack = evolve_many(gen, ts)
         monkeypatch.setattr(semigroup, "_chain", eye_plus_chain)
-        assert got == _kernel_outputs(gen, ts, [])
+        want = [evolve(gen, t) for t in ts]
+        assert [(op.matrix.tobytes(), op.trunc_error) for op in ops] == [
+            (op.matrix.tobytes(), op.trunc_error) for op in want]
+        assert stack.tobytes() == evolve_many(gen, ts).tobytes()
 
     @pytest.mark.parametrize("name", sorted(CHAIN_GENERATORS))
     def test_mu_summed_over_p_gives_the_same_matrices(self, monkeypatch, name):
@@ -460,6 +470,7 @@ class TestChain:
         # lam*t of 129 and 1000: one and three squarings, 2 and 8 steps of act
         ts = [0.0, 0.3, 1.0, 129.0 / lam, 1000.0 / lam]
         got = _kernel_outputs(gen, ts, _blocks(gen.dim, seed=len(name)))
+        assert not _raised(got)
         monkeypatch.setattr(semigroup, "_series", plain_series)
         assert got == _kernel_outputs(gen, ts, _blocks(gen.dim, seed=len(name)))
 
@@ -474,6 +485,11 @@ class TestChain:
             ts = [float(rng.uniform(0.0, 2.0)), float(rng.uniform(1.0, 128.0)) / lam, 129.0 / lam]
             draws.append((gen, ts, _blocks(gen.dim, seed=i)))
         got = [_kernel_outputs(*draw) for draw in draws]
+        # only non-conservative draws may overflow; 22 of their 1300 outcomes do
+        raised = [_raised(out) for out in got]
+        assert not any(raised[1::2])
+        assert sum(map(len, raised)) <= 30
+        assert {exc for errors in raised for exc, _ in errors} <= {semigroup.EvolveOverflowError}
         monkeypatch.setattr(semigroup, "_series", plain_series)
         assert got == [_kernel_outputs(*draw) for draw in draws]
 
