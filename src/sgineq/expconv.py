@@ -189,6 +189,11 @@ def build_gram(
     The generator must be conservative.
     """
     _require_normalized(gen, False)
+    return _gram(evolve(gen, t), f, t, pset)
+
+
+def _gram(op: SemigroupOperator, f: LatticeElement, t: float, pset: ExponentSet) -> LambdaGram:
+    """``build_gram`` on an evolved Z(t) = ``op``."""
     kind = pset.family_kind
     n = pset.size
     rows: dict[float, int] = {}
@@ -197,7 +202,7 @@ def build_gram(
         for j in range(i, n):
             mid = 0.5 * (pi + pset.p[j])
             index[i, j] = index[j, i] = rows.setdefault(mid, len(rows))
-    values = _midpoint_residuals(evolve(gen, t), kind, list(rows), f.values)
+    values = _midpoint_residuals(op, kind, list(rows), f.values)
     entries = values[index]
     entries.setflags(write=False)
 

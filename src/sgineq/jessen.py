@@ -119,8 +119,8 @@ def _require_normalized(gen: Generator, allow_unnormalized: bool) -> None:
         )
 
 
-def _require_positive_dual(fstar: DualVector) -> None:
-    if not fstar.positive:
+def _require_positive_dual(values: np.ndarray) -> None:
+    if not (values >= 0.0).all():
         raise NonPositiveDualError(
             "dual vector has negative coefficients; the weak inequality needs f* >= 0"
         )
@@ -200,6 +200,23 @@ def jessen_sides(
     Both results are (S, K) and their difference is the residual.
     """
     return _members_sides(apply, [fam], F)
+
+
+def _grouped_act(mats: np.ndarray, rows: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Row action of a (G, K, K) stack of evolved matrices for ``_members_sides``.
+
+    The block it is given holds, for each member in turn, G groups of
+    ``rows`` rows, and group g goes through Z = mats[g]. Each row is one
+    stacked matrix-vector product, so it has the bits of
+    ``SemigroupOperator.act`` on that row alone.
+    """
+    stack = mats[:, None]
+
+    def apply(block):
+        grouped = block.reshape(-1, len(mats), rows, block.shape[1], 1)
+        return (stack @ grouped)[..., 0].reshape(block.shape)
+
+    return apply
 
 
 def jessen_report(
@@ -290,25 +307,36 @@ def adjoint_pairing(
     The gap <f*, Z(t) phi(f)> - <f*, phi(Z(t) f)> must be nonnegative
     for positive duals, and must agree with the pairing of the residual.
     A positive dual is required. The transpose defect passes at 1e-12
-    and the gap at -1e-9.
+    and the gap at -1e-9. This is ``_adjoint_rows`` on one row.
     """
-    _require_positive_dual(fstar)
-    lhs_pair = float(op.matrix.T @ fstar.values @ f.values)
-    rhs_pair = float(fstar.values @ (op.matrix @ f.values))
-    transpose_defect = abs(lhs_pair - rhs_pair)
+    return _adjoint_rows(op.matrix[None], fam, fstar.values[None], f.values[None])[0]
 
-    phi_zf, z_phi_f = jessen_sides(op.act, fam, f.values[None, :])
-    weak_gap = float(fstar.values @ z_phi_f[0]) - float(fstar.values @ phi_zf[0])
-    residual_pairing = float(fstar.values @ (z_phi_f[0] - phi_zf[0]))
 
-    return AdjointPairingReport(
-        transpose_defect=transpose_defect,
-        weak_gap=weak_gap,
-        residual_pairing=residual_pairing,
-        consistency_defect=abs(weak_gap - residual_pairing),
-        transpose_ok=transpose_defect <= 1e-12,
-        gap_ok=weak_gap >= -1e-9,
-    )
+def _adjoint_rows(
+    mats: np.ndarray, fam: OperatorFamily, fstars: np.ndarray, F: np.ndarray
+) -> list[AdjointPairingReport]:
+    """``adjoint_pairing`` of every row i, with Z(t) = mats[i], the dual
+    fstars[i] and the element F[i], all (S, K) blocks but the (S, K, K) mats.
+
+    The sides of all rows come from one ``jessen_sides`` call, so its
+    checks and their errors are those of the whole block. Every product
+    and pairing is stacked over the rows (a pairing is one dot product),
+    so row i has the bits of the same row checked alone.
+    """
+    _require_positive_dual(fstars)
+    z_t_fstars = (mats.transpose(0, 2, 1) @ fstars[:, :, None])[..., 0]
+    z_f = (mats @ F[:, :, None])[..., 0]
+    phi_zf, z_phi_f = jessen_sides(_grouped_act(mats, 1), fam, F)
+    # the pairings <Z^T f*, f>, <f*, Z f>, <f*, Z phi(f)>, <f*, phi(Z f)> and
+    # <f*, residual> of every row, one stacked product
+    left = np.array((z_t_fstars, fstars, fstars, fstars, fstars))[..., None, :]
+    right = np.array((F, z_f, z_phi_f, phi_zf, z_phi_f - phi_zf))[..., None]
+    reports = []
+    for lhs, rhs, z_phi, phi_z, pairing in zip(*(left @ right)[..., 0, 0].tolist()):
+        defect, gap = abs(lhs - rhs), z_phi - phi_z
+        reports.append(AdjointPairingReport(
+            defect, gap, pairing, abs(gap - pairing), defect <= 1e-12, gap >= -1e-9))
+    return reports
 
 
 def verify_adjoint_pairing(
@@ -324,7 +352,7 @@ def verify_adjoint_pairing(
     conservative generator, so both are required; a dual with a negative
     coefficient is reported before a generator that is not conservative.
     """
-    _require_positive_dual(fstar)
+    _require_positive_dual(fstar.values)
     _require_normalized(gen, False)
     return adjoint_pairing(evolve(gen, t), fam, fstar, f)
 

@@ -21,6 +21,7 @@ from .errors import SgineqError
 from .expconv import (
     ExponentSet,
     IllConditionedMidpointError,
+    _gram,
     _midpoint_residuals,
     build_gram,
     check_order_psd,
@@ -39,7 +40,8 @@ from .families import (
 from .jessen import (
     DualVector,
     NotNormalizedError,
-    adjoint_pairing,
+    _adjoint_rows,
+    _grouped_act,
     jessen_report,
     jessen_sides,
     verify_adjoint_pairing,
@@ -84,9 +86,10 @@ __all__ = [
 ]
 
 # Cap on samples x (sum of generator dims) x families x times, the number
-# of sampled coordinates in verify's Jessen blocks, which bounds their memory.
-# At the cap, one 2-state generator with one family and one time verifies in
-# 2.9-4.5 s on a shared 2-vCPU machine. The bundled config uses 2160.
+# of sampled coordinates in verify's Jessen blocks. A block holds the
+# samples x len(t_grid) rows of one generator and family, so the cap bounds
+# its memory. At the cap, one 2-state generator with one family and one time
+# verifies in 3.3-4.7 s on a shared 2-vCPU machine. The bundled config uses 2160.
 MAX_SAMPLE_WORK = 2_000_000
 
 # Matrix entries per evolve_many stack in the semigroup-axiom suite, which
@@ -571,18 +574,38 @@ def run_midpoint_equivalence_suite(n_instances: int, seed: int) -> dict:
     return {"instances": n_instances, "max_defect": worst, "pass": passed}
 
 
+def _by_groups(kernel, mats: np.ndarray, *blocks):
+    """``kernel`` on the stack ``mats`` and the per-group arrays of each of
+    ``blocks``, joined along the rows. Should it raise, it runs group by
+    group and raises the first group's error, whose message (such as the
+    worst exponent argument of ``ExpFamily``) a loop over the groups gives.
+    """
+    try:
+        return kernel(mats, *(np.concatenate(parts) for parts in blocks))
+    except Exception as err:
+        error = err
+    for g in range(len(mats)):
+        kernel(mats[g:g + 1], *(parts[g] for parts in blocks))
+    raise error
+
+
 def run_config_verification(cfg: SuiteConfig) -> dict:
     """The cmd-verify driver: all suites against an explicit config.
 
     Non-conservative generators in the config are rejected unless the
     override is set, in which case their results go to ``observed``.
-    Z(t) is evolved once per (generator, t) and shared by the Jessen and
-    adjoint suites; the Jessen samples of each (generator, family, t)
-    are drawn and checked as one block. A Jessen sample passes when its
-    verdict is LEQ or EQUAL and its min slack clears the floor
-    -1e-9 * (1 + ||residual||), the rule of ``run_jessen_random_suite``;
-    an adjoint sample passes by ``AdjointPairingReport.passed``, the rule
-    of ``run_adjoint_random_suite``.
+    Z(t) is evolved once per (generator, t) and shared by the Jessen,
+    adjoint and Gram suites. The Jessen samples of each (generator,
+    family) are drawn time by time, in the order of a loop over t_grid,
+    and checked as one block of samples x len(t_grid) rows, the rows of
+    time t through Z(t); the adjoint samples of each (generator, family)
+    likewise, one row per time. Failed cases are reported in (family, t,
+    row) order. Should a block fail a check, its times are checked again
+    one by one, so that the error raised is that of the first time to fail.
+    A Jessen sample passes when its verdict is LEQ or EQUAL and its min
+    slack clears the floor -1e-9 * (1 + ||residual||), the rule of
+    ``run_jessen_random_suite``; an adjoint sample passes by
+    ``AdjointPairingReport.passed``, the rule of ``run_adjoint_random_suite``.
     """
     bad = [g for g in cfg.generators if not g.conservative]
     if bad and not cfg.allow_unnormalized:
@@ -615,25 +638,29 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
     }
 
     evolved = [{t: evolve(gen, t) for t in dict.fromkeys(cfg.t_grid)} for gen in asserted_gens]
+    # one (len(t_grid), K, K) stack per generator: row group j goes through Z(t_grid[j])
+    stacks = [np.stack([ops[t].matrix for t in cfg.t_grid]) for ops in evolved]
     tol = cfg.order_tol
 
     jessen_cases = []
     jessen_failures = 0
     min_slack = float("inf")
-    for gen, ops in zip(asserted_gens, evolved):
+    for gen, mats in zip(asserted_gens, stacks):
         for fam in cfg.families:
             low, high = _DOMAIN_BOX[_family_domain_kind(fam)]
-            for t in cfg.t_grid:
-                block = rng.uniform(low, high, size=(cfg.samples, gen.dim))
-                phi_zf, z_phi_f = jessen_sides(ops[t].act, fam, block)
-                residual = z_phi_f - phi_zf
-                slack = residual.min(axis=1)
-                ok = leq_rows(phi_zf, z_phi_f, tol) & (slack >= _slack_floor(residual))
-                min_slack = min(min_slack, float(slack.min()))
-                for i in np.flatnonzero(~ok):
-                    rep = jessen_report(phi_zf[i], z_phi_f[i], tol, t, fam, gen)
-                    jessen_failures += 1
-                    jessen_cases.append(rep.to_json())
+            blocks = [rng.uniform(low, high, size=(cfg.samples, gen.dim)) for _ in cfg.t_grid]
+            phi_zf, z_phi_f = _by_groups(
+                lambda m, F: jessen_sides(_grouped_act(m, cfg.samples), fam, F),
+                mats, blocks)
+            residual = z_phi_f - phi_zf
+            slack = residual.min(axis=1)
+            ok = leq_rows(phi_zf, z_phi_f, tol) & (slack >= _slack_floor(residual))
+            min_slack = min(min_slack, float(slack.min()))
+            for i in np.flatnonzero(~ok):
+                t = cfg.t_grid[i // cfg.samples]
+                rep = jessen_report(phi_zf[i], z_phi_f[i], tol, t, fam, gen)
+                jessen_failures += 1
+                jessen_cases.append(rep.to_json())
     report["suites"]["jessen"] = {
         "aggregate": {
             "min_slack": min_slack if min_slack != float("inf") else None,
@@ -646,14 +673,16 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
     adj_worst_tr = 0.0
     adj_worst_gap = float("inf")
     adj_failures = 0
-    for gen, ops in zip(asserted_gens, evolved):
+    for gen, mats in zip(asserted_gens, stacks):
         for fam in cfg.families:
-            kind = _family_domain_kind(fam)
-            for t in cfg.t_grid:
-                f = random_domain_element(rng, gen.dim, kind)
+            low, high = _DOMAIN_BOX[_family_domain_kind(fam)]
+            fs, duals = [], []
+            for _ in cfg.t_grid:
+                fs.append(rng.uniform(low, high, size=gen.dim)[None])
                 raw = rng.uniform(0.0, 1.0, size=gen.dim)
-                fstar = DualVector(raw / max(raw.sum(), 1e-12))
-                rep = adjoint_pairing(ops[t], fam, fstar, f)
+                duals.append((raw / max(raw.sum(), 1e-12))[None])
+            reps = _by_groups(lambda m, D, F: _adjoint_rows(m, fam, D, F), mats, duals, fs)
+            for rep in reps:
                 adj_worst_tr = max(adj_worst_tr, rep.transpose_defect)
                 adj_worst_gap = min(adj_worst_gap, rep.weak_gap)
                 if not rep.passed:
@@ -669,13 +698,13 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
 
     gram_failures = 0
     gram_records = []
-    for gen in asserted_gens:
+    for gen, ops in zip(asserted_gens, evolved):
         for pset in psets:
             for t in cfg.t_grid:
                 if t == 0.0:
                     continue
                 f = random_domain_element(rng, gen.dim, "F")
-                gram = build_gram(gen, f, t, pset)
+                gram = _gram(ops[t], f, t, pset)
                 rep = check_order_psd(
                     gram, n_xi=200, seed=int(rng.integers(0, 2 ** 31)), tol=cfg.psd_tol
                 )

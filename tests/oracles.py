@@ -147,3 +147,15 @@ def row_block_act(gen, t: float, F) -> np.ndarray:
 def abs_row_sum_norm(q) -> float:
     """max_i sum_j |q_ij|, with |Q| formed entry by entry."""
     return float(np.max(np.sum(np.abs(np.asarray(q, dtype=float)), axis=1)))
+
+
+def single_row_adjoint(z, phi, fstar, f) -> tuple:
+    """The six fields of one adjoint pairing, with plain 1-D products on one
+    row: Z = ``z``, the map ``phi`` entrywise, the dual ``fstar`` and ``f``."""
+    lhs = float(z.T @ fstar @ f)
+    rhs = float(fstar @ (z @ f))
+    phi_zf, z_phi_f = phi(z @ f), z @ phi(f)
+    gap = float(fstar @ z_phi_f) - float(fstar @ phi_zf)
+    pairing = float(fstar @ (z_phi_f - phi_zf))
+    defect = abs(lhs - rhs)
+    return defect, gap, pairing, abs(gap - pairing), defect <= 1e-12, gap >= -1e-9

@@ -15,6 +15,8 @@ from sgineq.families import (
 )
 from sgineq.jessen import (
     DualVector,
+    _adjoint_rows,
+    _grouped_act,
     NonFiniteSideError,
     NonPositiveDualError,
     NotNormalizedError,
@@ -36,7 +38,7 @@ from sgineq.suites import (
     random_positive_generator,
 )
 
-from oracles import BENCH_Q, jessen_residual_2state
+from oracles import BENCH_Q, jessen_residual_2state, single_row_adjoint
 
 
 def el(*vals):
@@ -202,6 +204,55 @@ class TestJessenSides:
         want = verify_adjoint_pairing(bench_gen, ExpFamily(-1.0), fstar, bench_f, 2.0)
         got = adjoint_pairing(evolve(bench_gen, 2.0), ExpFamily(-1.0), fstar, bench_f)
         assert got == want
+
+
+def bits(values):
+    return [repr(float(v)) for v in values]
+
+
+class TestRowKernels:
+    """The stacked kernels of the verify driver keep the bits of one row alone."""
+
+    def random_groups(self, rng):
+        gen = random_conservative_generator(rng, max_dim=9, min_dim=1)
+        ts = rng.choice([0.0, 0.1, 0.5, 1.0, 10.0], size=int(rng.integers(1, 5)))
+        return gen, [evolve(gen, float(t)) for t in ts]
+
+    def test_grouped_act_matches_act_per_group(self):
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            gen, ops = self.random_groups(rng)
+            rows, members = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            block = rng.uniform(-3.0, 3.0, size=(members * len(ops) * rows, gen.dim))
+            got = _grouped_act(np.stack([op.matrix for op in ops]), rows)(block)
+            want = np.concatenate([ops[g].act(part) for m in range(members)
+                                   for g, part in enumerate(np.split(
+                                       block.reshape(members, -1, gen.dim)[m], len(ops)))])
+            assert bits(got.ravel()) == bits(want.ravel())
+
+    def test_adjoint_rows_match_single_rows(self):
+        rng = np.random.default_rng(32)
+        families = benchmark_families()
+        for _ in range(200):
+            gen, ops = self.random_groups(rng)
+            fam = families[int(rng.integers(0, len(families)))]
+            kind = suites._family_domain_kind(fam)
+            F = np.stack([random_domain_element(rng, gen.dim, kind).values for _ in ops])
+            raw = rng.uniform(0.0, 1.0, size=F.shape)
+            duals = raw / raw.sum(axis=1, keepdims=True)
+            reps = _adjoint_rows(np.stack([op.matrix for op in ops]), fam, duals, F)
+            for op, rep, fstar, f in zip(ops, reps, duals, F):
+                single = adjoint_pairing(op, fam, DualVector(fstar), LatticeElement(f))
+                want = single_row_adjoint(op.matrix, fam.value, fstar, f)
+                assert bits(rep) == bits(single) == bits(want)
+                assert rep[4:] == want[4:]
+
+    def test_adjoint_rows_reject_a_negative_dual_in_any_row(self, bench_gen):
+        op = evolve(bench_gen, 1.0)
+        mats = np.stack([op.matrix, op.matrix])
+        duals = np.array([[0.5, 0.5], [1.0, -0.5]])
+        with pytest.raises(NonPositiveDualError):
+            _adjoint_rows(mats, PowerFamily(2.0), duals, np.full((2, 2), 2.0))
 
 
 class TestSupportLine:

@@ -8,7 +8,8 @@ import pytest
 import scipy.linalg
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from sgineq import cli, jessen, lattice, semigroup, suites
+from sgineq import cli, expconv, jessen, lattice, semigroup, suites
+from sgineq.expconv import ExponentSet, build_gram, check_order_psd
 from sgineq.cli import DEFAULT_CONFIG
 from sgineq.jessen import DualVector, jessen_sides, verify_adjoint_pairing
 from sgineq.lattice import LatticeElement, Ordering, partial_leq
@@ -127,12 +128,40 @@ class TestConfigVerification:
         assert report["passed"] is True
         assert sorted(calls) == sorted((name, t) for name in ("three", "benchmark2") for t in (0.5, 1.0))
 
+    def test_gram_suite_reuses_the_evolved_operators(self, monkeypatch):
+        calls = []
+        real_evolve = suites.evolve
+
+        def spy(gen, t):
+            calls.append((gen.name, t))
+            return real_evolve(gen, t)
+
+        for module in (suites, jessen, expconv):
+            monkeypatch.setattr(module, "evolve", spy)
+        monkeypatch.setattr(suites, "run_semigroup_axiom_suite", lambda *args, **kwargs: [])
+        cfg = config_from_json(dict(THREE_STATE, t_grid=[0.5, 1.0, 0.5],
+                                    p_sets=[[2.0, 4.0], [1.5, 3.0]]))
+        report = run_config_verification(cfg)
+        records = report["suites"]["gram_psd"]["records"]
+        assert len(records) == 6 and report["passed"] is True
+        assert sorted(calls) == [("three", 0.5), ("three", 1.0)]
+        # each record is that of build_gram on the element the driver drew
+        rng = skip_axiom_suite_seeds(cfg)
+        gen = cfg.generators[0]
+        # past the Jessen blocks and the adjoint (f, f*) pairs of every family and t
+        rng.uniform(size=len(cfg.families) * 3 * (cfg.samples + 2) * gen.dim)
+        for rec in records:
+            f = random_domain_element(rng, gen.dim, "F")
+            gram = build_gram(gen, f, rec["t"], ExponentSet(rec["p"]))
+            want = check_order_psd(gram, n_xi=200, seed=int(rng.integers(0, 2 ** 31)), tol=1e-8)
+            assert rec == {"p": rec["p"], "t": rec["t"], "generator": "three"} | want.to_json()
+
     def test_adjoint_sample_fails_on_consistency_defect(self, monkeypatch):
         # a weak gap that disagrees with the residual pairing fails a
         # verify sample, as it fails one of run_adjoint_random_suite
-        real = suites.adjoint_pairing
-        monkeypatch.setattr(suites, "adjoint_pairing", lambda *args: real(*args)._replace(
-            consistency_defect=1.0))
+        real = suites._adjoint_rows
+        monkeypatch.setattr(suites, "_adjoint_rows", lambda *args: [
+            rep._replace(consistency_defect=1.0) for rep in real(*args)])
         report = run_config_verification(config_from_json(DEFAULT_CONFIG))
         adjoint = report["suites"]["adjoint"]
         assert adjoint["passed"] is False
