@@ -24,7 +24,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -266,10 +266,6 @@ def cmd_expconv(args, argv) -> int:
     return 0 if all_pass else 1
 
 
-# built on the first call, by main, not at import; every later call gets the
-# same parser. Each parse starts from a fresh namespace, and no option has a
-# mutable default that a parse could append to.
-@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sgineq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -305,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
     except ConfigError as err:

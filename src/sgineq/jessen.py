@@ -208,13 +208,15 @@ def _grouped_act(mats: np.ndarray, rows: int) -> Callable[[np.ndarray], np.ndarr
     The block it is given holds, for each member in turn, G groups of
     ``rows`` rows, and group g goes through Z = mats[g]. Each row is one
     stacked matrix-vector product, so it has the bits of
-    ``SemigroupOperator.act`` on that row alone.
+    ``SemigroupOperator.act`` on that row alone. The block it returned
+    last is kept as ``apply.last``.
     """
     stack = mats[:, None]
 
     def apply(block):
         grouped = block.reshape(-1, len(mats), rows, block.shape[1], 1)
-        return (stack @ grouped)[..., 0].reshape(block.shape)
+        apply.last = (stack @ grouped)[..., 0].reshape(block.shape)
+        return apply.last
 
     return apply
 
@@ -325,8 +327,9 @@ def _adjoint_rows(
     """
     _require_positive_dual(fstars)
     z_t_fstars = (mats.transpose(0, 2, 1) @ fstars[:, :, None])[..., 0]
-    z_f = (mats @ F[:, :, None])[..., 0]
-    phi_zf, z_phi_f = jessen_sides(_grouped_act(mats, 1), fam, F)
+    act = _grouped_act(mats, 1)
+    phi_zf, z_phi_f = jessen_sides(act, fam, F)
+    z_f = act.last[:len(F)]  # Z acted on [F; phi(F)]
     # the pairings <Z^T f*, f>, <f*, Z f>, <f*, Z phi(f)>, <f*, phi(Z f)> and
     # <f*, residual> of every row, one stacked product
     left = np.array((z_t_fstars, fstars, fstars, fstars, fstars))[..., None, :]

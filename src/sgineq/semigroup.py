@@ -80,7 +80,6 @@ _STEP_LIMIT = 128.0
 _TAIL_REL = 1e-17
 _ENTRY_CLAMP_BAND = 1e-12
 _AXIOM_TOL = 1e-10
-_GRID_ENTRIES = 2 ** 16  # series coefficients that evolve_many forms at once
 _OVERFLOW = "exp(tQ) or its uniformization exceeds double range for this generator"
 _LOGS = [0.0]  # _LOGS[k] = math.log(k) for k >= 1, grown by _plan as far as it needs
 
@@ -375,13 +374,8 @@ def evolve_many(gen: Generator, ts) -> np.ndarray:
             break
     rates, splits, terms, _ = np.array(plans, dtype=float).reshape(-1, 4).T
     start = np.array([math.exp(-r) for r in rates])[:, None, None] * np.eye(gen.dim)
-    # the coefficients of term k are rate_i / k, or 0.0 past time i's count; they
-    # are formed as (terms, B) grids of at most _GRID_ENTRIES entries (or one row),
-    # so a call of few times forms one grid and a call of many a bounded one
-    ks = np.arange(1.0, terms.max(initial=0) + 1.0)[:, None]
-    step = max(1, _GRID_ENTRIES // max(len(rates), 1))
-    chunks = (ks[lo:lo + step] for lo in range(0, len(ks), step))
-    coefs = (c for k in chunks for c in np.where(k <= terms, rates / k, 0.0)[..., None, None])
+    coefs = (np.where(k <= terms, rates / k, 0.0)[:, None, None]
+             for k in range(1, int(terms.max(initial=0)) + 1))
     stack = _series(start, p, coefs)
     for i in np.flatnonzero(splits):
         stack[i] = _square(stack[i], 0.0, int(splits[i]))[0]

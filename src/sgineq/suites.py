@@ -89,7 +89,7 @@ __all__ = [
 # of sampled coordinates in verify's Jessen blocks. A block holds the
 # samples x len(t_grid) rows of one generator and family, so the cap bounds
 # its memory. At the cap, one 2-state generator with one family and one time
-# verifies in 3.3-4.7 s on a shared 2-vCPU machine. The bundled config uses 2160.
+# verifies in 3.9-4.8 s on a shared 2-vCPU machine. The bundled config uses 2160.
 MAX_SAMPLE_WORK = 2_000_000
 
 # Matrix entries per evolve_many stack in the semigroup-axiom suite, which
@@ -675,10 +675,10 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
     adj_failures = 0
     for gen, mats in zip(asserted_gens, stacks):
         for fam in cfg.families:
-            low, high = _DOMAIN_BOX[_family_domain_kind(fam)]
+            kind = _family_domain_kind(fam)
             fs, duals = [], []
             for _ in cfg.t_grid:
-                fs.append(rng.uniform(low, high, size=gen.dim)[None])
+                fs.append(random_domain_element(rng, gen.dim, kind).values[None])
                 raw = rng.uniform(0.0, 1.0, size=gen.dim)
                 duals.append((raw / max(raw.sum(), 1e-12))[None])
             reps = _by_groups(lambda m, D, F: _adjoint_rows(m, fam, D, F), mats, duals, fs)

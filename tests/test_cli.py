@@ -459,50 +459,3 @@ class TestUsage:
         assert res.returncode == 0
         for sub in ("verify", "figure", "expconv"):
             assert sub in res.stdout
-
-
-class TestParserCache:
-    """``main`` parses every call with the one parser it builds on its first call."""
-
-    def test_not_built_at_import(self, tmp_path):
-        code = ("import sgineq.cli as cli; assert cli.build_parser.cache_info().currsize == 0; "
-                "cli.main(['verify', '--out', 'o']); "
-                "assert cli.build_parser.cache_info().currsize == 1")
-        env = dict(os.environ, PYTHONPATH=str(SOURCE_ROOT))
-        env.pop("SGINEQ_OUTPUT_DIR", None)
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             cwd=tmp_path, env=env)
-        assert res.returncode == 0, res.stderr
-
-    def test_one_parser_per_process(self):
-        assert cli.build_parser() is cli.build_parser()
-
-    def test_appended_values_do_not_carry_over(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("SGINEQ_OUTPUT_DIR", raising=False)
-        assert cli.main(["figure", "1a", "--t", "0.5", "--out", str(tmp_path / "a")]) == 0
-        assert capsys.readouterr().out == "1a t=0.5 verdict=INCOMPARABLE\n"
-        assert cli.main(["figure", "1a", "--out", str(tmp_path / "b")]) == 0
-        assert capsys.readouterr().out == "1a t=1 verdict=INCOMPARABLE\n"
-        report = json.loads((tmp_path / "b" / "figure_report.json").read_text())
-        assert [case["t"] for case in report["cases"]] == [1.0]
-        assert not list((tmp_path / "b").glob("figure1a_t*"))
-        # and a repeated flag keeps exactly the values of its own call
-        assert cli.main(["figure", "1a", "--t", "2", "--t", "3", "--out", str(tmp_path / "c")]) == 0
-        assert capsys.readouterr().out.splitlines() == ["1a t=2 verdict=INCOMPARABLE",
-                                                         "1a t=3 verdict=INCOMPARABLE"]
-
-    def test_verify_then_expconv_match_separate_processes(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("SGINEQ_OUTPUT_DIR", raising=False)
-        monkeypatch.chdir(tmp_path)
-        for argv, sub, files in (
-            (["verify"], "v", ["report.json"]),
-            (["expconv", "--p", "2", "4"], "e", ["gram.json", "gram.csv", "min_eigenvalues.csv"]),
-        ):
-            code = cli.main([*argv, "--out", f"same/{sub}"])
-            out = capsys.readouterr().out
-            res = run_cli(*argv, "--out", f"separate/{sub}", cwd=tmp_path)
-            assert code == res.returncode == 0, res.stderr
-            assert out.replace("same/", "separate/") == res.stdout
-            for name in files:
-                assert (tmp_path / "same" / sub / name).read_bytes() == \
-                    (tmp_path / "separate" / sub / name).read_bytes()

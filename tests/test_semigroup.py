@@ -225,16 +225,6 @@ class TestEvolveMany:
         ts = [0.0, 1e-6, *rng.uniform(0.0, 3.0, size=4), 300.0 / lam, 0.7, 0.7, 129.0 / lam, 0.0]
         assert _same_matrices(evolve_many(gen, ts), gen, ts)
 
-    @pytest.mark.parametrize("entries", [1, 7, 100])
-    def test_coefficient_grid_in_chunks(self, monkeypatch, entries):
-        # a grid of few entries is formed a row or a few rows at a time, with the same bits
-        rng = np.random.default_rng(entries)
-        gen = random_conservative_generator(rng, min_dim=3, max_dim=3)
-        lam = gen.uniform_rate
-        ts = [0.0, *rng.uniform(0.0, 100.0 / lam, size=9), 129.0 / lam]
-        monkeypatch.setattr(semigroup, "_GRID_ENTRIES", entries)
-        assert _same_matrices(evolve_many(gen, ts), gen, ts)
-
     @pytest.mark.parametrize("q", [np.zeros((3, 3)), [[0.5, 0.2], [0.0, -0.1]], [[0.4]], BENCH_Q],
                              ids=["zero", "nonconservative", "one_state", "bench"])
     def test_special_generators_and_empty_list(self, q):
