@@ -33,7 +33,8 @@ from .errors import HypothesisViolationError, SgineqError
 from .expconv import ExponentSet, build_gram, check_order_psd
 from .lattice import LatticeElement
 from .semigroup import validate_generator
-from .suites import ConfigError, SuiteConfig, config_from_json, run_config_verification
+from .suites import (ConfigError, SuiteConfig, config_from_json, random_domain_element,
+                     run_config_verification)
 
 __all__ = ["main", "DEFAULT_CONFIG"]
 
@@ -218,7 +219,7 @@ def cmd_expconv(args, argv) -> int:
                 for t in cfg.t_grid:
                     if t == 0.0:
                         continue
-                    f = LatticeElement(rng.uniform(0.2, 3.0, size=gen.dim))
+                    f = random_domain_element(rng, gen.dim, "F")
                     instances.append((gen, f, t, pset, cfg.psd_tol, cfg.seed))
     else:
         if not args.p:

@@ -22,6 +22,7 @@ y = 2x; both probes and the substitution identity are exposed.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import HypothesisViolationError
 from .lattice import LatticeElement, Ordering, partial_leq
 from .families import OperatorFamily, exp_member, power_member
 from .jessen import _members_sides, _require_normalized
-from .semigroup import Generator, SemigroupOperator, evolve
+from .semigroup import Generator, _stack_act, evolve
 
 __all__ = [
     "IllConditionedMidpointError",
@@ -116,7 +117,8 @@ def lambda_residual(
     generator must be conservative."""
     _require_normalized(gen, False)
     _special_points(family_kind)
-    return LatticeElement(_midpoint_residuals(evolve(gen, t), family_kind, [p], f.values)[0])
+    z = evolve(gen, t).matrix
+    return LatticeElement(_midpoint_residuals(z, family_kind, [p], f.values)[0])
 
 
 class LambdaGram(NamedTuple):
@@ -164,13 +166,13 @@ class LambdaGram(NamedTuple):
                     yield (self.pset.p[i], self.pset.p[j], k, float(self.entries[i, j, k]))
 
 
-def _midpoint_residuals(op: SemigroupOperator, kind: str, mids, f: np.ndarray) -> np.ndarray:
-    """Rows Z phi_m(f) - phi_m(Z f), one per midpoint m of ``mids``, from
+def _midpoint_residuals(z: np.ndarray, kind: str, mids, f: np.ndarray) -> np.ndarray:
+    """Rows z phi_m(f) - phi_m(z f), one per midpoint m of ``mids``, from
     one ``_members_sides`` call, whose errors name their midpoint."""
     fams = [_member(kind, mid) for mid in mids]
     where = [f"at midpoint {mid:g}" for mid in mids]
-    phi_zf, z_phi_f = _members_sides(op.act, fams, f[None, :], where)
-    return z_phi_f - phi_zf
+    phi_zf, both = _members_sides(partial(_stack_act, z[None], 1), fams, f[None, :], where)
+    return both[1:] - phi_zf
 
 
 def build_gram(
@@ -184,16 +186,16 @@ def build_gram(
     Each distinct midpoint is evaluated once, in (i <= j) order, and its
     row is shared between (i, j) and (j, i), so the Gram tensor is
     symmetric by construction. Z(t) is evolved once and applied once: one
-    ``SemigroupOperator.act`` on the block [f; phi_m(f) for every
+    ``semigroup._stack_act`` on the block [f; phi_m(f) for every
     midpoint m], whose rows carry the bits of the single-row products.
     The generator must be conservative.
     """
     _require_normalized(gen, False)
-    return _gram(evolve(gen, t), f, t, pset)
+    return _gram(evolve(gen, t).matrix, f, t, pset)
 
 
-def _gram(op: SemigroupOperator, f: LatticeElement, t: float, pset: ExponentSet) -> LambdaGram:
-    """``build_gram`` on an evolved Z(t) = ``op``."""
+def _gram(z: np.ndarray, f: LatticeElement, t: float, pset: ExponentSet) -> LambdaGram:
+    """``build_gram`` on the evolved K x K matrix Z(t) = ``z``."""
     kind = pset.family_kind
     n = pset.size
     rows: dict[float, int] = {}
@@ -202,7 +204,7 @@ def _gram(op: SemigroupOperator, f: LatticeElement, t: float, pset: ExponentSet)
         for j in range(i, n):
             mid = 0.5 * (pi + pset.p[j])
             index[i, j] = index[j, i] = rows.setdefault(mid, len(rows))
-    values = _midpoint_residuals(op, kind, list(rows), f.values)
+    values = _midpoint_residuals(z, kind, list(rows), f.values)
     entries = values[index]
     entries.setflags(write=False)
 

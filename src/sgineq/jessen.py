@@ -37,7 +37,7 @@ from .lattice import (
     order_verdict,
     partial_leq,
 )
-from .semigroup import Generator, SemigroupOperator, act, evolve
+from .semigroup import Generator, SemigroupOperator, _stack_act, act, evolve
 
 __all__ = [
     "NotNormalizedError",
@@ -139,15 +139,15 @@ def _members_sides(
     F: np.ndarray,
     where: list[str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """phi_m(Z f) and Z phi_m(f) for every member phi_m of ``fams`` and
-    every row f of an (S, K) block ``F``.
+    """phi_m(Z f) for every member phi_m of ``fams`` and every row f of an
+    (S, K) block ``F``, and the acted block [Z F; Z phi_1(F); ...; Z phi_M(F)].
 
     ``apply`` maps an (N, K) block to the block of its rows under Z(t):
-    ``SemigroupOperator.act`` of an evolved matrix, or ``semigroup.act``
-    bound to a generator and a time, which never forms Z(t). It is called
-    once, on [F; phi_1(F); ...; phi_M(F)]. Both results are (M S, K)
-    blocks in that member order; the second is a view of the result of
-    ``apply``, and for one member the first is a view of phi(Z F).
+    ``semigroup._stack_act`` bound to a stack of evolved matrices, or
+    ``semigroup.act`` bound to a generator and a time, which never forms
+    Z(t). It is called once, on [F; phi_1(F); ...; phi_M(F)], and its
+    result is returned as it is. The first result is an (M S, K) block in
+    member order, for one member a view of phi(Z F).
 
     Checks, in order: F in the domain, finite phi_m(F), Z F in the
     domain, finite phi_m(Z F), finite Z phi_m(F). Each runs over all
@@ -188,7 +188,7 @@ def _members_sides(
         phi_zf = (values[0] if len(fams) == 1 else np.concatenate(values)).reshape(-1, K)
         finite(phi_zf)
         finite(both[S:])
-    return phi_zf, both[S:]
+    return phi_zf, both
 
 
 def jessen_sides(
@@ -199,26 +199,8 @@ def jessen_sides(
 
     Both results are (S, K) and their difference is the residual.
     """
-    return _members_sides(apply, [fam], F)
-
-
-def _grouped_act(mats: np.ndarray, rows: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Row action of a (G, K, K) stack of evolved matrices for ``_members_sides``.
-
-    The block it is given holds, for each member in turn, G groups of
-    ``rows`` rows, and group g goes through Z = mats[g]. Each row is one
-    stacked matrix-vector product, so it has the bits of
-    ``SemigroupOperator.act`` on that row alone. The block it returned
-    last is kept as ``apply.last``.
-    """
-    stack = mats[:, None]
-
-    def apply(block):
-        grouped = block.reshape(-1, len(mats), rows, block.shape[1], 1)
-        apply.last = (stack @ grouped)[..., 0].reshape(block.shape)
-        return apply.last
-
-    return apply
+    phi_zf, both = _members_sides(apply, [fam], F)
+    return phi_zf, both[len(F):]
 
 
 def jessen_report(
@@ -320,16 +302,15 @@ def _adjoint_rows(
     """``adjoint_pairing`` of every row i, with Z(t) = mats[i], the dual
     fstars[i] and the element F[i], all (S, K) blocks but the (S, K, K) mats.
 
-    The sides of all rows come from one ``jessen_sides`` call, so its
-    checks and their errors are those of the whole block. Every product
-    and pairing is stacked over the rows (a pairing is one dot product),
-    so row i has the bits of the same row checked alone.
+    The sides of all rows and Z F come from one ``_members_sides`` call, so
+    its checks and their errors are those of the whole block. Every product
+    and pairing is stacked over the rows (a pairing is one dot product), so
+    row i has the bits of the same row checked alone.
     """
     _require_positive_dual(fstars)
     z_t_fstars = (mats.transpose(0, 2, 1) @ fstars[:, :, None])[..., 0]
-    act = _grouped_act(mats, 1)
-    phi_zf, z_phi_f = jessen_sides(act, fam, F)
-    z_f = act.last[:len(F)]  # Z acted on [F; phi(F)]
+    phi_zf, both = _members_sides(partial(_stack_act, mats, 1), [fam], F)
+    z_f, z_phi_f = both[:len(F)], both[len(F):]
     # the pairings <Z^T f*, f>, <f*, Z f>, <f*, Z phi(f)>, <f*, phi(Z f)> and
     # <f*, residual> of every row, one stacked product
     left = np.array((z_t_fstars, fstars, fstars, fstars, fstars))[..., None, :]

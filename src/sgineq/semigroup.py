@@ -204,19 +204,29 @@ class SemigroupOperator:
         return LatticeElement(self.matrix @ f.values)
 
     def act(self, F) -> np.ndarray:
-        """Z(t) f for every row f of an (S, K) block.
+        """Z(t) f for every row f of an (S, K) block: ``_stack_act`` of the one matrix."""
+        return _stack_act(self.matrix[None], 1, _row_block(F, self.dim))
 
-        The products are stacked matrix-vector products, so each row
-        carries the same bits as ``matrix @ f`` on that row alone (a
-        plain ``F @ matrix.T`` goes through a matrix product and does not).
-        """
-        F = np.asarray(F, dtype=float)
-        if F.ndim != 2 or F.shape[1] != self.dim:
-            raise ValueError(f"act needs an (S, {self.dim}) block, got shape {F.shape}")
-        return (self.matrix @ F[:, :, None])[:, :, 0]
 
-    def row_sums(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
+def _row_block(F, dim: int) -> np.ndarray:
+    """F as a float (S, dim) array; any other shape is a ValueError."""
+    F = np.asarray(F, dtype=float)
+    if F.ndim != 2 or F.shape[1] != dim:
+        raise ValueError(f"act needs an (S, {dim}) block, got shape {F.shape}")
+    return F
+
+
+def _stack_act(mats: np.ndarray, rows: int, F: np.ndarray) -> np.ndarray:
+    """Z f for every row f of an (N, K) block F, with Z from the (G, K, K) stack ``mats``.
+
+    F is runs of G groups of ``rows`` rows, and group g of each run goes
+    through Z = mats[g]. Each row is one stacked matrix-vector product, so it
+    has the bits of ``mats[g] @ f`` alone (``F @ Z.T`` is a matrix product
+    and does not).
+    """
+    G, K = mats.shape[:2]
+    runs = len(F) // (G * rows) if len(F) else 0
+    return (mats[:, None] @ F.reshape(runs, G, rows, K, 1))[..., 0].reshape(F.shape)
 
 
 def _chain(gen: Generator) -> tuple[np.ndarray | None, float]:
@@ -396,9 +406,7 @@ def act(gen: Generator, t: float, F) -> np.ndarray:
     and square, ``act`` runs the 2^s steps one after the other. The
     guards (negative t, time cap, overflow) are those of ``evolve``.
     """
-    F = np.asarray(F, dtype=float)
-    if F.ndim != 2 or F.shape[1] != gen.dim:
-        raise ValueError(f"act needs an (S, {gen.dim}) block, got shape {F.shape}")
+    F = _row_block(F, gen.dim)
     block = F.copy()
     p, mu = _chain(gen)
     plan = _plan(gen, t, mu)
@@ -461,7 +469,7 @@ def check_positivity_and_normalization(
     op = evolve(gen, t)
     entries = []
 
-    dnorm = float(np.max(np.abs(op.row_sums() - 1.0)))
+    dnorm = float(np.max(np.abs(op.matrix.sum(axis=1) - 1.0)))
     entries.append(CheckEntry("normalization", dnorm <= _AXIOM_TOL, dnorm, _AXIOM_TOL))
 
     zf = op.matrix @ f.values

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,7 +42,6 @@ from .jessen import (
     DualVector,
     NotNormalizedError,
     _adjoint_rows,
-    _grouped_act,
     jessen_report,
     jessen_sides,
     verify_adjoint_pairing,
@@ -50,8 +50,10 @@ from .jessen import (
 from .lattice import LatticeElement, Ordering, OrderTolerance, leq_rows
 from .reporting import CheckEntry, all_passed
 from .semigroup import (
+    _AXIOM_TOL,
     Generator,
     NotSquareError,
+    _stack_act,
     check_positivity_and_normalization,
     check_semigroup_axioms,
     evolve,
@@ -322,6 +324,12 @@ def random_domain_element(rng, dim: int, kind: str) -> LatticeElement:
     return LatticeElement(rng.uniform(low, high, size=dim))
 
 
+def _random_dual(rng, dim: int) -> np.ndarray:
+    """Coefficients of a random positive dual, uniform draws scaled to sum 1."""
+    raw = rng.uniform(0.0, 1.0, size=dim)
+    return raw / max(raw.sum(), 1e-12)
+
+
 def run_lattice_axiom_suite(dim: int, samples: int, seed: int) -> list[CheckEntry]:
     """Sampled identities of the componentwise lattice structure, each within 1e-12.
 
@@ -367,7 +375,7 @@ def run_semigroup_axiom_suite(generators, samples: int, seed: int) -> list[Check
     The sampled (s, t, s + t) triples are evolved and reduced in stacked chunks.
     """
     rng = np.random.default_rng(seed)
-    tol = 1e-10
+    tol = _AXIOM_TOL
     entries = []
     for gen in generators:
         label = gen.name or f"dim{gen.dim}"
@@ -482,10 +490,7 @@ def run_adjoint_random_suite(n_cases: int, seed: int) -> AdjointSuiteResult:
         fam = families[int(rng.integers(0, len(families)))]
         t = _SUITE_TIMES[int(rng.integers(0, len(_SUITE_TIMES)))]
         f = random_domain_element(rng, gen.dim, _family_domain_kind(fam))
-        raw = rng.uniform(0.0, 1.0, size=gen.dim)
-        total = raw.sum()
-        fstar = DualVector(raw / total if total > 0 else raw + 1.0 / gen.dim)
-        rep = verify_adjoint_pairing(gen, fam, fstar, f, t)
+        rep = verify_adjoint_pairing(gen, fam, DualVector(_random_dual(rng, gen.dim)), f, t)
         worst_tr = max(worst_tr, rep.transpose_defect)
         worst_gap = min(worst_gap, rep.weak_gap)
         worst_cons = max(worst_cons, rep.consistency_defect)
@@ -560,13 +565,13 @@ def run_midpoint_equivalence_suite(n_instances: int, seed: int) -> dict:
         gen = random_conservative_generator(rng, max_dim=5, max_norm=3.0)
         f = random_domain_element(rng, gen.dim, "F")
         t = float(rng.uniform(0.3, 2.0))
-        op = evolve(gen, t)
+        z = evolve(gen, t).matrix
         n = int(rng.integers(1, 5))
         xs = rng.uniform(1.2, 2.4, size=n)
         xis = rng.uniform(-1.0, 1.0, size=n)
 
-        def h_map(p, _op=op, _f=f.values):
-            return LatticeElement(_midpoint_residuals(_op, "F", [p], _f)[0])
+        def h_map(p, _z=z, _f=f.values):
+            return LatticeElement(_midpoint_residuals(_z, "F", [p], _f)[0])
 
         rep = midpoint_equivalence_check(h_map, xs, xis)
         worst = max(worst, rep.defect_double, rep.defect_half)
@@ -594,8 +599,8 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
 
     Non-conservative generators in the config are rejected unless the
     override is set, in which case their results go to ``observed``.
-    Z(t) is evolved once per (generator, t) and shared by the Jessen,
-    adjoint and Gram suites. The Jessen samples of each (generator,
+    Z(t) is evolved once per (generator, t), and the Jessen, adjoint and
+    Gram suites share its matrix. The Jessen samples of each (generator,
     family) are drawn time by time, in the order of a loop over t_grid,
     and checked as one block of samples x len(t_grid) rows, the rows of
     time t through Z(t); the adjoint samples of each (generator, family)
@@ -637,9 +642,11 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
         "passed": all_passed(semi_entries),
     }
 
-    evolved = [{t: evolve(gen, t) for t in dict.fromkeys(cfg.t_grid)} for gen in asserted_gens]
-    # one (len(t_grid), K, K) stack per generator: row group j goes through Z(t_grid[j])
-    stacks = [np.stack([ops[t].matrix for t in cfg.t_grid]) for ops in evolved]
+    # one (len(t_grid), K, K) stack per generator, from one evolve per distinct t:
+    # row group j goes through Z(t_grid[j])
+    distinct = list(dict.fromkeys(cfg.t_grid))
+    index = [distinct.index(t) for t in cfg.t_grid]
+    stacks = [np.stack([evolve(gen, t).matrix for t in distinct])[index] for gen in asserted_gens]
     tol = cfg.order_tol
 
     jessen_cases = []
@@ -650,7 +657,7 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
             low, high = _DOMAIN_BOX[_family_domain_kind(fam)]
             blocks = [rng.uniform(low, high, size=(cfg.samples, gen.dim)) for _ in cfg.t_grid]
             phi_zf, z_phi_f = _by_groups(
-                lambda m, F: jessen_sides(_grouped_act(m, cfg.samples), fam, F),
+                lambda m, F: jessen_sides(partial(_stack_act, m, cfg.samples), fam, F),
                 mats, blocks)
             residual = z_phi_f - phi_zf
             slack = residual.min(axis=1)
@@ -679,8 +686,7 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
             fs, duals = [], []
             for _ in cfg.t_grid:
                 fs.append(random_domain_element(rng, gen.dim, kind).values[None])
-                raw = rng.uniform(0.0, 1.0, size=gen.dim)
-                duals.append((raw / max(raw.sum(), 1e-12))[None])
+                duals.append(_random_dual(rng, gen.dim)[None])
             reps = _by_groups(lambda m, D, F: _adjoint_rows(m, fam, D, F), mats, duals, fs)
             for rep in reps:
                 adj_worst_tr = max(adj_worst_tr, rep.transpose_defect)
@@ -698,13 +704,13 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
 
     gram_failures = 0
     gram_records = []
-    for gen, ops in zip(asserted_gens, evolved):
+    for gen, mats in zip(asserted_gens, stacks):
         for pset in psets:
-            for t in cfg.t_grid:
+            for t, z in zip(cfg.t_grid, mats):
                 if t == 0.0:
                     continue
                 f = random_domain_element(rng, gen.dim, "F")
-                gram = _gram(ops[t], f, t, pset)
+                gram = _gram(z, f, t, pset)
                 rep = check_order_psd(
                     gram, n_xi=200, seed=int(rng.integers(0, 2 ** 31)), tol=cfg.psd_tol
                 )

@@ -1,7 +1,9 @@
 """Closed-form reference values, independent of the package internals.
 
 Everything here is computed with plain math/numpy expressions so the
-library's own evolution and Gram code never feeds its own oracle.
+library's own evolution and Gram code never feeds its own oracle. The one
+exception is ``verify``, the reference of the verify driver, which runs the
+package's single-case functions in the plainest loop.
 """
 
 import math
@@ -159,3 +161,114 @@ def single_row_adjoint(z, phi, fstar, f) -> tuple:
     pairing = float(fstar @ (z_phi_f - phi_zf))
     defect = abs(lhs - rhs)
     return defect, gap, pairing, abs(gap - pairing), defect <= 1e-12, gap >= -1e-9
+
+
+def verify(cfg) -> dict:
+    """The report of ``sgineq verify`` on a ``SuiteConfig``, from the plainest loop.
+
+    It draws from one rng on the stream of ``run_config_verification`` and
+    loops over (generator, family, t, sample), one row at a time. Unlike the
+    rest of this module it runs the package's single-case functions: the two
+    axiom suites, ``evolve``, ``build_gram``, ``check_order_psd`` and
+    ``verify_jessen``. The Jessen and adjoint values of a row are the plain
+    1-D products ``z @ f`` and ``single_row_adjoint``, with each pass rule
+    written out. ``jessen_sides`` on the block of one (generator, family, t)
+    stands for the input checks, so the first error raised, in loop order,
+    is that of the loop that checked each time's block on its own.
+    """
+    from sgineq.expconv import ExponentSet, build_gram, check_order_psd
+    from sgineq.families import PowerFamily
+    from sgineq.jessen import NotNormalizedError, jessen_report, jessen_sides, verify_jessen
+    from sgineq.lattice import Ordering
+    from sgineq.semigroup import evolve
+    from sgineq.suites import (_family_domain_kind, random_domain_element,
+                               run_lattice_axiom_suite, run_semigroup_axiom_suite)
+
+    bad = [g for g in cfg.generators if not g.conservative]
+    if bad and not cfg.allow_unnormalized:
+        label = bad[0].name or f"generator of dim {bad[0].dim}"
+        raise NotNormalizedError(
+            f"{label} is not conservative; set allow_unnormalized to run it as a control")
+    gens = [g for g in cfg.generators if g.conservative]
+    psets = [ExponentSet(ps, family_kind="F") for ps in cfg.p_sets]
+    rng = np.random.default_rng(cfg.seed)
+    suites = {}
+
+    lattice = []
+    for dim in sorted({g.dim for g in cfg.generators}):
+        lattice += run_lattice_axiom_suite(dim, cfg.samples, int(rng.integers(0, 2 ** 31)))
+    semigroup = run_semigroup_axiom_suite(gens, max(2, cfg.samples // 10),
+                                          int(rng.integers(0, 2 ** 31)))
+    for name, entries in (("lattice_axioms", lattice), ("semigroup_axioms", semigroup)):
+        suites[name] = {"checks": [e.to_json() for e in entries],
+                        "passed": all(e.passed for e in entries)}
+    ops = [[evolve(gen, t) for t in cfg.t_grid] for gen in gens]
+
+    cases, min_slack = [], math.inf
+    for gen, gen_ops in zip(gens, ops):
+        for fam in cfg.families:
+            kind = _family_domain_kind(fam)
+            for t, op in zip(cfg.t_grid, gen_ops):
+                block = np.array([random_domain_element(rng, gen.dim, kind).values
+                                  for _ in range(cfg.samples)])
+                jessen_sides(op.act, fam, block)  # for the errors of its input checks
+                for f in block:
+                    phi_zf, z_phi_f = fam.value(op.matrix @ f), op.matrix @ fam.value(f)
+                    rep = jessen_report(phi_zf, z_phi_f, cfg.order_tol, t, fam, gen)
+                    floor = -1e-9 * (1.0 + float(np.max(np.abs(rep.residual.values))))
+                    min_slack = min(min_slack, rep.min_slack)
+                    if rep.verdict not in (Ordering.LEQ, Ordering.EQUAL) or rep.min_slack < floor:
+                        cases.append(rep.to_json())
+    suites["jessen"] = {
+        "aggregate": {"min_slack": None if min_slack == math.inf else min_slack,
+                      "failures": len(cases)},
+        "failed_cases": cases,
+        "passed": not cases,
+    }
+
+    worst_tr, worst_gap, failures = 0.0, math.inf, 0
+    for gen, gen_ops in zip(gens, ops):
+        for fam in cfg.families:
+            kind = _family_domain_kind(fam)
+            for op in gen_ops:
+                f = random_domain_element(rng, gen.dim, kind).values
+                raw = rng.uniform(0.0, 1.0, size=gen.dim)
+                fstar = raw / max(raw.sum(), 1e-12)
+                jessen_sides(op.act, fam, f[None])  # for the errors of its input checks
+                defect, gap, _, consistency, transpose_ok, gap_ok = single_row_adjoint(
+                    op.matrix, fam.value, fstar, f)
+                worst_tr, worst_gap = max(worst_tr, defect), min(worst_gap, gap)
+                failures += not (transpose_ok and gap_ok and consistency <= 1e-10)
+    suites["adjoint"] = {
+        "aggregate": {"max_transpose_defect": worst_tr,
+                      "min_weak_gap": None if worst_gap == math.inf else worst_gap,
+                      "failures": failures},
+        "passed": failures == 0,
+    }
+
+    records = []
+    for gen in gens:
+        for pset in psets:
+            for t in cfg.t_grid:
+                if t != 0.0:
+                    gram = build_gram(gen, random_domain_element(rng, gen.dim, "F"), t, pset)
+                    rep = check_order_psd(gram, n_xi=200, seed=int(rng.integers(0, 2 ** 31)),
+                                          tol=cfg.psd_tol)
+                    records.append({"p": list(pset.p), "t": t, "generator": gen.name}
+                                   | rep.to_json())
+    suites["gram_psd"] = {"records": records,
+                          "passed": all(rec["spectral_pass"] and rec["sampled_pass"]
+                                        for rec in records)}
+    passed = all(suite["passed"] for suite in suites.values())
+
+    if bad:
+        observed = [
+            verify_jessen(gen, PowerFamily(2.0), random_domain_element(rng, gen.dim, "F"), t,
+                          allow_unnormalized=True).to_json()
+            for gen in bad for t in cfg.t_grid if t != 0.0
+        ]
+        suites["observed_controls"] = {
+            "note": "non-conservative generators under override; diagnostics only",
+            "cases": observed,
+        }
+    return {"config": cfg.to_json(), "suites": suites, "passed": passed}

@@ -26,7 +26,7 @@ from sgineq.families import (
 )
 from sgineq.jessen import NonFiniteSideError, NotNormalizedError, jessen_sides
 from sgineq.lattice import LatticeElement, Ordering
-from sgineq.semigroup import SemigroupOperator, evolve, validate_generator
+from sgineq.semigroup import evolve, validate_generator
 from sgineq.suites import random_conservative_generator, random_domain_element
 
 from oracles import BENCH_Q, brute_quad_form, power_map, sym2_eigs, two_state_closed_form
@@ -211,12 +211,12 @@ class TestBuildGram:
             3.0: CustomFamily(fn=np.array, d2=np.ones_like, name="refusing", domain=refuse),
         }
         monkeypatch.setattr(expconv, "_member", lambda kind, p: members[p])
-        op = evolve(bench_gen, 1.0)
+        z = evolve(bench_gen, 1.0).matrix
         with pytest.raises(NonPositiveInputError, match=r"^at midpoint 3: refused input$"):
-            expconv._midpoint_residuals(op, "F", [2.0, 3.0], bench_f.values)
+            expconv._midpoint_residuals(z, "F", [2.0, 3.0], bench_f.values)
         members[3.0] = CustomFamily(fn=np.array, d2=np.ones_like, name="plain")
         with pytest.raises(NonFiniteSideError, match=r"^at midpoint 2: inf: "):
-            expconv._midpoint_residuals(op, "F", [2.0, 3.0], bench_f.values)
+            expconv._midpoint_residuals(z, "F", [2.0, 3.0], bench_f.values)
 
     def test_json_and_csv_exports(self, bench_gen, bench_f):
         gram = build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 4.0)))
@@ -292,11 +292,12 @@ class TestGramBits:
 
     def test_one_block_action_per_operator(self, bench_gen, bench_f, monkeypatch):
         blocks = []
-        act = SemigroupOperator.act
-        monkeypatch.setattr(SemigroupOperator, "act",
-                            lambda self, F: blocks.append(F.shape) or act(self, F))
+        stack_act = expconv._stack_act
+        monkeypatch.setattr(expconv, "_stack_act", lambda mats, rows, F: blocks.append(
+            (mats.shape, F.shape)) or stack_act(mats, rows, F))
         build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 3.0, 4.0)))
-        assert blocks == [(6, 2)]      # f and the 5 distinct midpoints 2, 2.5, 3, 3.5, 4
+        # one matrix, on f and the 5 distinct midpoints 2, 2.5, 3, 3.5, 4
+        assert blocks == [((1, 2, 2), (6, 2))]
 
 
 

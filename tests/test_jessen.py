@@ -16,7 +16,6 @@ from sgineq.families import (
 from sgineq.jessen import (
     DualVector,
     _adjoint_rows,
-    _grouped_act,
     NonFiniteSideError,
     NonPositiveDualError,
     NotNormalizedError,
@@ -29,7 +28,7 @@ from sgineq.jessen import (
     verify_jessen,
 )
 from sgineq.lattice import DEFAULT_TOLERANCE, LatticeElement, Ordering
-from sgineq.semigroup import SemigroupOperator, act, evolve, validate_generator
+from sgineq.semigroup import SemigroupOperator, _stack_act, act, evolve, validate_generator
 from sgineq import suites
 from sgineq.suites import (
     benchmark_families,
@@ -218,17 +217,28 @@ class TestRowKernels:
         ts = rng.choice([0.0, 0.1, 0.5, 1.0, 10.0], size=int(rng.integers(1, 5)))
         return gen, [evolve(gen, float(t)) for t in ts]
 
-    def test_grouped_act_matches_act_per_group(self):
+    def test_stack_act_matches_plain_products_per_row(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
             gen, ops = self.random_groups(rng)
-            rows, members = int(rng.integers(1, 6)), int(rng.integers(1, 4))
-            block = rng.uniform(-3.0, 3.0, size=(members * len(ops) * rows, gen.dim))
-            got = _grouped_act(np.stack([op.matrix for op in ops]), rows)(block)
-            want = np.concatenate([ops[g].act(part) for m in range(members)
-                                   for g, part in enumerate(np.split(
-                                       block.reshape(members, -1, gen.dim)[m], len(ops)))])
-            assert bits(got.ravel()) == bits(want.ravel())
+            mats = np.stack([op.matrix for op in ops])
+            rows, runs = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            block = rng.uniform(-3.0, 3.0, size=(runs * len(ops) * rows, gen.dim))
+            got = _stack_act(mats, rows, block)
+            # row i lies in group (i // rows) mod G of its run
+            want = [mats[i // rows % len(ops)] @ f for i, f in enumerate(block)]
+            assert bits(got.ravel()) == bits(np.concatenate(want))
+            assert bits(ops[0].act(block).ravel()) == bits(np.concatenate(
+                [ops[0].matrix @ f for f in block]))
+
+    def test_stack_act_takes_an_empty_block(self):
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            gen, ops = self.random_groups(rng)
+            mats, empty = np.stack([op.matrix for op in ops]), np.empty((0, gen.dim))
+            for rows in (0, 1, 3):
+                assert _stack_act(mats, rows, empty).shape == (0, gen.dim)
+            assert ops[0].act(empty).shape == (0, gen.dim)
 
     def test_adjoint_rows_match_single_rows(self):
         rng = np.random.default_rng(32)

@@ -122,7 +122,7 @@ class TestEvolve:
         gen = validate_generator(BENCH_Q)
         op = evolve(gen, 400.0)
         assert np.max(np.abs(op.matrix - 0.5)) <= 1e-12
-        assert np.max(np.abs(op.row_sums() - 1.0)) <= 1e-10
+        assert np.max(np.abs(op.matrix.sum(axis=1) - 1.0)) <= 1e-10
         assert op.matrix.min() >= 0.0
 
     def test_trunc_error_budget(self):
@@ -648,7 +648,7 @@ def test_row_stochastic_random(rng):
     for _ in range(50):
         gen = _random_conservative(rng)
         op = evolve(gen, float(rng.uniform(0, 5)))
-        assert np.max(np.abs(op.row_sums() - 1.0)) <= 1e-10
+        assert np.max(np.abs(op.matrix.sum(axis=1) - 1.0)) <= 1e-10
 
 
 def test_order_monotone(rng):
@@ -691,7 +691,7 @@ def test_uniformization_properties(raw, tq):
     gen = validate_generator(q)
     op = evolve(gen, tq / 4.0)
     assert op.matrix.min() >= 0.0
-    assert np.max(np.abs(op.row_sums() - 1.0)) <= 1e-10
+    assert np.max(np.abs(op.matrix.sum(axis=1) - 1.0)) <= 1e-10
 
 
 class TestAxiomChecks:

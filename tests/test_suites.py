@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sgineq import cli, expconv, jessen, lattice, semigroup, suites
 from sgineq.expconv import ExponentSet, build_gram, check_order_psd
@@ -30,6 +30,8 @@ from sgineq.suites import (
     random_positive_generator,
     run_config_verification,
 )
+
+import oracles
 
 THREE_STATE = dict(
     DEFAULT_CONFIG,
@@ -192,6 +194,85 @@ class TestConfigVerification:
         residual = z_phi_f - phi_zf
         assert [case["residual"] for case in jes["failed_cases"]] == residual.tolist()
         assert [case["min_slack"] for case in jes["failed_cases"]] == residual.min(axis=1).tolist()
+
+
+# The family selectors a drawn config chooses from. ExpH(30) stays finite,
+# but its values are so large that the weak gap and the residual pairing
+# differ by more than 1e-10; ExpH(500) exceeds the exponent limit on inputs
+# above 1.4, in the Jessen blocks or the adjoint rows of some times.
+REFERENCE_FAMILIES = [
+    {"family": "PowerF", "t": 2.0}, {"family": "PowerF", "t": -1.0},
+    {"family": "PowerF", "t": 0.5}, {"family": "NegLog"}, {"family": "Entropy"},
+    {"family": "HalfSquare"}, {"family": "ExpH", "t": -1.0}, {"family": "ExpH", "t": 30.0},
+    {"family": "ExpH", "t": 500.0},
+]
+
+
+@st.composite
+def verify_configs(draw):
+    """Small verify configs: one or two conservative generators with K from 1
+    to 6, often a non-conservative control, and a t_grid with 0, repeats and
+    times so small that under zero tolerances rounding fails the Jessen
+    verdict. Now and then a time past the time cap of most generators, a
+    control without the override, or a p_set inside the midpoint guard band."""
+    def generator(name, conservative):
+        k = draw(st.integers(1, 6))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        q = random_conservative_generator(rng, max_dim=k, min_dim=k).q.copy()
+        if not conservative:
+            q[np.diag_indices(k)] += rng.uniform(0.1, 1.0, size=k)
+        return {"q": q.tolist()} | ({"name": name} if draw(st.booleans()) else {})
+
+    def rarely(values, item):
+        # inserts item at a drawn place in about one draw of ten
+        if draw(st.sampled_from(range(10))) == 9:
+            values.insert(draw(st.integers(0, len(values))), item)
+        return values
+
+    gens = [generator(f"g{i}", True) for i in range(draw(st.integers(1, 2)))]
+    if draw(st.booleans()):
+        gens.insert(draw(st.integers(0, len(gens))), generator("control", False))
+    times = st.sampled_from([0.0, 1e-16, 1e-15, 0.5, 2.0, 40.0])
+    psets = st.sampled_from([[2.0, 4.0], [1.5, 3.0, 5.0], [-1.0, 0.5]])
+    return {
+        "generators": gens,
+        "families": draw(st.lists(st.sampled_from(REFERENCE_FAMILIES), min_size=1, max_size=3)),
+        "t_grid": rarely(draw(st.lists(times, min_size=1, max_size=4)), 5000.0),
+        "p_sets": rarely(draw(st.lists(psets, max_size=2)), [1.0, 1.0 + 1e-7]),
+        "samples": draw(st.integers(1, 6)),
+        "seed": draw(st.integers(0, 2 ** 31)),
+        "tolerances": draw(st.sampled_from([{}, {"atol": 0.0, "rtol": 0.0}])),
+        "allow_unnormalized": draw(st.sampled_from(range(10))) < 9,
+    }
+
+
+def verify_outcome(run, cfg):
+    """The report JSON of ``run(cfg)`` as ``verify`` writes it, or the type
+    and message of what it raises."""
+    try:
+        return json.dumps(run(cfg), sort_keys=True, indent=2)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(verify_configs())
+# Jessen failures in two families and at two time indices of one generator
+# under zero tolerances, adjoint rows that fail only the consistency bound
+# (ExpH(30)), and a control under the override
+@example({"generators": [THREE_STATE["generators"][0], {"q": [[-1.0, 1.0], [1.0, -1.0]]},
+                         {"q": [[-1.0, 1.5], [0.5, -0.5]], "name": "leaky"}],
+          "families": [{"family": "PowerF", "t": 2.0}, {"family": "Entropy"},
+                       {"family": "ExpH", "t": 30.0}],
+          "t_grid": [1e-16, 0.5, 0.0, 1e-15, 1e-16], "p_sets": [[2.0, 4.0]], "samples": 3,
+          "seed": 4, "tolerances": {"atol": 0.0, "rtol": 0.0}, "allow_unnormalized": True})
+# the Jessen block of all times fails; the worst exponent argument of the
+# first time to fail is not that of the whole block
+@example(json.loads((Path(__file__).resolve().parents[1] / "configs"
+                     / "family_overflow.json").read_text()))
+def test_driver_matches_reference_verify(data):
+    cfg = config_from_json(data)
+    assert verify_outcome(run_config_verification, cfg) == verify_outcome(oracles.verify, cfg)
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
