@@ -32,9 +32,9 @@ import numpy as np
 from .errors import HypothesisViolationError, SgineqError
 from .expconv import ExponentSet, build_gram, check_order_psd
 from .lattice import LatticeElement
-from .semigroup import validate_generator
-from .suites import (ConfigError, SuiteConfig, config_from_json, random_domain_element,
-                     run_config_verification)
+from .semigroup import generator_from_json
+from .suites import (ConfigError, SuiteConfig, _evolved_stacks, _gram_suite, _split_controls,
+                     config_from_json, run_config_verification)
 
 __all__ = ["main", "DEFAULT_CONFIG"]
 
@@ -204,38 +204,32 @@ def cmd_expconv(args, argv) -> int:
 
     started = time.monotonic()
     _check_expconv_flags(args)
-    instances = []
     if args.config is not None:
         cfg = _load_config(args.config)
         if not cfg.p_sets:
             raise ConfigError("expconv needs at least one p_set in the config")
+        gens, _ = _split_controls(cfg)
         # built before any instance, so a guard-band midpoint is a hypothesis
         # violation whatever the times, as in verify
         psets = [ExponentSet(ps, family_kind=args.family) for ps in cfg.p_sets]
         outdir = _resolve_outdir(args.out, cfg.output_dir)
-        rng = np.random.default_rng(cfg.seed)
-        for gen in cfg.generators:
-            for pset in psets:
-                for t in cfg.t_grid:
-                    if t == 0.0:
-                        continue
-                    f = random_domain_element(rng, gen.dim, "F")
-                    instances.append((gen, f, t, pset, cfg.psd_tol, cfg.seed))
+        stacks = _evolved_stacks(gens, cfg.t_grid)
+        instances = _gram_suite(cfg, gens, stacks, psets, np.random.default_rng(cfg.seed),
+                                args.n_xi, xi_seed=cfg.seed)
     else:
         if not args.p:
             raise ConfigError("expconv needs --p values or --config")
         pset = ExponentSet(args.p, family_kind=args.family)
         outdir = _resolve_outdir(args.out)
-        gen = validate_generator([[-1.0, 1.0], [1.0, -1.0]], name="benchmark2")
+        gen = generator_from_json(DEFAULT_CONFIG["generators"][0])
         f = LatticeElement([4.0, 1.0])
-        instances.append((gen, f, args.t, pset, args.tol, args.seed))
+        gram = build_gram(gen, f, args.t, pset)
+        rep = check_order_psd(gram, n_xi=args.n_xi, seed=args.seed, tol=args.tol)
+        instances = [(gen, f, gram, rep)]
 
-    results = []
-    csv_rows = []
+    results, csv_rows, eig_rows = [], [], []
     all_pass = True
-    for gen, f, t, pset, tol, seed in instances:
-        gram = build_gram(gen, f, t, pset)
-        rep = check_order_psd(gram, n_xi=args.n_xi, seed=seed, tol=tol)
+    for gen, f, gram, rep in instances:
         all_pass = all_pass and rep.passed
         label = gen.name or f"dim{gen.dim}"
         results.append({
@@ -244,9 +238,13 @@ def cmd_expconv(args, argv) -> int:
             "gram": gram.to_json(),
             "psd": rep.to_json(),
         })
-        csv_rows.extend((label, t) + row for row in gram.to_csv_rows())
+        csv_rows.extend((label, gram.t) + row for row in gram.to_csv_rows())
+        p_text = " ".join(f"{p:g}" for p in gram.pset.p)
+        eig_rows.extend([label, gram.t, p_text, k, repr(float(v))]
+                        for k, v in enumerate(gram.min_eigenvalues))
         status = "pass" if rep.passed else "FAIL"
-        print(f"{label} t={t:g} p={list(pset.p)} min_eig={rep.min_eigenvalue:.3e} {status}")
+        print(f"{label} t={gram.t:g} p={list(gram.pset.p)} "
+              f"min_eig={rep.min_eigenvalue:.3e} {status}")
 
     _dump_json(outdir / "gram.json", {"family_kind": args.family, "instances": results})
     with open(outdir / "gram.csv", "w", newline="") as fh:
@@ -256,13 +254,7 @@ def cmd_expconv(args, argv) -> int:
     with open(outdir / "min_eigenvalues.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["generator", "t", "p", "coordinate", "min_eigenvalue"])
-        for rec in results:
-            g = rec["gram"]
-            for coord in g["coordinates"]:
-                writer.writerow([
-                    rec["generator"], g["t"], " ".join(f"{p:g}" for p in g["p"]),
-                    coord["index"], repr(coord["min_eigenvalue"]),
-                ])
+        writer.writerows(eig_rows)
     _write_meta(outdir, argv, started, "gram.json")
     return 0 if all_pass else 1
 

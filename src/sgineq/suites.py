@@ -594,6 +594,42 @@ def _by_groups(kernel, mats: np.ndarray, *blocks):
     raise error
 
 
+def _split_controls(cfg: SuiteConfig) -> tuple[list, list]:
+    """The conservative generators, which are checked, and the controls, each
+    a hypothesis violation unless the config sets allow_unnormalized."""
+    controls = [g for g in cfg.generators if not g.conservative]
+    if controls and not cfg.allow_unnormalized:
+        label = controls[0].name or f"generator of dim {controls[0].dim}"
+        raise NotNormalizedError(f"{label} is not conservative; set allow_unnormalized "
+                                 "to run it as a control")
+    return [g for g in cfg.generators if g.conservative], controls
+
+
+def _evolved_stacks(gens, t_grid) -> list[np.ndarray]:
+    """One (len(t_grid), K, K) stack per generator, whose matrix j is
+    Z(t_grid[j]), from one ``evolve`` per distinct nonzero t; Z(0) = I."""
+    distinct = list(dict.fromkeys(t_grid))
+    index = [distinct.index(t) for t in t_grid]
+    return [np.stack([evolve(gen, t).matrix if t else np.eye(gen.dim) for t in distinct])[index]
+            for gen in gens]
+
+
+def _gram_suite(cfg: SuiteConfig, gens, stacks, psets, rng, n_xi: int, xi_seed: int | None = None):
+    """(generator, f, gram, report) per generator, p_set and nonzero t, in that
+    order: f drawn from ``rng`` in the F domain, the Gram from Z(t) in
+    ``stacks``, and ``check_order_psd`` on ``n_xi`` forms from the seed
+    ``xi_seed``, or one drawn from ``rng`` after f when None."""
+    for gen, mats in zip(gens, stacks):
+        for pset in psets:
+            for t, z in zip(cfg.t_grid, mats):
+                if t == 0.0:
+                    continue
+                f = random_domain_element(rng, gen.dim, "F")
+                gram = _gram(z, f, t, pset)
+                seed = int(rng.integers(0, 2 ** 31)) if xi_seed is None else xi_seed
+                yield gen, f, gram, check_order_psd(gram, n_xi=n_xi, seed=seed, tol=cfg.psd_tol)
+
+
 def run_config_verification(cfg: SuiteConfig) -> dict:
     """The cmd-verify driver: all suites against an explicit config.
 
@@ -612,13 +648,7 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
     ``run_jessen_random_suite``; an adjoint sample passes by
     ``AdjointPairingReport.passed``, the rule of ``run_adjoint_random_suite``.
     """
-    bad = [g for g in cfg.generators if not g.conservative]
-    if bad and not cfg.allow_unnormalized:
-        label = bad[0].name or f"generator of dim {bad[0].dim}"
-        raise NotNormalizedError(
-            f"{label} is not conservative; set allow_unnormalized to run it as a control"
-        )
-    asserted_gens = [g for g in cfg.generators if g.conservative]
+    asserted_gens, controls = _split_controls(cfg)
     # a guard-band midpoint is a hypothesis violation whatever the generators
     psets = [ExponentSet(ps, family_kind="F") for ps in cfg.p_sets]
 
@@ -642,15 +672,11 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
         "passed": all_passed(semi_entries),
     }
 
-    # one (len(t_grid), K, K) stack per generator, from one evolve per distinct t:
-    # row group j goes through Z(t_grid[j])
-    distinct = list(dict.fromkeys(cfg.t_grid))
-    index = [distinct.index(t) for t in cfg.t_grid]
-    stacks = [np.stack([evolve(gen, t).matrix for t in distinct])[index] for gen in asserted_gens]
+    # row group j of a block goes through Z(t_grid[j])
+    stacks = _evolved_stacks(asserted_gens, cfg.t_grid)
     tol = cfg.order_tol
 
     jessen_cases = []
-    jessen_failures = 0
     min_slack = float("inf")
     for gen, mats in zip(asserted_gens, stacks):
         for fam in cfg.families:
@@ -666,15 +692,14 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
             for i in np.flatnonzero(~ok):
                 t = cfg.t_grid[i // cfg.samples]
                 rep = jessen_report(phi_zf[i], z_phi_f[i], tol, t, fam, gen)
-                jessen_failures += 1
                 jessen_cases.append(rep.to_json())
     report["suites"]["jessen"] = {
         "aggregate": {
             "min_slack": min_slack if min_slack != float("inf") else None,
-            "failures": jessen_failures,
+            "failures": len(jessen_cases),
         },
         "failed_cases": jessen_cases,
-        "passed": jessen_failures == 0,
+        "passed": not jessen_cases,
     }
 
     adj_worst_tr = 0.0
@@ -702,40 +727,21 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
         "passed": adj_failures == 0,
     }
 
-    gram_failures = 0
-    gram_records = []
-    for gen, mats in zip(asserted_gens, stacks):
-        for pset in psets:
-            for t, z in zip(cfg.t_grid, mats):
-                if t == 0.0:
-                    continue
-                f = random_domain_element(rng, gen.dim, "F")
-                gram = _gram(z, f, t, pset)
-                rep = check_order_psd(
-                    gram, n_xi=200, seed=int(rng.integers(0, 2 ** 31)), tol=cfg.psd_tol
-                )
-                gram_records.append(
-                    {"p": list(pset.p), "t": t, "generator": gen.name} | rep.to_json()
-                )
-                if not rep.passed:
-                    gram_failures += 1
+    grams = list(_gram_suite(cfg, asserted_gens, stacks, psets, rng, n_xi=200))
     report["suites"]["gram_psd"] = {
-        "records": gram_records,
-        "passed": gram_failures == 0,
+        "records": [{"p": list(gram.pset.p), "t": gram.t, "generator": gen.name} | rep.to_json()
+                    for gen, _, gram, rep in grams],
+        "passed": all(rep.passed for *_, rep in grams),
     }
     # taken before the observed controls, which never flip the verdict
     report["passed"] = all(suite["passed"] for suite in report["suites"].values())
 
-    if bad:
-        observed = []
-        for gen in bad:
-            fam = PowerFamily(2.0)
-            for t in cfg.t_grid:
-                if t == 0.0:
-                    continue
-                f = random_domain_element(rng, gen.dim, "F")
-                rep = verify_jessen(gen, fam, f, t, allow_unnormalized=True)
-                observed.append(rep.to_json())
+    if controls:
+        observed = [
+            verify_jessen(gen, PowerFamily(2.0), random_domain_element(rng, gen.dim, "F"), t,
+                          allow_unnormalized=True).to_json()
+            for gen in controls for t in cfg.t_grid if t != 0.0
+        ]
         report["suites"]["observed_controls"] = {
             "note": "non-conservative generators under override; diagnostics only",
             "cases": observed,

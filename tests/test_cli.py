@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import sgineq
-from sgineq import cli
-from sgineq.expconv import ExponentSet, build_gram
+from sgineq import cli, expconv, suites
+from sgineq.expconv import ExponentSet, build_gram, check_order_psd
 from sgineq.lattice import LatticeElement
 from sgineq.scenes import RotationScene, ShiftScene, run_rotation_example, run_shift_example
 from sgineq.semigroup import validate_generator
+from sgineq.suites import config_from_json, random_domain_element
 
 # The directory holding the sgineq package this test process imported
 # (src/ in a checkout). The child CLI process gets it first on its
@@ -49,6 +50,9 @@ def run_cli(*args, cwd, env_extra=None, timeout=None):
             pytrace=False,
         )
     return res
+
+
+CONFIG_DIR = SOURCE_ROOT.parent / "configs"
 
 
 def small_config(**overrides):
@@ -254,7 +258,7 @@ class TestVerify:
         # lam*t underflows to 0: Z(t) = I and the run passes. With P = I + Q/lam
         # beyond double range, the evolution cannot run: usage error, for a
         # non-conservative generator and for a conservative one alike
-        cfgfile = SOURCE_ROOT.parent / "configs" / f"{name}.json"
+        cfgfile = CONFIG_DIR / f"{name}.json"
         assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -377,6 +381,81 @@ class TestExpconv:
             assert cli.main([command, "--config", str(cfgfile), "--out", str(tmp_path / command)]) == 2
             assert "midpoint" in capsys.readouterr().err
         assert not (tmp_path / "expconv" / "gram.json").exists()
+
+    def test_config_route_skips_controls_under_the_override(self, tmp_path):
+        # configs/control_psets.json: benchmark2 and a control with positive row
+        # sums, under allow_unnormalized; the Gram suite checks benchmark2 alone
+        cfgfile = CONFIG_DIR / "control_psets.json"
+        assert cli.main(["expconv", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+        doc = json.loads((tmp_path / "o" / "gram.json").read_text())
+        assert [(inst["generator"], inst["gram"]["t"]) for inst in doc["instances"]] == [
+            ("benchmark2", 0.5), ("benchmark2", 2.0)]
+
+    def test_config_route_control_without_override_stops_before_any_instance(
+            self, tmp_path, capsys):
+        data = json.loads((CONFIG_DIR / "control_psets.json").read_text())
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(data, allow_unnormalized=False)))
+        errors = []
+        for command in ("verify", "expconv"):
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1] == (
+            "sgineq: hypothesis violated: growth_control is not conservative; "
+            "set allow_unnormalized to run it as a control\n")
+        assert not (tmp_path / "expconv" / "gram.json").exists()
+
+    @pytest.mark.parametrize("kind", ["F", "H"])
+    def test_config_route_matches_a_plain_gram_loop(self, tmp_path, kind):
+        # the loop of the config route written out: f drawn in (generator,
+        # p_set, t) order from the config seed, build_gram on each, and every
+        # check_order_psd seeded by the config seed
+        cfgfile = CONFIG_DIR / "expconv_psets.json"
+        assert cli.main(["expconv", "--config", str(cfgfile), "--family", kind,
+                         "--out", str(tmp_path / "o")]) == 0
+        cfg = config_from_json(json.loads(cfgfile.read_text()))
+        rng = np.random.default_rng(cfg.seed)
+        instances = []
+        for gen in cfg.generators:
+            for ps in cfg.p_sets:
+                for t in cfg.t_grid:
+                    if t == 0.0:
+                        continue
+                    f = random_domain_element(rng, gen.dim, "F")
+                    gram = build_gram(gen, f, t, ExponentSet(ps, family_kind=kind))
+                    rep = check_order_psd(gram, n_xi=1000, seed=cfg.seed, tol=cfg.psd_tol)
+                    instances.append({"generator": gen.name, "f": f.values.tolist(),
+                                      "gram": gram.to_json(), "psd": rep.to_json()})
+        want = json.dumps({"family_kind": kind, "instances": instances}, sort_keys=True, indent=2)
+        assert (tmp_path / "o" / "gram.json").read_text() == want + "\n"
+
+    def test_config_route_evolves_once_per_generator_and_time(self, tmp_path, monkeypatch):
+        calls = []
+        real_evolve = suites.evolve
+
+        def spy(gen, t):
+            calls.append((gen.name, t))
+            return real_evolve(gen, t)
+
+        monkeypatch.setattr(suites, "evolve", spy)
+        monkeypatch.setattr(expconv, "evolve", spy)
+        # two generators, two p_sets and the times 0, 0.5 and 2: Z(0) = I needs no evolve
+        cfgfile = CONFIG_DIR / "expconv_psets.json"
+        assert cli.main(["expconv", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+        assert sorted(calls) == [("benchmark2", 0.5), ("benchmark2", 2.0),
+                                 ("three", 0.5), ("three", 2.0)]
+
+    def test_config_route_evolve_error_stops_before_any_instance(self, tmp_path, capsys):
+        # t * ||Q|| = 2e9 is past the time cap, which evolve reports as a usage error
+        (tmp_path / "cfg.json").write_text(json.dumps(small_config(t_grid=[0.5, 1e9])))
+        code = cli.main(["expconv", "--config", str(tmp_path / "cfg.json"),
+                         "--out", str(tmp_path / "o")])
+        assert code == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds the cap" in captured.err
+        assert not (tmp_path / "o" / "gram.json").exists()
 
     @pytest.mark.parametrize("flags,message", [
         (["--t", "-1"], "--t must be a finite nonnegative time, got -1"),
