@@ -31,32 +31,26 @@ import numpy as np
 
 from .errors import HypothesisViolationError, SgineqError
 from .expconv import ExponentSet, build_gram, check_order_psd
+from .families import family_to_json
 from .lattice import LatticeElement
 from .semigroup import generator_from_json
-from .suites import (ConfigError, SuiteConfig, _evolved_stacks, _gram_suite, _split_controls,
-                     config_from_json, run_config_verification)
+from .suites import (_SUITE_TIMES, ConfigError, SuiteConfig, _evolved_stacks, _gram_suite,
+                     _split_controls, benchmark_families, config_from_json,
+                     run_config_verification)
 
 __all__ = ["main", "DEFAULT_CONFIG"]
 
-# The bundled benchmark: symmetric 2-state exchange generator, every
-# family member, the standard time grid, the {2,4} exponent pair.
+_DEFAULTS = SuiteConfig._field_defaults
+
+# The bundled benchmark: the symmetric 2-state exchange generator, the nine
+# benchmark families, the times of the random suites and the {2,4} exponent pair.
 DEFAULT_CONFIG: dict = {
     "generators": [{"q": [[-1.0, 1.0], [1.0, -1.0]], "name": "benchmark2"}],
-    "families": [
-        {"family": "PowerF", "t": -1.0},
-        {"family": "PowerF", "t": 0.5},
-        {"family": "PowerF", "t": 2.0},
-        {"family": "PowerF", "t": 3.0},
-        {"family": "NegLog"},
-        {"family": "Entropy"},
-        {"family": "ExpH", "t": 1.0},
-        {"family": "ExpH", "t": -1.0},
-        {"family": "HalfSquare"},
-    ],
-    "t_grid": [0.1, 1.0, 10.0],
+    "families": [family_to_json(fam) for fam in benchmark_families()],
+    "t_grid": list(_SUITE_TIMES),
     "p_sets": [[2.0, 4.0]],
     "samples": 40,
-    "seed": 20240821,
+    "seed": _DEFAULTS["seed"],
 }
 
 
@@ -87,13 +81,9 @@ def _write_meta(outdir: Path, argv, started: float, report: str) -> None:
 
 
 def _resolve_outdir(*candidates) -> Path:
-    env = os.environ.get("SGINEQ_OUTPUT_DIR")
-    chosen = env
-    if chosen is None:
-        for c in candidates:
-            if c:
-                chosen = c
-                break
+    """Create and return SGINEQ_OUTPUT_DIR if set, else the first nonempty
+    candidate, else ``out``; each command calls it only after its work."""
+    chosen = os.environ.get("SGINEQ_OUTPUT_DIR", next(filter(None, candidates), None))
     outdir = Path(chosen or "out")
     outdir.mkdir(parents=True, exist_ok=True)
     return outdir
@@ -128,54 +118,52 @@ def cmd_verify(args, argv) -> int:
     return 0 if report["passed"] else 1
 
 
-def _figure(outdir: Path, stem: str, title: str, line: str, scene, run) -> dict:
-    """Run the scene that ``scene()`` builds, write its curves to ``stem``.csv
-    and .svg and print its verdict after ``line``; a scene that cannot be
+def _figure(stem: str, title: str, line: str, scene, run) -> tuple:
+    """Run the scene that ``scene()`` builds and return it with the file stem,
+    plot title and verdict line it is written under; a scene that cannot be
     built is a usage error."""
-    from .figio import write_curves_csv, write_curves_svg
-
     try:
         built = scene()
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    rep = run(built)
-    write_curves_csv(outdir / f"{stem}.csv", rep.coords, rep.lhs, rep.rhs)
-    write_curves_svg(outdir / f"{stem}.svg", rep.coords, rep.lhs, rep.rhs, title=title)
-    print(f"{line} verdict={rep.verdict.name}")
-    return rep.to_json()
+    return stem, title, line, run(built)
 
 
 def cmd_figure(args, argv) -> int:
-    # scenes (and figio, in _figure) load only here, so verify and expconv never import them
+    # scenes and figio load only here, so verify and expconv never import them
+    from .figio import write_curves_csv, write_curves_svg
     from .scenes import RotationScene, ShiftScene, run_rotation_example, run_shift_example
 
     started = time.monotonic()
-    outdir = _resolve_outdir(args.out)
     which = {"shift": "1a", "rotation": "1b"}.get(args.which, args.which)
-    records = []
     if which == "1a":
         ts = args.t if args.t else [1.0]
         single = len(ts) == 1
-        for t in ts:
-            stem = "figure1a" if single else f"figure1a_t{t:g}"
-            records.append(_figure(outdir, stem, f"shift scene, t={t:g}", f"1a t={t:g}",
-                                   partial(ShiftScene, t=t), run_shift_example))
+        figures = [_figure("figure1a" if single else f"figure1a_t{t:g}", f"shift scene, t={t:g}",
+                           f"1a t={t:g}", partial(ShiftScene, t=t), run_shift_example)
+                   for t in ts]
     else:
         ks = args.k if args.k else [90]
         single = len(ks) == 1
-        for k in ks:
-            stem = "figure1b" if single else f"figure1b_k{k}"
-            scene = partial(RotationScene, k=k, n_points=args.n)
-            records.append(_figure(outdir, stem, f"rotation scene, k={k}, n={args.n}",
-                                   f"1b k={k} n={args.n}", scene, run_rotation_example))
-    _dump_json(outdir / "figure_report.json", {"which": which, "cases": records})
+        figures = [_figure("figure1b" if single else f"figure1b_k{k}",
+                           f"rotation scene, k={k}, n={args.n}", f"1b k={k} n={args.n}",
+                           partial(RotationScene, k=k, n_points=args.n), run_rotation_example)
+                   for k in ks]
+    outdir = _resolve_outdir(args.out)
+    for stem, title, line, rep in figures:
+        write_curves_csv(outdir / f"{stem}.csv", rep.coords, rep.lhs, rep.rhs)
+        write_curves_svg(outdir / f"{stem}.svg", rep.coords, rep.lhs, rep.rhs, title=title)
+        print(f"{line} verdict={rep.verdict.name}")
+    cases = [rep.to_json() for *_, rep in figures]
+    _dump_json(outdir / "figure_report.json", {"which": which, "cases": cases})
     _write_meta(outdir, argv, started, "figure_report.json")
     return 0
 
 
 # Flags of the benchmark run that a config sets itself: the config field
 # that applies instead, and the flag's default on the flag route.
-_CONFIG_FIELDS = (("t", "t_grid", 1.0), ("tol", "tolerances.psd", 1e-8), ("seed", "seed", 20240821))
+_CONFIG_FIELDS = (("t", "t_grid", 1.0), ("tol", "tolerances.psd", _DEFAULTS["psd_tol"]),
+                  ("seed", "seed", _DEFAULTS["seed"]))
 
 
 def _check_expconv_flags(args) -> None:
@@ -212,7 +200,7 @@ def cmd_expconv(args, argv) -> int:
         # built before any instance, so a guard-band midpoint is a hypothesis
         # violation whatever the times, as in verify
         psets = [ExponentSet(ps, family_kind=args.family) for ps in cfg.p_sets]
-        outdir = _resolve_outdir(args.out, cfg.output_dir)
+        outdirs = (args.out, cfg.output_dir)
         stacks = _evolved_stacks(gens, cfg.t_grid)
         instances = _gram_suite(cfg, gens, stacks, psets, np.random.default_rng(cfg.seed),
                                 args.n_xi, xi_seed=cfg.seed)
@@ -220,7 +208,7 @@ def cmd_expconv(args, argv) -> int:
         if not args.p:
             raise ConfigError("expconv needs --p values or --config")
         pset = ExponentSet(args.p, family_kind=args.family)
-        outdir = _resolve_outdir(args.out)
+        outdirs = (args.out,)
         gen = generator_from_json(DEFAULT_CONFIG["generators"][0])
         f = LatticeElement([4.0, 1.0])
         gram = build_gram(gen, f, args.t, pset)
@@ -246,6 +234,7 @@ def cmd_expconv(args, argv) -> int:
         print(f"{label} t={gram.t:g} p={list(gram.pset.p)} "
               f"min_eig={rep.min_eigenvalue:.3e} {status}")
 
+    outdir = _resolve_outdir(*outdirs)
     _dump_json(outdir / "gram.json", {"family_kind": args.family, "instances": results})
     with open(outdir / "gram.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -284,9 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--p", type=float, nargs="+", help="exponent set for the benchmark run")
     p_exp.add_argument("--t", type=float, help="semigroup time for the benchmark run (default 1.0)")
     p_exp.add_argument("--family", choices=["F", "H"], default="F", help="family kind")
-    p_exp.add_argument("--tol", type=float, help="PSD tolerance scale (default 1e-8)")
+    p_exp.add_argument("--tol", type=float,
+                       help=f"PSD tolerance scale (default {_DEFAULTS['psd_tol']:g})")
     p_exp.add_argument("--n-xi", type=int, default=1000, help="sampled quadratic-form vectors")
-    p_exp.add_argument("--seed", type=int, help="seed for sampled vectors (default 20240821)")
+    p_exp.add_argument("--seed", type=int,
+                       help=f"seed for sampled vectors (default {_DEFAULTS['seed']})")
     p_exp.add_argument("--out", help="output directory (default: out)")
     p_exp.set_defaults(func=cmd_expconv)
     return parser
@@ -298,9 +289,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except ConfigError as err:
-        print(f"sgineq: error: {err}", file=sys.stderr)
-        return 64
     except HypothesisViolationError as err:
         print(f"sgineq: hypothesis violated: {err}", file=sys.stderr)
         return 2

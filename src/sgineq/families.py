@@ -286,9 +286,14 @@ def family_to_json(fam: OperatorFamily) -> dict:
     raise ValueError(f"family {fam.label} has no wire form")
 
 
+def _number(value) -> bool:
+    """A JSON number; true and false are not numbers, nor is a numeric string."""
+    return type(value) is int or type(value) is float
+
+
 def _finite_parameter(data: dict) -> float:
     value = data["t"]
-    if type(value) is not int and type(value) is not float:  # no bool, no numeric string
+    if not _number(value):
         raise TypeError(f"family parameter t must be a number, got {value!r}")
     value = float(value)
     if not np.isfinite(value):

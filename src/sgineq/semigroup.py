@@ -369,30 +369,29 @@ def evolve_many(gen: Generator, ts) -> np.ndarray:
 
     Time i gets the coefficient rate_i/k up to its own term count and 0.0
     after it, so each matrix has the bits of ``evolve(gen, t_i)``. P is
-    formed once; only times that need steps are squared. An invalid time
-    raises what ``evolve`` raises for the first one. No truncation bound
-    is returned; ``evolve`` gives that of one time.
+    formed once; only times that need steps are squared. Should any time
+    fail, the times run through ``evolve`` one by one, so the error raised is
+    the first time's. No truncation bound is returned; ``evolve`` gives that
+    of one time.
     """
+    ts = list(ts)  # read again on a failure
     p, mu = _chain(gen)
-    plans, error = [], None
-    for t in ts:
-        try:
-            # the identity is the series with no term past the first
-            plans.append(_plan(gen, t, mu) or (0.0, 0, 0, 0.0))
-        except (ValueError, SgineqError) as exc:
-            error = exc
-            break
-    rates, splits, terms, _ = np.array(plans, dtype=float).reshape(-1, 4).T
-    start = np.array([math.exp(-r) for r in rates])[:, None, None] * np.eye(gen.dim)
-    coefs = (np.where(k <= terms, rates / k, 0.0)[:, None, None]
-             for k in range(1, int(terms.max(initial=0)) + 1))
-    stack = _series(start, p, coefs)
-    for i in np.flatnonzero(splits):
-        stack[i] = _square(stack[i], 0.0, int(splits[i]))[0]
-    if not np.isfinite(stack).all():
-        raise EvolveOverflowError(_OVERFLOW)
-    if error is not None:  # after the overflow check, which concerns only earlier times
-        raise error
+    try:
+        # the identity is the series with no term past the first
+        plans = [_plan(gen, t, mu) or (0.0, 0, 0, 0.0) for t in ts]
+        rates, splits, terms, _ = np.array(plans, dtype=float).reshape(-1, 4).T
+        start = np.array([math.exp(-r) for r in rates])[:, None, None] * np.eye(gen.dim)
+        coefs = (np.where(k <= terms, rates / k, 0.0)[:, None, None]
+                 for k in range(1, int(terms.max(initial=0)) + 1))
+        stack = _series(start, p, coefs)
+        for i in np.flatnonzero(splits):
+            stack[i] = _square(stack[i], 0.0, int(splits[i]))[0]
+        if not np.isfinite(stack).all():
+            raise EvolveOverflowError(_OVERFLOW)
+    except (ValueError, SgineqError):
+        for t in ts:
+            evolve(gen, t)
+        raise
     return stack
 
 

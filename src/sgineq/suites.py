@@ -35,6 +35,7 @@ from .families import (
     NegLogFamily,
     OperatorFamily,
     PowerFamily,
+    _number,
     family_from_json,
     family_to_json,
 )
@@ -108,11 +109,6 @@ _DOMAIN_BOX = {"F": (0.2, 3.0), "H": (-2.0, 2.0)}
 
 class ConfigError(SgineqError):
     """Config cannot be used: missing fields, wrong shapes, empty lists."""
-
-
-def _number(value) -> bool:
-    """A JSON number; true and false are not numbers, nor is a numeric string."""
-    return type(value) is int or type(value) is float
 
 
 def _integral(value) -> bool:
@@ -249,14 +245,8 @@ def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
         raise ConfigError("samples must be at least 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be nonnegative")
-    if not all(math.isfinite(v) for v in (cfg.atol, cfg.rtol, cfg.psd_tol)):
-        raise ConfigError("tolerances must be finite")
-    try:
-        cfg.order_tol
-    except ValueError as err:
-        raise ConfigError(f"bad tolerance: {err}") from err
-    if cfg.psd_tol < 0:
-        raise ConfigError("psd tolerance must be nonnegative")
+    if not all(math.isfinite(v) and v >= 0 for v in (cfg.atol, cfg.rtol, cfg.psd_tol)):
+        raise ConfigError("tolerances atol, rtol and psd must be finite and nonnegative")
     work = cfg.samples * sum(g.dim for g in generators) * len(families) * len(t_grid)
     if work > MAX_SAMPLE_WORK:
         raise ConfigError(

@@ -140,6 +140,19 @@ class TestVerify:
         assert res.returncode == 64
         assert "tolerance" in res.stderr
 
+    @pytest.mark.parametrize("value", [-1e-9, float("inf"), float("nan")],
+                             ids=["negative", "inf", "nan"])
+    @pytest.mark.parametrize("key", ["atol", "rtol", "psd"])
+    def test_tolerance_outside_the_one_rule_is_usage_error(self, tmp_path, capsys, key, value):
+        # json writes inf and nan as Infinity and NaN, which json.loads reads back
+        (tmp_path / "cfg.json").write_text(json.dumps(small_config(tolerances={key: value})))
+        code = cli.main(["verify", "--config", str(tmp_path / "cfg.json"),
+                         "--out", str(tmp_path / "o")])
+        assert code == 64
+        assert capsys.readouterr().err.splitlines() == [
+            "sgineq: error: tolerances atol, rtol and psd must be finite and nonnegative"]
+        assert not (tmp_path / "o").exists()
+
     def test_zero_psd_tolerance_fails_assertions(self, tmp_path):
         # A duplicated exponent makes the Gram rank-deficient; its zero
         # eigenvalue lands at roundoff scale, so the spectral assertion
@@ -521,6 +534,46 @@ class TestExpconv:
         assert code == 0
         doc = json.loads((tmp_path / "o" / "gram.json").read_text())
         assert doc["instances"][0]["psd"]["min_quadform"] == 0.0
+
+
+GRAM_FILES = ["gram.csv", "gram.json", "min_eigenvalues.csv", "report_meta.json"]
+
+
+class TestOutputDirectory:
+    """Every command creates its output directory only after its work succeeds."""
+
+    @pytest.mark.parametrize("command,config", [
+        (["expconv", "--p", "2", "4", "--t", "1e12"], None),
+        (["expconv"], small_config(t_grid=[0.5, 1e9])),
+        (["figure", "1a", "--t", "0.5", "--t", "0.33"], None),
+        (["verify"], small_config(t_grid=[0.5, 1e9])),
+    ], ids=["expconv_flags_past_time_cap", "expconv_config_past_time_cap",
+            "figure_second_time_misaligned", "verify_past_time_cap"])
+    def test_failed_run_leaves_no_directory(self, tmp_path, capsys, command, config):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            command = [*command, "--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "o" / "nested"
+        assert cli.main([*command, "--out", str(out)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("sgineq: error: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,config,files,lines", [
+        (["expconv", "--p", "2", "4", "--t", "0.5"], None, GRAM_FILES, 1),
+        (["expconv"], small_config(), GRAM_FILES, 2),
+        (["figure", "1a", "--t", "0.5", "--t", "2"], None,
+         ["figure1a_t0.5.csv", "figure1a_t0.5.svg", "figure1a_t2.csv", "figure1a_t2.svg",
+          "figure_report.json", "report_meta.json"], 2),
+    ], ids=["expconv_flags", "expconv_config", "figure_two_times"])
+    def test_passing_run_writes_its_files(self, tmp_path, capsys, command, config, files, lines):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            command = [*command, "--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "o" / "nested"
+        assert cli.main([*command, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == files
+        assert len(capsys.readouterr().out.splitlines()) == lines
 
 
 class TestUsage:

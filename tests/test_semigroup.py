@@ -242,12 +242,30 @@ class TestEvolveMany:
         ([[-1.0, 1000.0], [0.0, 0.0]], [0.0001, 1.0, -1.0]),  # series overflow guard
         ([[5.0, 0.0], [0.0, 0.0]], [1.0, 200.0, -1.0]),  # overflow in the squarings
         ([[5.0, 0.0], [0.0, 0.0]], [1.0, -1.0, 200.0]),
+        ([[5.0, 0.0], [0.0, 0.0]], [1.0, 200.0, 6000.0]),  # overflow, then past the time cap
     ])
     def test_raises_what_evolve_raises_first(self, q, ts):
         gen = validate_generator(q)
         want = _outcome(lambda: [evolve(gen, t) for t in ts])
         assert isinstance(want, tuple)
         assert _outcome(lambda: evolve_many(gen, ts)) == want
+
+    def test_evolve_runs_only_to_replay_a_failure(self, monkeypatch):
+        calls = []
+
+        def spy(gen, t):
+            calls.append(t)
+            return evolve(gen, t)
+
+        monkeypatch.setattr(semigroup, "evolve", spy)
+        gen = validate_generator(BENCH_Q)
+        # success: one stacked series, and no evolve call a tracer would count
+        evolve_many(gen, [0.0, 0.1, 1.0, 10.0, 300.0])
+        assert calls == []
+        # failure: the times run through evolve until the first one raises
+        with pytest.raises(TimeCapError):
+            evolve_many(gen, iter([0.5, 6000.0, -1.0]))
+        assert calls == [0.5, 6000.0]
 
 
 def _generator(k, seed, conservative=True):

@@ -537,3 +537,19 @@ def test_bundled_suite_evolve_many_operators_match_expm(monkeypatch):
     for gen, ts, stack in batches:
         for t, z in zip(ts, stack):
             assert np.max(np.abs(z - scipy.linalg.expm(t * gen.q))) <= 1e-13
+
+
+def test_bundled_verify_evolves_four_distinct_pairs(monkeypatch):
+    # the stacks of the three grid times and the positivity check at t = 0.7;
+    # evolve_many, which calls evolve only to replay a failure, adds none
+    calls = []
+    real_evolve = semigroup.evolve
+
+    def spy(gen, t):
+        calls.append(t)
+        return real_evolve(gen, t)
+
+    for module in (semigroup, suites, jessen, expconv):
+        monkeypatch.setattr(module, "evolve", spy)
+    run_config_verification(config_from_json(DEFAULT_CONFIG))
+    assert sorted(calls) == [0.1, 0.7, 1.0, 10.0]
