@@ -35,7 +35,7 @@ from .families import family_to_json
 from .lattice import LatticeElement
 from .semigroup import generator_from_json
 from .suites import (_SUITE_TIMES, ConfigError, SuiteConfig, _evolved_stacks, _gram_suite,
-                     _split_controls, benchmark_families, config_from_json,
+                     _split_controls, _within_budget, benchmark_families, config_from_json,
                      run_config_verification)
 
 __all__ = ["main", "DEFAULT_CONFIG"]
@@ -136,14 +136,16 @@ def cmd_figure(args, argv) -> int:
 
     started = time.monotonic()
     which = {"shift": "1a", "rotation": "1b"}.get(args.which, args.which)
+    # a repeated value runs once, so the file stem follows the distinct values
     if which == "1a":
-        ts = args.t if args.t else [1.0]
+        ts = list(dict.fromkeys(args.t)) if args.t else [1.0]
         single = len(ts) == 1
         figures = [_figure("figure1a" if single else f"figure1a_t{t:g}", f"shift scene, t={t:g}",
                            f"1a t={t:g}", partial(ShiftScene, t=t), run_shift_example)
                    for t in ts]
     else:
-        ks = args.k if args.k else [90]
+        _within_budget("--n", args.n)
+        ks = list(dict.fromkeys(args.k)) if args.k else [90]
         single = len(ks) == 1
         figures = [_figure("figure1b" if single else f"figure1b_k{k}",
                            f"rotation scene, k={k}, n={args.n}", f"1b k={k} n={args.n}",
@@ -187,6 +189,12 @@ def _check_expconv_flags(args) -> None:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
 
 
+def _check_n_xi(n_xi: int, psets, gens) -> None:
+    """Bound the values that the screen of ``check_order_psd`` holds at the largest sizes."""
+    _within_budget("--n-xi x p-set size x generator dim",
+                   n_xi * max(ps.size for ps in psets) * max((g.dim for g in gens), default=0))
+
+
 def cmd_expconv(args, argv) -> int:
     import csv
 
@@ -200,6 +208,7 @@ def cmd_expconv(args, argv) -> int:
         # built before any instance, so a guard-band midpoint is a hypothesis
         # violation whatever the times, as in verify
         psets = [ExponentSet(ps, family_kind=args.family) for ps in cfg.p_sets]
+        _check_n_xi(args.n_xi, psets, gens)
         outdirs = (args.out, cfg.output_dir)
         stacks = _evolved_stacks(gens, cfg.t_grid)
         instances = _gram_suite(cfg, gens, stacks, psets, np.random.default_rng(cfg.seed),
@@ -210,6 +219,7 @@ def cmd_expconv(args, argv) -> int:
         pset = ExponentSet(args.p, family_kind=args.family)
         outdirs = (args.out,)
         gen = generator_from_json(DEFAULT_CONFIG["generators"][0])
+        _check_n_xi(args.n_xi, [pset], [gen])
         f = LatticeElement([4.0, 1.0])
         gram = build_gram(gen, f, args.t, pset)
         rep = check_order_psd(gram, n_xi=args.n_xi, seed=args.seed, tol=args.tol)

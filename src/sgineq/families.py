@@ -103,17 +103,21 @@ class OperatorFamily:
         return self.label
 
 
-def _require_positive(x: np.ndarray, label: str) -> None:
-    x = np.asarray(x)
-    low = x.min()
-    if low <= STRICT_POSITIVITY_TOL:
-        i = int(np.argmin(x))
-        raise NonPositiveInputError(
-            f"{label} needs strictly positive input, entry {i} = {x[i]:g}"
-        )
+class _PositiveConeFamily(OperatorFamily):
+    """A branch of the power family, defined on the strictly positive cone."""
+
+    __slots__ = ()
+
+    def check_domain(self, x):
+        x = np.asarray(x)
+        if x.min() <= STRICT_POSITIVITY_TOL:
+            i = int(np.argmin(x))
+            raise NonPositiveInputError(
+                f"{self.label} needs strictly positive input, entry {i} = {x[i]:g}"
+            )
 
 
-class PowerFamily(OperatorFamily):
+class PowerFamily(_PositiveConeFamily):
     """x^p / (p(p-1)) on the strictly positive cone, p not in {0, 1}."""
 
     __slots__ = ("exponent",)
@@ -127,9 +131,6 @@ class PowerFamily(OperatorFamily):
     def label(self):
         return f"PowerF({self.exponent:g})"
 
-    def check_domain(self, x):
-        _require_positive(x, self.label)
-
     def value(self, x):
         p = self.exponent
         return np.power(x, p) / (p * (p - 1.0))
@@ -142,13 +143,10 @@ class PowerFamily(OperatorFamily):
         return np.power(x, self.exponent - 2.0)
 
 
-class NegLogFamily(OperatorFamily):
+class NegLogFamily(_PositiveConeFamily):
     """-log x, the p = 0 branch of the power family."""
 
     label = "NegLog"
-
-    def check_domain(self, x):
-        _require_positive(x, self.label)
 
     def value(self, x):
         return -np.log(x)
@@ -160,13 +158,10 @@ class NegLogFamily(OperatorFamily):
         return np.power(x, -2.0)
 
 
-class EntropyFamily(OperatorFamily):
+class EntropyFamily(_PositiveConeFamily):
     """x log x, the p = 1 branch of the power family."""
 
     label = "Entropy"
-
-    def check_domain(self, x):
-        _require_positive(x, self.label)
 
     def value(self, x):
         return x * np.log(x)

@@ -101,14 +101,8 @@ class JessenReport(NamedTuple):
     generator: str | None
 
     def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "family": self.family,
-            "generator": self.generator,
-            "verdict": self.verdict.value,
-            "min_slack": self.min_slack,
-            "residual": [float(v) for v in self.residual.values],
-        }
+        return self._asdict() | {"verdict": self.verdict.value,
+                                 "residual": self.residual.values.tolist()}
 
 
 def _require_normalized(gen: Generator, allow_unnormalized: bool) -> None:

@@ -53,7 +53,7 @@ class OrderTolerance:
 
     __slots__ = ("atol", "rtol")
 
-    def __init__(self, atol: float = 1e-9, rtol: float = 1e-12):
+    def __init__(self, atol: float, rtol: float):
         if atol < 0 or rtol < 0:
             raise ValueError("tolerances must be nonnegative")
         self.atol, self.rtol = atol, rtol
@@ -65,7 +65,7 @@ class OrderTolerance:
         )
 
 
-DEFAULT_TOLERANCE = OrderTolerance()
+DEFAULT_TOLERANCE = OrderTolerance(atol=1e-9, rtol=1e-12)
 
 
 def _as_values(values) -> np.ndarray:

@@ -104,6 +104,12 @@ class ShiftScene:
         return np.eye(self.n_points)[::-1].copy()
 
 
+def _scene_json(report) -> dict:
+    """A scene report's fields less its three curves, with the verdict by its value."""
+    fields = {k: v for k, v in report._asdict().items() if k not in ("coords", "lhs", "rhs")}
+    return fields | {"verdict": report.verdict.value}
+
+
 class ShiftExampleReport(NamedTuple):
     t: float
     verdict: Ordering
@@ -117,17 +123,7 @@ class ShiftExampleReport(NamedTuple):
     lhs: np.ndarray
     rhs: np.ndarray
 
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "verdict": self.verdict.value,
-            "argmax_lhs": self.argmax_lhs,
-            "argmax_rhs": self.argmax_rhs,
-            "lhs_at_t": self.lhs_at_t,
-            "rhs_at_t": self.rhs_at_t,
-            "closed_form_defect": self.closed_form_defect,
-            "window": list(self.window),
-        }
+    to_json = _scene_json
 
 
 def _shift_left(values: np.ndarray, k: int) -> np.ndarray:
@@ -227,15 +223,7 @@ class RotationExampleReport(NamedTuple):
     lhs: np.ndarray
     rhs: np.ndarray
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "n_points": self.n_points,
-            "t": self.t,
-            "verdict": self.verdict.value,
-            "identity_function_preserved": self.identity_function_preserved,
-            "closed_form_defect": self.closed_form_defect,
-        }
+    to_json = _scene_json
 
 
 def run_rotation_example(scene: RotationScene) -> RotationExampleReport:

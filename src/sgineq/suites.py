@@ -35,6 +35,7 @@ from .families import (
     NegLogFamily,
     OperatorFamily,
     PowerFamily,
+    _PositiveConeFamily,
     _number,
     family_from_json,
     family_to_json,
@@ -48,7 +49,7 @@ from .jessen import (
     verify_adjoint_pairing,
     verify_jessen,
 )
-from .lattice import LatticeElement, Ordering, OrderTolerance, leq_rows
+from .lattice import DEFAULT_TOLERANCE, LatticeElement, Ordering, OrderTolerance, leq_rows
 from .reporting import CheckEntry, all_passed
 from .semigroup import (
     _AXIOM_TOL,
@@ -125,6 +126,9 @@ _OPTIONS = (
     ("output_dir", lambda v: type(v) is str, "a string"),
 )
 
+# Keys of the config's tolerances object, each with the SuiteConfig field it sets.
+_TOLERANCES = (("atol", "atol"), ("rtol", "rtol"), ("psd", "psd_tol"))
+
 
 class SuiteConfig(NamedTuple):
     generators: list
@@ -133,8 +137,8 @@ class SuiteConfig(NamedTuple):
     p_sets: list
     samples: int = 50
     seed: int = 20240821
-    atol: float = 1e-9
-    rtol: float = 1e-12
+    atol: float = DEFAULT_TOLERANCE.atol
+    rtol: float = DEFAULT_TOLERANCE.rtol
     psd_tol: float = 1e-8
     allow_unnormalized: bool = False
     output_dir: str = "out"
@@ -151,7 +155,7 @@ class SuiteConfig(NamedTuple):
             "p_sets": [list(p) for p in self.p_sets],
             "samples": self.samples,
             "seed": self.seed,
-            "tolerances": {"atol": self.atol, "rtol": self.rtol, "psd": self.psd_tol},
+            "tolerances": {key: getattr(self, name) for key, name in _TOLERANCES},
             "allow_unnormalized": self.allow_unnormalized,
             "output_dir": self.output_dir,
         }
@@ -225,7 +229,7 @@ def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
                 raise ConfigError(f"{key} must be {kind}, got {data[key]!r}")
             options[key] = int(data[key]) if valid is _integral else data[key]
     try:
-        for key, name in (("atol", "atol"), ("rtol", "rtol"), ("psd", "psd_tol")):
+        for key, name in _TOLERANCES:
             if key in tols:
                 if not _number(tols[key]):
                     raise ConfigError(f"tolerances.{key} must be a number, got {tols[key]!r}")
@@ -247,13 +251,15 @@ def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
         raise ConfigError("seed must be nonnegative")
     if not all(math.isfinite(v) and v >= 0 for v in (cfg.atol, cfg.rtol, cfg.psd_tol)):
         raise ConfigError("tolerances atol, rtol and psd must be finite and nonnegative")
-    work = cfg.samples * sum(g.dim for g in generators) * len(families) * len(t_grid)
-    if work > MAX_SAMPLE_WORK:
-        raise ConfigError(
-            f"samples x generator dims x families x times = {work} exceeds the "
-            f"work budget {MAX_SAMPLE_WORK}"
-        )
+    _within_budget("samples x generator dims x families x times",
+                   cfg.samples * sum(g.dim for g in generators) * len(families) * len(t_grid))
     return cfg
+
+
+def _within_budget(what: str, work: int) -> None:
+    """Raise ConfigError, naming ``what``, when ``work`` exceeds MAX_SAMPLE_WORK."""
+    if work > MAX_SAMPLE_WORK:
+        raise ConfigError(f"{what} = {work} exceeds the work budget {MAX_SAMPLE_WORK}")
 
 
 def benchmark_families() -> list[OperatorFamily]:
@@ -272,9 +278,7 @@ def benchmark_families() -> list[OperatorFamily]:
 
 
 def _family_domain_kind(fam: OperatorFamily) -> str:
-    if isinstance(fam, (PowerFamily, NegLogFamily, EntropyFamily)):
-        return "F"
-    return "H"
+    return "F" if isinstance(fam, _PositiveConeFamily) else "H"
 
 
 def random_conservative_generator(rng, max_dim: int = 8, max_norm: float = 5.0,
@@ -645,22 +649,15 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     report: dict = {"config": cfg.to_json(), "suites": {}}
 
-    dims = sorted({g.dim for g in cfg.generators})
-    lat_entries = []
-    for dim in dims:
-        lat_entries.extend(run_lattice_axiom_suite(dim, cfg.samples, int(rng.integers(0, 2 ** 31))))
-    report["suites"]["lattice_axioms"] = {
-        "checks": [e.to_json() for e in lat_entries],
-        "passed": all_passed(lat_entries),
-    }
-
+    lat_entries = [entry for dim in sorted({g.dim for g in cfg.generators})
+                   for entry in run_lattice_axiom_suite(dim, cfg.samples,
+                                                        int(rng.integers(0, 2 ** 31)))]
     semi_entries = run_semigroup_axiom_suite(
         asserted_gens, max(2, cfg.samples // 10), int(rng.integers(0, 2 ** 31))
     )
-    report["suites"]["semigroup_axioms"] = {
-        "checks": [e.to_json() for e in semi_entries],
-        "passed": all_passed(semi_entries),
-    }
+    for name, entries in (("lattice_axioms", lat_entries), ("semigroup_axioms", semi_entries)):
+        report["suites"][name] = {"checks": [e.to_json() for e in entries],
+                                  "passed": all_passed(entries)}
 
     # row group j of a block goes through Z(t_grid[j])
     stacks = _evolved_stacks(asserted_gens, cfg.t_grid)

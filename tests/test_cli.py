@@ -347,6 +347,39 @@ class TestFigure:
         assert not (tmp_path / "o" / "figure_report.json").exists()
 
 
+    @pytest.mark.parametrize("which,flag,values,distinct,stem", [
+        ("1b", "--k", ["90", "90"], ["90"], "figure1b"),
+        ("1a", "--t", ["1.0", "1"], ["1.0"], "figure1a"),
+        ("1b", "--k", ["90", "360", "90"], ["90", "360"], None),
+    ], ids=["k_twice", "t_twice", "k_repeat_among_two"])
+    def test_repeated_value_runs_once(self, tmp_path, capsys, which, flag, values, distinct,
+                                      stem):
+        runs = {}
+        for name, given in (("repeated", values), ("distinct", distinct)):
+            argv = [arg for v in given for arg in (flag, v)]
+            assert cli.main(["figure", which, *argv, "--out", str(tmp_path / name)]) == 0
+            out = tmp_path / name
+            runs[name] = (capsys.readouterr().out,
+                          {p.name: p.read_bytes() for p in out.iterdir()
+                           if p.name != "report_meta.json"})
+        assert runs["repeated"] == runs["distinct"]
+        stdout, files = runs["repeated"]
+        assert len(stdout.splitlines()) == len(distinct)
+        assert len(json.loads(files["figure_report.json"])["cases"]) == len(distinct)
+        if stem is not None:
+            assert sorted(files) == [f"{stem}.csv", f"{stem}.svg", "figure_report.json"]
+
+    def test_circle_size_over_the_work_budget_is_usage_error(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr(suites, "MAX_SAMPLE_WORK", 100)
+        assert cli.main(["figure", "1b", "--n", "101", "--out", str(tmp_path / "o")]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["sgineq: error: --n = 101 exceeds the work budget 100"]
+        assert not (tmp_path / "o").exists()
+        assert cli.main(["figure", "1b", "--n", "100", "--out", str(tmp_path / "o")]) == 0
+
+
 class TestExpconv:
     def test_flag_route_psd_pass(self, tmp_path):
         res = run_cli("expconv", "--p", "2", "4", "--t", "1.0", "--out", "o",
@@ -521,6 +554,39 @@ class TestExpconv:
             assert inst["psd"]["n_xi"] == 7
             assert inst["psd"]["seed"] == 99
             assert inst["gram"]["family_kind"] == "H"
+
+    @pytest.mark.parametrize("n_xi,code", [("3", 64), ("2", 0)], ids=["over", "at"])
+    def test_flag_route_n_xi_over_the_work_budget_is_usage_error(self, tmp_path, capsys,
+                                                                  monkeypatch, n_xi, code):
+        # the screen holds n_xi x 2 exponents x 2 states values
+        monkeypatch.setattr(suites, "MAX_SAMPLE_WORK", 8)
+        out = tmp_path / "o"
+        assert cli.main(["expconv", "--p", "2", "4", "--n-xi", n_xi, "--out", str(out)]) == code
+        if code == 64:
+            assert capsys.readouterr().err.splitlines() == [
+                "sgineq: error: --n-xi x p-set size x generator dim = 12 exceeds the work "
+                "budget 8"]
+            assert not out.exists()
+
+    @pytest.mark.parametrize("n_xi,code", [("2", 64), ("1", 0)], ids=["over", "at"])
+    def test_config_route_n_xi_over_the_work_budget_is_usage_error(self, tmp_path, capsys,
+                                                                    monkeypatch, n_xi, code):
+        # the largest p_set has 3 exponents and the largest generator 3 states
+        cfg = small_config(
+            generators=[{"q": [[-1.0, 1.0], [1.0, -1.0]]},
+                        {"q": [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]]}],
+            families=[{"family": "PowerF", "t": 2.0}], t_grid=[1.0], samples=1,
+            p_sets=[[2.0, 4.0], [2.0, 3.0, 5.0]])
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        monkeypatch.setattr(suites, "MAX_SAMPLE_WORK", 9)
+        out = tmp_path / "o"
+        assert cli.main(["expconv", "--config", str(tmp_path / "cfg.json"), "--n-xi", n_xi,
+                         "--out", str(out)]) == code
+        if code == 64:
+            assert capsys.readouterr().err.splitlines() == [
+                "sgineq: error: --n-xi x p-set size x generator dim = 18 exceeds the work "
+                "budget 9"]
+            assert not out.exists()
 
     def test_flag_route_defaults(self, tmp_path):
         code = cli.main(["expconv", "--p", "2", "4", "--out", str(tmp_path / "o")])

@@ -88,6 +88,12 @@ class TestVerifyJessen:
         assert rep.generator == "benchmark2"
         assert "2" in rep.family
 
+    def test_json_keys_are_the_report_fields(self, bench_gen, bench_f):
+        rep = verify_jessen(bench_gen, PowerFamily(2.0), bench_f, 1.0)
+        doc = rep.to_json()
+        assert set(doc) == set(rep._fields)
+        assert doc["verdict"] == "LEQ" and doc["residual"] == rep.residual.values.tolist()
+
     def test_non_conservative_rejected(self, bench_f):
         drift = validate_generator([[0.0, 1.0], [0.0, 0.0]], name="drift")
         with pytest.raises(NotNormalizedError):

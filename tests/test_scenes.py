@@ -181,3 +181,15 @@ class TestRotationExample:
         rep = run_rotation_example(RotationScene(k=1, n_points=4))
         assert rep.verdict in (Ordering.INCOMPARABLE, Ordering.EQUAL)
         assert rep.closed_form_defect <= 1e-12
+
+
+CURVES = {"coords", "lhs", "rhs"}
+
+
+@pytest.mark.parametrize("report", [run_shift_example(ShiftScene(t=1.0)),
+                                    run_rotation_example(RotationScene(k=90))],
+                         ids=["shift", "rotation"])
+def test_scene_json_keys_are_the_report_fields_less_the_curves(report):
+    doc = report.to_json()
+    assert set(doc) == set(report._fields) - CURVES
+    assert doc["verdict"] == report.verdict.value

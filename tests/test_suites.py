@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sgineq import cli, expconv, jessen, lattice, semigroup, suites
 from sgineq.expconv import ExponentSet, build_gram, check_order_psd
+from sgineq.families import NonPositiveInputError, exp_member, power_member
 from sgineq.cli import DEFAULT_CONFIG
 from sgineq.jessen import DualVector, jessen_sides, verify_adjoint_pairing
 from sgineq.lattice import LatticeElement, Ordering, partial_leq
@@ -352,6 +353,27 @@ def test_bundled_config_is_far_inside_the_work_budget():
     assert cfg.samples * 2 * len(cfg.families) * len(cfg.t_grid) == 2160 < MAX_SAMPLE_WORK
     with pytest.raises(ConfigError, match="work budget"):
         config_from_json(dict(DEFAULT_CONFIG, samples=MAX_SAMPLE_WORK))
+
+
+def test_config_order_band_defaults_are_the_default_tolerance():
+    defaults = SuiteConfig._field_defaults
+    band = lattice.DEFAULT_TOLERANCE
+    assert (defaults["atol"], defaults["rtol"]) == (band.atol, band.rtol)
+
+
+@pytest.mark.parametrize("fam", [
+    *(pytest.param(fam, id=f"benchmark-{fam.label}") for fam in suites.benchmark_families()),
+    *(pytest.param(member(p), id=f"{member.__name__}({p:g})")
+      for member in (power_member, exp_member) for p in (0.0, 1.0, 2.0, -1.0)),
+])
+def test_domain_kind_is_f_exactly_when_zero_is_outside_the_domain(fam):
+    try:
+        fam.check_domain(np.zeros(1))
+    except NonPositiveInputError:
+        rejects_zero = True
+    else:
+        rejects_zero = False
+    assert (suites._family_domain_kind(fam) == "F") == rejects_zero
 
 
 def test_committed_cap_config_sits_at_the_work_budget():
