@@ -136,6 +136,10 @@ def cmd_figure(args, argv) -> int:
 
     started = time.monotonic()
     which = {"shift": "1a", "rotation": "1b"}.get(args.which, args.which)
+    # a flag of the other scene would be ignored, so it is a usage error
+    for flag in ("k", "n") if which == "1a" else ("t",):
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"--{flag} does not apply to figure {args.which}")
     # a repeated value runs once, so the file stem follows the distinct values
     if which == "1a":
         ts = list(dict.fromkeys(args.t)) if args.t else [1.0]
@@ -144,12 +148,13 @@ def cmd_figure(args, argv) -> int:
                            f"1a t={t:g}", partial(ShiftScene, t=t), run_shift_example)
                    for t in ts]
     else:
-        _within_budget("--n", args.n)
+        n = 360 if args.n is None else args.n
+        _within_budget("--n", n)
         ks = list(dict.fromkeys(args.k)) if args.k else [90]
         single = len(ks) == 1
         figures = [_figure("figure1b" if single else f"figure1b_k{k}",
-                           f"rotation scene, k={k}, n={args.n}", f"1b k={k} n={args.n}",
-                           partial(RotationScene, k=k, n_points=args.n), run_rotation_example)
+                           f"rotation scene, k={k}, n={n}", f"1b k={k} n={n}",
+                           partial(RotationScene, k=k, n_points=n), run_rotation_example)
                    for k in ks]
     outdir = _resolve_outdir(args.out)
     for stem, title, line, rep in figures:
@@ -223,7 +228,7 @@ def cmd_expconv(args, argv) -> int:
         f = LatticeElement([4.0, 1.0])
         gram = build_gram(gen, f, args.t, pset)
         rep = check_order_psd(gram, n_xi=args.n_xi, seed=args.seed, tol=args.tol)
-        instances = [(gen, f, gram, rep)]
+        instances = [(gen, f.values, gram, rep)]
 
     results, csv_rows, eig_rows = [], [], []
     all_pass = True
@@ -232,7 +237,7 @@ def cmd_expconv(args, argv) -> int:
         label = gen.name or f"dim{gen.dim}"
         results.append({
             "generator": label,
-            "f": [float(v) for v in f.values],
+            "f": f.tolist(),
             "gram": gram.to_json(),
             "psd": rep.to_json(),
         })
@@ -274,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shift distance for 1a (repeatable; default 1.0)")
     p_fig.add_argument("--k", type=int, action="append",
                        help="rotation steps for 1b (repeatable; default 90)")
-    p_fig.add_argument("--n", type=int, default=360, help="grid points on the circle for 1b")
+    p_fig.add_argument("--n", type=int, help="grid points on the circle for 1b (default 360)")
     p_fig.add_argument("--out", help="output directory (default: out)")
     p_fig.set_defaults(func=cmd_figure)
 

@@ -191,11 +191,11 @@ def build_gram(
     The generator must be conservative.
     """
     _require_normalized(gen, False)
-    return _gram(evolve(gen, t).matrix, f, t, pset)
+    return _gram(evolve(gen, t).matrix, f.values, t, pset)
 
 
-def _gram(z: np.ndarray, f: LatticeElement, t: float, pset: ExponentSet) -> LambdaGram:
-    """``build_gram`` on the evolved K x K matrix Z(t) = ``z``."""
+def _gram(z: np.ndarray, f: np.ndarray, t: float, pset: ExponentSet) -> LambdaGram:
+    """``build_gram`` on the evolved K x K matrix Z(t) = ``z`` and f as an array."""
     kind = pset.family_kind
     n = pset.size
     rows: dict[float, int] = {}
@@ -204,7 +204,7 @@ def _gram(z: np.ndarray, f: LatticeElement, t: float, pset: ExponentSet) -> Lamb
         for j in range(i, n):
             mid = 0.5 * (pi + pset.p[j])
             index[i, j] = index[j, i] = rows.setdefault(mid, len(rows))
-    values = _midpoint_residuals(z, kind, list(rows), f.values)
+    values = _midpoint_residuals(z, kind, list(rows), f)
     entries = values[index]
     entries.setflags(write=False)
 

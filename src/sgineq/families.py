@@ -267,17 +267,20 @@ def exp_member(p: float) -> OperatorFamily:
     return ExpFamily(p)
 
 
+# Wire name -> (family class, attribute of its parameter "t" or None).
+_WIRE_FORMS = {
+    "PowerF": (PowerFamily, "exponent"),
+    "NegLog": (NegLogFamily, None),
+    "Entropy": (EntropyFamily, None),
+    "ExpH": (ExpFamily, "rate"),
+    "HalfSquare": (HalfSquareFamily, None),
+}
+
+
 def family_to_json(fam: OperatorFamily) -> dict:
-    if isinstance(fam, PowerFamily):
-        return {"family": "PowerF", "t": fam.exponent}
-    if isinstance(fam, NegLogFamily):
-        return {"family": "NegLog"}
-    if isinstance(fam, EntropyFamily):
-        return {"family": "Entropy"}
-    if isinstance(fam, ExpFamily):
-        return {"family": "ExpH", "t": fam.rate}
-    if isinstance(fam, HalfSquareFamily):
-        return {"family": "HalfSquare"}
+    for kind, (cls, param) in _WIRE_FORMS.items():
+        if isinstance(fam, cls):
+            return {"family": kind} | ({"t": getattr(fam, param)} if param else {})
     raise ValueError(f"family {fam.label} has no wire form")
 
 
@@ -300,17 +303,11 @@ def family_from_json(data: dict) -> OperatorFamily:
     if not isinstance(data, dict):
         raise TypeError(f"family selector must be a JSON object, got {data!r}")
     kind = data.get("family")
-    if kind == "PowerF":
-        return PowerFamily(_finite_parameter(data))
-    if kind == "NegLog":
-        return NegLogFamily()
-    if kind == "Entropy":
-        return EntropyFamily()
-    if kind == "ExpH":
-        return ExpFamily(_finite_parameter(data))
-    if kind == "HalfSquare":
-        return HalfSquareFamily()
-    raise ValueError(f"unknown family selector {data!r}")
+    # a selector that is not a string names no family, hashable or not
+    if not isinstance(kind, str) or kind not in _WIRE_FORMS:
+        raise ValueError(f"unknown family selector {data!r}")
+    cls, param = _WIRE_FORMS[kind]
+    return cls(_finite_parameter(data)) if param else cls()
 
 
 def log_series(f: LatticeElement) -> LatticeElement:

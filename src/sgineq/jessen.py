@@ -297,12 +297,12 @@ def _adjoint_rows(
     fstars[i] and the element F[i], all (S, K) blocks but the (S, K, K) mats.
 
     The sides of all rows and Z F come from one ``_members_sides`` call, so
-    its checks and their errors are those of the whole block. Every product
-    and pairing is stacked over the rows (a pairing is one dot product), so
-    row i has the bits of the same row checked alone.
+    its checks and their errors are those of the whole block. Z^T f* is
+    ``_stack_act`` of the transposed stack, and every pairing is stacked over
+    the rows (one dot product each), so row i has the bits of that row alone.
     """
     _require_positive_dual(fstars)
-    z_t_fstars = (mats.transpose(0, 2, 1) @ fstars[:, :, None])[..., 0]
+    z_t_fstars = _stack_act(mats.transpose(0, 2, 1), 1, fstars)
     phi_zf, both = _members_sides(partial(_stack_act, mats, 1), [fam], F)
     z_f, z_phi_f = both[:len(F)], both[len(F):]
     # the pairings <Z^T f*, f>, <f*, Z f>, <f*, Z phi(f)>, <f*, phi(Z f)> and

@@ -103,8 +103,8 @@ _STACK_ENTRIES = 2 ** 16
 # Times of the random Jessen and adjoint suites.
 _SUITE_TIMES = (0.1, 1.0, 10.0)
 
-# Sampling boxes of random_domain_element: the positive cone, cut off
-# away from 0, for F-kind families and a symmetric box for H-kind ones.
+# Sampling boxes of the family domains: the positive cone, cut off away
+# from 0, for F-kind families and a symmetric box for H-kind ones.
 _DOMAIN_BOX = {"F": (0.2, 3.0), "H": (-2.0, 2.0)}
 
 
@@ -153,12 +153,8 @@ class SuiteConfig(NamedTuple):
             "families": [family_to_json(f) for f in self.families],
             "t_grid": [float(t) for t in self.t_grid],
             "p_sets": [list(p) for p in self.p_sets],
-            "samples": self.samples,
-            "seed": self.seed,
             "tolerances": {key: getattr(self, name) for key, name in _TOLERANCES},
-            "allow_unnormalized": self.allow_unnormalized,
-            "output_dir": self.output_dir,
-        }
+        } | {key: getattr(self, key) for key, *_ in _OPTIONS}
 
 
 def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
@@ -314,8 +310,7 @@ def random_positive_generator(rng, max_dim: int = 8, max_norm: float = 5.0,
 
 def random_domain_element(rng, dim: int, kind: str) -> LatticeElement:
     """Sample inside the family domain: positive cone for F, a box for H."""
-    low, high = _DOMAIN_BOX[kind]
-    return LatticeElement(rng.uniform(low, high, size=dim))
+    return LatticeElement(rng.uniform(*_DOMAIN_BOX[kind], size=dim))
 
 
 def _random_dual(rng, dim: int) -> np.ndarray:
@@ -396,6 +391,18 @@ def run_semigroup_axiom_suite(generators, samples: int, seed: int) -> list[Check
     return entries
 
 
+def _random_cases(n_cases: int, rng):
+    """The (generator, family, t, f) cases of criteria 1 and 3, each drawn
+    from ``rng`` in that order, f in the domain of the family; a caller may
+    draw more from ``rng`` before it takes the next case."""
+    families = benchmark_families()
+    for _ in range(n_cases):
+        gen = random_conservative_generator(rng)
+        fam = families[int(rng.integers(0, len(families)))]
+        t = _SUITE_TIMES[int(rng.integers(0, len(_SUITE_TIMES)))]
+        yield gen, fam, t, random_domain_element(rng, gen.dim, _family_domain_kind(fam))
+
+
 class JessenSuiteResult(NamedTuple):
     cases: list
     min_slack: float
@@ -415,15 +422,9 @@ def run_jessen_random_suite(n_cases: int, seed: int) -> JessenSuiteResult:
     minimal slack drops below -1e-9 * (1 + ||residual||); only failed
     cases are kept.
     """
-    rng = np.random.default_rng(seed)
-    families = benchmark_families()
     cases = []
     min_slack = worst_scaled = float("inf")
-    for _ in range(n_cases):
-        gen = random_conservative_generator(rng)
-        fam = families[int(rng.integers(0, len(families)))]
-        t = _SUITE_TIMES[int(rng.integers(0, len(_SUITE_TIMES)))]
-        f = random_domain_element(rng, gen.dim, _family_domain_kind(fam))
+    for gen, fam, t, f in _random_cases(n_cases, np.random.default_rng(seed)):
         report = verify_jessen(gen, fam, f, t)
         floor = float(_slack_floor(report.residual.values))
         ok = report.verdict in (Ordering.LEQ, Ordering.EQUAL) and report.min_slack >= floor
@@ -474,16 +475,11 @@ def run_adjoint_random_suite(n_cases: int, seed: int) -> AdjointSuiteResult:
     """Transpose identity and weak-form gap over random triples; the
     weak gap must also match the residual pairing within 1e-10."""
     rng = np.random.default_rng(seed)
-    families = benchmark_families()
     worst_tr = 0.0
     worst_gap = float("inf")
     worst_cons = 0.0
     failures = 0
-    for _ in range(n_cases):
-        gen = random_conservative_generator(rng)
-        fam = families[int(rng.integers(0, len(families)))]
-        t = _SUITE_TIMES[int(rng.integers(0, len(_SUITE_TIMES)))]
-        f = random_domain_element(rng, gen.dim, _family_domain_kind(fam))
+    for gen, fam, t, f in _random_cases(n_cases, rng):
         rep = verify_adjoint_pairing(gen, fam, DualVector(_random_dual(rng, gen.dim)), f, t)
         worst_tr = max(worst_tr, rep.transpose_defect)
         worst_gap = min(worst_gap, rep.weak_gap)
@@ -610,7 +606,7 @@ def _evolved_stacks(gens, t_grid) -> list[np.ndarray]:
 
 def _gram_suite(cfg: SuiteConfig, gens, stacks, psets, rng, n_xi: int, xi_seed: int | None = None):
     """(generator, f, gram, report) per generator, p_set and nonzero t, in that
-    order: f drawn from ``rng`` in the F domain, the Gram from Z(t) in
+    order: f drawn from ``rng`` as an array in the F domain, the Gram from Z(t) in
     ``stacks``, and ``check_order_psd`` on ``n_xi`` forms from the seed
     ``xi_seed``, or one drawn from ``rng`` after f when None."""
     for gen, mats in zip(gens, stacks):
@@ -618,7 +614,7 @@ def _gram_suite(cfg: SuiteConfig, gens, stacks, psets, rng, n_xi: int, xi_seed: 
             for t, z in zip(cfg.t_grid, mats):
                 if t == 0.0:
                     continue
-                f = random_domain_element(rng, gen.dim, "F")
+                f = rng.uniform(*_DOMAIN_BOX["F"], size=gen.dim)
                 gram = _gram(z, f, t, pset)
                 seed = int(rng.integers(0, 2 ** 31)) if xi_seed is None else xi_seed
                 yield gen, f, gram, check_order_psd(gram, n_xi=n_xi, seed=seed, tol=cfg.psd_tol)
@@ -697,7 +693,7 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
             kind = _family_domain_kind(fam)
             fs, duals = [], []
             for _ in cfg.t_grid:
-                fs.append(random_domain_element(rng, gen.dim, kind).values[None])
+                fs.append(rng.uniform(*_DOMAIN_BOX[kind], size=(1, gen.dim)))
                 duals.append(_random_dual(rng, gen.dim)[None])
             reps = _by_groups(lambda m, D, F: _adjoint_rows(m, fam, D, F), mats, duals, fs)
             for rep in reps:

@@ -180,6 +180,16 @@ class TestVerify:
         assert "Traceback" not in res.stderr
         assert not (tmp_path / "o" / "report.json").exists()
 
+    @pytest.mark.parametrize("selector", [{"family": []}, {"family": 3}, {}],
+                             ids=["list", "number", "missing"])
+    def test_selector_that_names_no_family_is_usage_error(self, tmp_path, capsys, selector):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(small_config(families=[selector])))
+        assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 64
+        assert capsys.readouterr().err.splitlines() == [
+            f"sgineq: error: bad family selector: unknown family selector {selector!r}"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("field,value", [
         ("allow_unnormalized", "false"), ("allow_unnormalized", "no"),
         ("allow_unnormalized", 0.5), ("allow_unnormalized", 1),
@@ -378,6 +388,42 @@ class TestFigure:
         assert captured.err.splitlines() == ["sgineq: error: --n = 101 exceeds the work budget 100"]
         assert not (tmp_path / "o").exists()
         assert cli.main(["figure", "1b", "--n", "100", "--out", str(tmp_path / "o")]) == 0
+
+
+    @pytest.mark.parametrize("which,flags,named", [
+        ("1a", ["--k", "5"], "--k"), ("1a", ["--n", "7"], "--n"),
+        ("1a", ["--k", "5", "--n", "7"], "--k"), ("1b", ["--t", "3.0"], "--t"),
+        ("shift", ["--k", "5"], "--k"), ("shift", ["--n", "7"], "--n"),
+        ("shift", ["--k", "5", "--n", "7"], "--k"), ("rotation", ["--t", "3.0"], "--t"),
+    ])
+    def test_flag_of_the_other_scene_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                    which, flags, named):
+        from sgineq import scenes
+
+        def never(**kwargs):
+            raise AssertionError("a scene was built")
+
+        for name in ("ShiftScene", "RotationScene"):
+            monkeypatch.setattr(scenes, name, never)
+        assert cli.main(["figure", which, *flags, "--out", str(tmp_path / "o")]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"sgineq: error: {named} does not apply to figure {which}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_circle_size_360_is_the_default(self, tmp_path, capsys):
+        runs = []
+        for name, flags in (("default", []), ("given", ["--n", "360"])):
+            assert cli.main(["figure", "1b", *flags, "--out", str(tmp_path / name)]) == 0
+            runs.append((capsys.readouterr().out,
+                         {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()
+                          if p.name != "report_meta.json"}))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == "1b k=90 n=360 verdict=INCOMPARABLE\n"
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["figure", "--help"])
+        assert stop.value.code == 0 and "default 360" in capsys.readouterr().out
 
 
 class TestExpconv:

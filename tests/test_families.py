@@ -145,6 +145,13 @@ class TestDispatch:
         with pytest.raises((KeyError, ValueError)):
             family_from_json({"family": "Mystery"})
 
+    @pytest.mark.parametrize("data", [{"family": []}, {"family": 3}, {}],
+                             ids=["list", "number", "missing"])
+    def test_selector_that_names_no_family(self, data):
+        # an unhashable selector is unknown too, not a TypeError of the lookup
+        with pytest.raises(ValueError, match=r"^unknown family selector"):
+            family_from_json(data)
+
 
 class TestLogSeries:
     def test_at_unit(self):

@@ -29,7 +29,7 @@ from sgineq.jessen import (
 )
 from sgineq.lattice import DEFAULT_TOLERANCE, LatticeElement, Ordering
 from sgineq.semigroup import SemigroupOperator, _stack_act, act, evolve, validate_generator
-from sgineq import suites
+from sgineq import jessen, suites
 from sgineq.suites import (
     benchmark_families,
     random_conservative_generator,
@@ -262,6 +262,32 @@ class TestRowKernels:
                 want = single_row_adjoint(op.matrix, fam.value, fstar, f)
                 assert bits(rep) == bits(single) == bits(want)
                 assert rep[4:] == want[4:]
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_adjoint_rows_take_the_transpose_product_from_the_row_kernel(self, monkeypatch, dim):
+        # Z^T f* is one _stack_act call on the transposed stack, whose rows
+        # carry the bits of the plain stacked product
+        calls = []
+
+        def spy(mats, rows, F):
+            calls.append((mats, rows, F, _stack_act(mats, rows, F)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(jessen, "_stack_act", spy)
+        rng = np.random.default_rng(40 + dim)
+        for _ in range(20):
+            gen = random_conservative_generator(rng, max_dim=dim, min_dim=dim)
+            ts = rng.choice([0.0, 0.1, 0.5, 1.0, 10.0], size=int(rng.integers(1, 6)))
+            mats = np.stack([evolve(gen, float(t)).matrix for t in ts])
+            raw = rng.uniform(0.0, 1.0, size=(len(ts), dim))
+            fstars = raw / raw.sum(axis=1, keepdims=True)
+            F = rng.uniform(-2.0, 2.0, size=(len(ts), dim))
+            calls.clear()
+            _adjoint_rows(mats, HalfSquareFamily(), fstars, F)
+            [(got_mats, rows, _, got)] = [call for call in calls if call[2] is fstars]
+            assert rows == 1 and np.array_equal(got_mats, mats.transpose(0, 2, 1))
+            want = (mats.transpose(0, 2, 1) @ fstars[:, :, None])[..., 0]
+            assert bits(got.ravel()) == bits(want.ravel())
 
     def test_adjoint_rows_reject_a_negative_dual_in_any_row(self, bench_gen):
         op = evolve(bench_gen, 1.0)

@@ -561,6 +561,43 @@ def test_bundled_suite_evolve_many_operators_match_expm(monkeypatch):
             assert np.max(np.abs(z - scipy.linalg.expm(t * gen.q))) <= 1e-13
 
 
+def test_bundled_verify_builds_nineteen_lattice_elements(monkeypatch):
+    # 18 in the lattice-axiom suite, whose subject they are, and the f of the
+    # semigroup-axiom checks; the Jessen, adjoint and Gram samples stay arrays
+    built = []
+    real_init = lattice.LatticeElement.__init__
+
+    def spy(self, values):
+        built.append(values)
+        real_init(self, values)
+
+    monkeypatch.setattr(lattice.LatticeElement, "__init__", spy)
+    run_config_verification(config_from_json(DEFAULT_CONFIG))
+    assert len(built) == 19
+
+
+def test_bundled_verify_draws_no_domain_element(monkeypatch):
+    drawn = []
+    real_draw = suites.random_domain_element
+    monkeypatch.setattr(suites, "random_domain_element",
+                        lambda *args: drawn.append(args) or real_draw(*args))
+    run_config_verification(config_from_json(DEFAULT_CONFIG))
+    assert drawn == []
+
+
+def test_config_json_keys_are_the_fields_and_options_and_round_trip():
+    cfg = config_from_json(dict(THREE_STATE, allow_unnormalized=True, output_dir="elsewhere",
+                                tolerances={"atol": 1e-8, "rtol": 1e-11, "psd": 1e-7}))
+    data = cfg.to_json()
+    required = [name for name in SuiteConfig._fields if name not in SuiteConfig._field_defaults]
+    assert sorted(data) == sorted([*required, "tolerances", *(key for key, *_ in suites._OPTIONS)])
+    back = config_from_json(data)
+    assert back.to_json() == data
+    # generators and families have no value equality; their JSON is compared above
+    objects = dict(generators=None, families=None)
+    assert back._replace(**objects) == cfg._replace(**objects)
+
+
 def test_bundled_verify_evolves_four_distinct_pairs(monkeypatch):
     # the stacks of the three grid times and the positivity check at t = 0.7;
     # evolve_many, which calls evolve only to replay a failure, adds none
