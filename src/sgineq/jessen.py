@@ -133,18 +133,20 @@ def _members_sides(
     F: np.ndarray,
     where: list[str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """phi_m(Z f) for every member phi_m of ``fams`` and every row f of an
-    (S, K) block ``F``, and the acted block [Z F; Z phi_1(F); ...; Z phi_M(F)].
+    """phi_m(Z f) for every member phi_m of ``fams`` and every row f of its
+    block, and the acted block [Z F; Z phi_1(F_1); ...; Z phi_M(F_M)].
 
-    ``apply`` maps an (N, K) block to the block of its rows under Z(t):
-    ``semigroup._stack_act`` bound to a stack of evolved matrices, or
-    ``semigroup.act`` bound to a generator and a time, which never forms
-    Z(t). It is called once, on [F; phi_1(F); ...; phi_M(F)], and its
-    result is returned as it is. The first result is an (M S, K) block in
-    member order, for one member a view of phi(Z F).
+    ``F`` is one (S, K) block that every member takes (F_m = F), or an
+    (M, S, K) array of one block F_m per member, whose Z F is then the
+    (M S, K) block of all of them. ``apply`` maps an (N, K) block to the
+    block of its rows under Z(t): ``semigroup._stack_act`` bound to a stack
+    of evolved matrices, or ``semigroup.act`` bound to a generator and a
+    time, which never forms Z(t). It is called once, on [F; phi_1(F_1); ...;
+    phi_M(F_M)], and its result is returned as it is. The first result is an
+    (M S, K) block in member order, for one member a view of phi(Z F).
 
-    Checks, in order: F in the domain, finite phi_m(F), Z F in the
-    domain, finite phi_m(Z F), finite Z phi_m(F). Each runs over all
+    Checks, in order: F_m in the domain, finite phi_m(F_m), Z F_m in the
+    domain, finite phi_m(Z F_m), finite Z phi_m(F_m). Each runs over all
     members before the next, so the error raised is that of the first
     member to fail the earliest check. With ``where``, its message is
     rewritten to begin with ``where[m]`` and the error itself re-raised,
@@ -167,21 +169,28 @@ def _members_sides(
             rows = rows.reshape(len(fams), -1)
             each(lambda m, fam: _require_finite(fam, rows[m]))
 
-    S, K = F.shape
-    flat = F.ravel()
-    # an overflow is reported by _require_finite, naming the family
-    with np.errstate(over="ignore", invalid="ignore"):
-        each(lambda m, fam: fam.check_domain(flat))
-        block = np.concatenate((flat, *[fam.value(flat) for fam in fams])).reshape(-1, K)
-        finite(block[S:])
+    def members(rows):
+        # the entries of each member's rows as one vector: of its own block,
+        # or of the one block all members share
+        return list(rows.reshape(len(fams), -1)) if F.ndim == 3 else [rows.ravel()] * len(fams)
+
+    K = F.shape[-1]
+    n = F.size // K
+    # an overflow or a division by zero is reported by _require_finite, naming the family
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        xs = members(F)
+        each(lambda m, fam: fam.check_domain(xs[m]))
+        block = np.concatenate((F.ravel(), *[fam.value(x) for fam, x in zip(fams, xs)]))
+        block = block.reshape(-1, K)
+        finite(block[n:])
         both = apply(block)
-        zf = both[:S].ravel()
-        each(lambda m, fam: fam.check_domain(zf))
-        values = [fam.value(zf) for fam in fams]
+        zfs = members(both[:n])
+        each(lambda m, fam: fam.check_domain(zfs[m]))
+        values = [fam.value(zf) for fam, zf in zip(fams, zfs)]
         # one member's values are used as they are: no copy on that path
         phi_zf = (values[0] if len(fams) == 1 else np.concatenate(values)).reshape(-1, K)
         finite(phi_zf)
-        finite(both[S:])
+        finite(both[n:])
     return phi_zf, both
 
 
@@ -287,14 +296,16 @@ def adjoint_pairing(
     A positive dual is required. The transpose defect passes at 1e-12
     and the gap at -1e-9. This is ``_adjoint_rows`` on one row.
     """
-    return _adjoint_rows(op.matrix[None], fam, fstar.values[None], f.values[None])[0]
+    return _adjoint_rows(op.matrix[None], [fam], fstar.values[None], f.values[None])[0]
 
 
 def _adjoint_rows(
-    mats: np.ndarray, fam: OperatorFamily, fstars: np.ndarray, F: np.ndarray
+    mats: np.ndarray, fams: list[OperatorFamily], fstars: np.ndarray, F: np.ndarray
 ) -> list[AdjointPairingReport]:
-    """``adjoint_pairing`` of every row i, with Z(t) = mats[i], the dual
-    fstars[i] and the element F[i], all (S, K) blocks but the (S, K, K) mats.
+    """``adjoint_pairing`` of every row i, with Z(t) = mats[i % G], the dual
+    fstars[i] and the element F[i], all (M G, K) blocks but the (G, K, K)
+    mats, and the family fams[i // G]: rows m G to (m + 1) G are those of
+    member m.
 
     The sides of all rows and Z F come from one ``_members_sides`` call, so
     its checks and their errors are those of the whole block. Z^T f* is
@@ -303,7 +314,8 @@ def _adjoint_rows(
     """
     _require_positive_dual(fstars)
     z_t_fstars = _stack_act(mats.transpose(0, 2, 1), 1, fstars)
-    phi_zf, both = _members_sides(partial(_stack_act, mats, 1), [fam], F)
+    phi_zf, both = _members_sides(partial(_stack_act, mats, 1), fams,
+                                  F.reshape(len(fams), -1, F.shape[-1]))
     z_f, z_phi_f = both[:len(F)], both[len(F):]
     # the pairings <Z^T f*, f>, <f*, Z f>, <f*, Z phi(f)>, <f*, phi(Z f)> and
     # <f*, residual> of every row, one stacked product

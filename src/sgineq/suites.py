@@ -44,8 +44,8 @@ from .jessen import (
     DualVector,
     NotNormalizedError,
     _adjoint_rows,
+    _members_sides,
     jessen_report,
-    jessen_sides,
     verify_adjoint_pairing,
     verify_jessen,
 )
@@ -55,9 +55,10 @@ from .semigroup import (
     _AXIOM_TOL,
     Generator,
     NotSquareError,
+    _axiom_entries,
+    _axiom_times,
+    _positivity_entries,
     _stack_act,
-    check_positivity_and_normalization,
-    check_semigroup_axioms,
     evolve,
     evolve_many,
     generator_from_json,
@@ -91,9 +92,10 @@ __all__ = [
 
 # Cap on samples x (sum of generator dims) x families x times, the number
 # of sampled coordinates in verify's Jessen blocks. A block holds the
-# samples x len(t_grid) rows of one generator and family, so the cap bounds
-# its memory. At the cap, one 2-state generator with one family and one time
-# verifies in 3.9-4.8 s on a shared 2-vCPU machine. The bundled config uses 2160.
+# samples x len(t_grid) rows of every family of one generator, so the cap
+# still bounds its memory. At the cap, configs/at_sample_cap.json (one 2-state
+# generator, one family, one time) verifies in 3.7-3.8 s on a shared 2-vCPU
+# machine. The bundled config uses 2160.
 MAX_SAMPLE_WORK = 2_000_000
 
 # Matrix entries per evolve_many stack in the semigroup-axiom suite, which
@@ -157,6 +159,11 @@ class SuiteConfig(NamedTuple):
         } | {key: getattr(self, key) for key, *_ in _OPTIONS}
 
 
+# Keys of a config object: those ``SuiteConfig.to_json`` writes.
+_CONFIG_KEYS = (*(name for name in SuiteConfig._fields if name not in SuiteConfig._field_defaults),
+                "tolerances", *(key for key, *_ in _OPTIONS))
+
+
 def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
     """Build a SuiteConfig from a plain JSON object.
 
@@ -168,6 +175,7 @@ def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
+    _known_keys("config", data, _CONFIG_KEYS)
     try:
         raw_gens = data["generators"]
         raw_fams = data["families"]
@@ -204,10 +212,17 @@ def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
                 item = json.loads(ref.read_text())
             except (OSError, ValueError) as err:
                 raise ConfigError(f"cannot read generator ref {item!r}: {err}") from err
+        # failed cases and Gram records name their generator, so a name must be one
+        if isinstance(item, dict) and "name" in item and type(item["name"]) is not str:
+            raise ConfigError(f"generator name must be a string, got {item['name']!r}")
         try:
             generators.append(generator_from_json(item))
         except (KeyError, TypeError, ValueError, NotSquareError) as err:
             raise ConfigError(f"bad generator entry: {err}") from err
+    names = [g.name for g in generators if g.name is not None]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"generator name {name!r} is given more than once")
 
     try:
         families = [family_from_json(f) for f in raw_fams]
@@ -217,6 +232,7 @@ def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
     tols = data.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ConfigError("tolerances must be a JSON object")
+    _known_keys("tolerances", tols, (key for key, _ in _TOLERANCES))
     # only the fields the config sets are passed, so SuiteConfig holds every default
     options = {}
     for key, valid, kind in _OPTIONS:
@@ -250,6 +266,15 @@ def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
     _within_budget("samples x generator dims x families x times",
                    cfg.samples * sum(g.dim for g in generators) * len(families) * len(t_grid))
     return cfg
+
+
+def _known_keys(where: str, data: dict, known) -> None:
+    """Raise ConfigError naming the first key of ``data`` not in ``known``;
+    such a key, a misspelled field say, would otherwise be ignored."""
+    known = set(known)
+    for key in data:
+        if key not in known:
+            raise ConfigError(f"unknown {where} key {key!r}")
 
 
 def _within_budget(what: str, work: int) -> None:
@@ -361,33 +386,41 @@ def run_lattice_axiom_suite(dim: int, samples: int, seed: int) -> list[CheckEntr
 def run_semigroup_axiom_suite(generators, samples: int, seed: int) -> list[CheckEntry]:
     """Axioms and positivity structure for each supplied generator, within 1e-10.
 
-    The sampled (s, t, s + t) triples are evolved and reduced in stacked chunks.
+    The sampled (s, t, s + t) triples are evolved and reduced in stacked
+    chunks. The times of ``check_semigroup_axioms`` at s = 0.4, t = 1.1 and
+    of ``check_positivity_and_normalization`` at t = 0.7 ride in the last
+    chunk, so a generator's chunks are its only evolutions.
     """
     rng = np.random.default_rng(seed)
     tol = _AXIOM_TOL
+    fixed = [*_axiom_times(0.4, 1.1), 0.7]
     entries = []
     for gen in generators:
         label = gen.name or f"dim{gen.dim}"
         worst_law = worst_neg = worst_norm = 0.0
-        # one (s, t) row per sample, in the order of one draw of s then t
+        # one (s, t) row per sample, in the order of one draw of s then t, then f
         pairs = rng.uniform(0.0, 2.5, size=(samples, 2))
+        f = LatticeElement(rng.uniform(-1.0, 2.0, size=gen.dim))
         chunk = max(1, _STACK_ENTRIES // (3 * gen.dim ** 2))
-        for lo in range(0, samples, chunk):
+        # with no samples the one chunk holds the fixed times alone
+        for lo in range(0, max(samples, 1), chunk):
             s, t = pairs[lo:lo + chunk].T
-            z = evolve_many(gen, np.column_stack([s, t, s + t]).ravel().tolist())
-            z = z.reshape(-1, 3, gen.dim, gen.dim)
-            zs, zt, zst = z.swapaxes(0, 1)
-            worst_law = max(worst_law, float(np.max(np.abs(zs @ zt - zst))))
-            worst_neg = max(worst_neg, float(-np.min(zst)))
-            if gen.conservative:
-                worst_norm = max(worst_norm, float(np.max(np.abs(zst.sum(axis=-1) - 1.0))))
+            n = 3 * len(s)
+            last = lo + chunk >= samples
+            z = evolve_many(gen, np.column_stack([s, t, s + t]).ravel().tolist()
+                            + (fixed if last else []))
+            if n:
+                zs, zt, zst = z[:n].reshape(-1, 3, gen.dim, gen.dim).swapaxes(0, 1)
+                worst_law = max(worst_law, float(np.max(np.abs(zs @ zt - zst))))
+                worst_neg = max(worst_neg, float(-np.min(zst)))
+                if gen.conservative:
+                    worst_norm = max(worst_norm, float(np.max(np.abs(zst.sum(axis=-1) - 1.0))))
         entries.append(CheckEntry(f"{label}:composition", worst_law <= tol, worst_law, tol))
         entries.append(CheckEntry(f"{label}:nonnegativity", worst_neg <= 0.0, worst_neg, 0.0))
         if gen.conservative:
             entries.append(CheckEntry(f"{label}:normalization", worst_norm <= tol, worst_norm, tol))
-        f = LatticeElement(rng.uniform(-1.0, 2.0, size=gen.dim))
-        entries.extend(check_semigroup_axioms(gen, 0.4, 1.1, f=f))
-        entries.extend(check_positivity_and_normalization(gen, 0.7, f))
+        entries.extend(_axiom_entries(z[n:-1], f))
+        entries.extend(_positivity_entries(z[-1], f))
     return entries
 
 
@@ -569,18 +602,23 @@ def run_midpoint_equivalence_suite(n_instances: int, seed: int) -> dict:
     return {"instances": n_instances, "max_defect": worst, "pass": passed}
 
 
-def _by_groups(kernel, mats: np.ndarray, *blocks):
-    """``kernel`` on the stack ``mats`` and the per-group arrays of each of
-    ``blocks``, joined along the rows. Should it raise, it runs group by
-    group and raises the first group's error, whose message (such as the
-    worst exponent argument of ``ExpFamily``) a loop over the groups gives.
+def _by_groups(kernel, mats: np.ndarray, fams, *blocks):
+    """``kernel(mats, fams, *arrays)`` on every member of ``fams`` and every
+    group, a matrix of the stack ``mats``, at once: each of ``blocks`` holds,
+    per member, the arrays of its groups, and is passed joined along the
+    rows, member by member. Should it raise, it runs member by member and
+    group by group and raises the first error, whose message (such as the
+    worst exponent argument of ``ExpFamily``) a loop over the members and
+    the groups gives.
     """
     try:
-        return kernel(mats, *(np.concatenate(parts) for parts in blocks))
+        return kernel(mats, fams, *(np.concatenate([a for parts in member for a in parts])
+                                    for member in blocks))
     except Exception as err:
         error = err
-    for g in range(len(mats)):
-        kernel(mats[g:g + 1], *(parts[g] for parts in blocks))
+    for m, fam in enumerate(fams):
+        for g in range(len(mats)):
+            kernel(mats[g:g + 1], [fam], *(member[m][g] for member in blocks))
     raise error
 
 
@@ -626,13 +664,15 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
     Non-conservative generators in the config are rejected unless the
     override is set, in which case their results go to ``observed``.
     Z(t) is evolved once per (generator, t), and the Jessen, adjoint and
-    Gram suites share its matrix. The Jessen samples of each (generator,
-    family) are drawn time by time, in the order of a loop over t_grid,
-    and checked as one block of samples x len(t_grid) rows, the rows of
-    time t through Z(t); the adjoint samples of each (generator, family)
-    likewise, one row per time. Failed cases are reported in (family, t,
-    row) order. Should a block fail a check, its times are checked again
-    one by one, so that the error raised is that of the first time to fail.
+    Gram suites share its matrix. The Jessen samples of each generator are
+    drawn family by family and time by time, in the order of a loop over
+    the families and t_grid, and checked as one block, the samples x
+    len(t_grid) rows of each family in turn, the rows of time t through
+    Z(t); the adjoint samples of each generator likewise, one row per
+    family and time. Failed cases are reported in (family, t, row) order.
+    Should a block fail a check, its families are checked again one by one,
+    and the first family to fail time by time, so that the error raised is
+    that of the first family and time to fail.
     A Jessen sample passes when its verdict is LEQ or EQUAL and its min
     slack clears the floor -1e-9 * (1 + ||residual||), the rule of
     ``run_jessen_random_suite``; an adjoint sample passes by
@@ -661,21 +701,23 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
 
     jessen_cases = []
     min_slack = float("inf")
+    rows = cfg.samples * len(cfg.t_grid)
     for gen, mats in zip(asserted_gens, stacks):
-        for fam in cfg.families:
-            low, high = _DOMAIN_BOX[_family_domain_kind(fam)]
-            blocks = [rng.uniform(low, high, size=(cfg.samples, gen.dim)) for _ in cfg.t_grid]
-            phi_zf, z_phi_f = _by_groups(
-                lambda m, F: jessen_sides(partial(_stack_act, m, cfg.samples), fam, F),
-                mats, blocks)
-            residual = z_phi_f - phi_zf
-            slack = residual.min(axis=1)
-            ok = leq_rows(phi_zf, z_phi_f, tol) & (slack >= _slack_floor(residual))
-            min_slack = min(min_slack, float(slack.min()))
-            for i in np.flatnonzero(~ok):
-                t = cfg.t_grid[i // cfg.samples]
-                rep = jessen_report(phi_zf[i], z_phi_f[i], tol, t, fam, gen)
-                jessen_cases.append(rep.to_json())
+        # per family, its block of each time, drawn time by time
+        blocks = [[rng.uniform(*_DOMAIN_BOX[_family_domain_kind(fam)], size=(cfg.samples, gen.dim))
+                   for _ in cfg.t_grid] for fam in cfg.families]
+        phi_zf, both = _by_groups(
+            lambda m, fams, F: _members_sides(partial(_stack_act, m, cfg.samples), fams,
+                                             F.reshape(len(fams), -1, gen.dim)),
+            mats, cfg.families, blocks)
+        z_phi_f = both[len(phi_zf):]
+        residual = z_phi_f - phi_zf
+        slack = residual.min(axis=1)
+        ok = leq_rows(phi_zf, z_phi_f, tol) & (slack >= _slack_floor(residual))
+        min_slack = min(min_slack, float(slack.min()))
+        for i in np.flatnonzero(~ok):
+            fam, t = cfg.families[i // rows], cfg.t_grid[i % rows // cfg.samples]
+            jessen_cases.append(jessen_report(phi_zf[i], z_phi_f[i], tol, t, fam, gen).to_json())
     report["suites"]["jessen"] = {
         "aggregate": {
             "min_slack": min_slack if min_slack != float("inf") else None,
@@ -689,18 +731,19 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
     adj_worst_gap = float("inf")
     adj_failures = 0
     for gen, mats in zip(asserted_gens, stacks):
+        # per family, an element and a dual of each time, drawn time by time
+        fs, duals = [], []
         for fam in cfg.families:
-            kind = _family_domain_kind(fam)
-            fs, duals = [], []
-            for _ in cfg.t_grid:
-                fs.append(rng.uniform(*_DOMAIN_BOX[kind], size=(1, gen.dim)))
-                duals.append(_random_dual(rng, gen.dim)[None])
-            reps = _by_groups(lambda m, D, F: _adjoint_rows(m, fam, D, F), mats, duals, fs)
-            for rep in reps:
-                adj_worst_tr = max(adj_worst_tr, rep.transpose_defect)
-                adj_worst_gap = min(adj_worst_gap, rep.weak_gap)
-                if not rep.passed:
-                    adj_failures += 1
+            low, high = _DOMAIN_BOX[_family_domain_kind(fam)]
+            pairs = [(rng.uniform(low, high, size=(1, gen.dim)), _random_dual(rng, gen.dim)[None])
+                     for _ in cfg.t_grid]
+            fs.append([f for f, _ in pairs])
+            duals.append([d for _, d in pairs])
+        for rep in _by_groups(_adjoint_rows, mats, cfg.families, duals, fs):
+            adj_worst_tr = max(adj_worst_tr, rep.transpose_defect)
+            adj_worst_gap = min(adj_worst_gap, rep.weak_gap)
+            if not rep.passed:
+                adj_failures += 1
     report["suites"]["adjoint"] = {
         "aggregate": {
             "max_transpose_defect": adj_worst_tr,

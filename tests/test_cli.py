@@ -231,6 +231,31 @@ class TestVerify:
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "o" / "report.json").exists()
 
+    @pytest.mark.parametrize("overrides,named", [
+        ({"sampels": 5}, "unknown config key 'sampels'"),
+        ({"tolerances": {"atol": 1e-9, "ratol": 1.0}}, "unknown tolerances key 'ratol'"),
+        ({"generators": [{"q": [[-1.0, 1.0], [1.0, -1.0]], "name": 5}]}, "name must be a string"),
+        ({"generators": [{"q": [[-1.0, 1.0], [1.0, -1.0]], "name": None}]}, "name must be a string"),
+        ({"generators": [{"q": [[-1.0, 1.0], [1.0, -1.0]], "name": "b"},
+                         {"q": [[-2.0, 2.0], [1.0, -1.0]], "name": "b"}]},
+         "name 'b' is given more than once"),
+    ], ids=["top_level_key", "tolerances_key", "name_number", "name_null", "name_twice"])
+    def test_unknown_key_or_bad_generator_name_is_usage_error(self, tmp_path, capsys, overrides,
+                                                              named):
+        # an unknown key would be ignored, and a witness names its generator
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(small_config(**overrides)))
+        assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 64
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_unnamed_generators_stay_allowed(self, tmp_path):
+        gens = [{"q": [[-1.0, 1.0], [1.0, -1.0]]}, {"q": [[-2.0, 2.0], [1.0, -1.0]]}]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(small_config(generators=gens)))
+        assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 0
+
     def test_integral_float_fields_are_taken_as_ints(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(small_config(samples=3.0, seed=99.0, allow_unnormalized=False)))
@@ -288,6 +313,22 @@ class TestVerify:
         assert (tmp_path / "o" / "report.json").exists() == (code == 0)
         if code:
             assert "double range" in err
+
+    @pytest.mark.parametrize("name,message", [
+        ("norm_overflow", "t*||Q|| = inf exceeds the cap"),
+        ("row_sum_overflow", "t*||Q|| = inf exceeds the cap"),
+        ("exp_rate_underflow", "ExpH(1e-300): phi(f), phi(Z f) and Z phi(f) must have finite"),
+    ], ids=["norm_overflow", "row_sum_overflow", "exp_rate_underflow"])
+    def test_overflow_configs_are_usage_errors_under_warnings_as_errors(self, tmp_path, name,
+                                                                        message):
+        # ||Q|| beyond double range, formed from finite row sums or from a row
+        # sum that itself overflows, and an ExpH rate whose square underflows
+        # to 0: each is a usage error with no warning escaping numpy's error state
+        res = run_cli("verify", "--config", str(CONFIG_DIR / f"{name}.json"), "--out", "o",
+                      cwd=tmp_path, env_extra={"PYTHONWARNINGS": "error"})
+        assert res.returncode == 64, res.stderr
+        assert message in res.stderr and "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_env_output_dir_wins(self, tmp_path):
         res = run_cli("verify", "--out", "flagdir", cwd=tmp_path,

@@ -1,3 +1,4 @@
+import warnings
 from functools import partial
 
 import numpy as np
@@ -16,6 +17,7 @@ from sgineq.families import (
 from sgineq.jessen import (
     DualVector,
     _adjoint_rows,
+    _members_sides,
     NonFiniteSideError,
     NonPositiveDualError,
     NotNormalizedError,
@@ -186,6 +188,14 @@ class TestJessenSides:
         with pytest.raises(NonFiniteSideError, match=r"PowerF\(1000\)"):
             verify_jessen(bench_gen, PowerFamily(1000.0), el(3.0, 0.5), 1.0)
 
+    def test_division_by_zero_is_a_non_finite_side(self, bench_gen, bench_f):
+        # ExpH(1e-300) divides by rate^2, which underflows to 0: no warning
+        # escapes, even as an error, and the error names the family
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteSideError, match=r"ExpH\(1e-300\)"):
+                verify_jessen(bench_gen, ExpFamily(1e-300), bench_f, 1.0)
+
     def test_verify_jessen_agrees_with_matrix_route(self):
         # verify_jessen applies Z(t) with semigroup.act; the suites use the
         # evolved matrix. Both routes sum the same series in another order.
@@ -256,7 +266,7 @@ class TestRowKernels:
             F = np.stack([random_domain_element(rng, gen.dim, kind).values for _ in ops])
             raw = rng.uniform(0.0, 1.0, size=F.shape)
             duals = raw / raw.sum(axis=1, keepdims=True)
-            reps = _adjoint_rows(np.stack([op.matrix for op in ops]), fam, duals, F)
+            reps = _adjoint_rows(np.stack([op.matrix for op in ops]), [fam], duals, F)
             for op, rep, fstar, f in zip(ops, reps, duals, F):
                 single = adjoint_pairing(op, fam, DualVector(fstar), LatticeElement(f))
                 want = single_row_adjoint(op.matrix, fam.value, fstar, f)
@@ -283,18 +293,58 @@ class TestRowKernels:
             fstars = raw / raw.sum(axis=1, keepdims=True)
             F = rng.uniform(-2.0, 2.0, size=(len(ts), dim))
             calls.clear()
-            _adjoint_rows(mats, HalfSquareFamily(), fstars, F)
+            _adjoint_rows(mats, [HalfSquareFamily()], fstars, F)
             [(got_mats, rows, _, got)] = [call for call in calls if call[2] is fstars]
             assert rows == 1 and np.array_equal(got_mats, mats.transpose(0, 2, 1))
             want = (mats.transpose(0, 2, 1) @ fstars[:, :, None])[..., 0]
             assert bits(got.ravel()) == bits(want.ravel())
+
+    def test_own_blocks_of_several_members_match_one_member_each(self):
+        # run_config_verification passes every family of a generator at once, each
+        # with its own block; each member's rows keep the bits of its own call
+        rng = np.random.default_rng(34)
+        families = benchmark_families()
+        for _ in range(100):
+            gen, ops = self.random_groups(rng)
+            mats = np.stack([op.matrix for op in ops])
+            picks = rng.integers(0, len(families), size=int(rng.integers(1, 5)))
+            fams = [families[i] for i in picks]
+            rows = int(rng.integers(1, 4))
+            F = np.stack([rng.uniform(*suites._DOMAIN_BOX[suites._family_domain_kind(fam)],
+                                      size=(len(ops) * rows, gen.dim)) for fam in fams])
+            apply = partial(_stack_act, mats, rows)
+            phi_zf, both = _members_sides(apply, fams, F)
+            alone = [_members_sides(apply, [fam], block) for fam, block in zip(fams, F)]
+            n = F.size // gen.dim
+            assert bits(phi_zf.ravel()) == bits(np.concatenate([a[0] for a in alone]).ravel())
+            assert bits(both[:n].ravel()) == bits(np.concatenate([a[1][:len(b)] for a, b
+                                                                  in zip(alone, F)]).ravel())
+            assert bits(both[n:].ravel()) == bits(np.concatenate([a[1][len(b):] for a, b
+                                                                  in zip(alone, F)]).ravel())
+            duals = rng.uniform(0.0, 1.0, size=F.shape)
+            duals /= duals.sum(axis=-1, keepdims=True)
+            if rows == 1:
+                reps = _adjoint_rows(mats, fams, duals.reshape(n, -1), F.reshape(n, -1))
+                assert reps == [rep for fam, D, block in zip(fams, duals, F)
+                                for rep in _adjoint_rows(mats, [fam], D, block)]
+
+    def test_own_blocks_raise_the_first_member_at_the_earliest_check(self):
+        # the "Z" below maps the row (1, 2) to (-1, 2), out of the domain of
+        # PowerF(-1), whose F passes: that is its third check, so a member
+        # behind it whose own F fails the first check raises first
+        shear = partial(_stack_act, np.array([[[1.0, -1.0], [0.0, 1.0]]]), 1)
+        fams = [PowerFamily(-1.0), NegLogFamily()]
+        with pytest.raises(NonPositiveInputError, match="NegLog"):
+            _members_sides(shear, fams, np.array([[[1.0, 2.0]], [[-1.0, 2.0]]]))
+        with pytest.raises(NonPositiveInputError, match=r"PowerF\(-1\)"):
+            _members_sides(shear, fams, np.array([[[1.0, 2.0]], [[1.0, 0.5]]]))
 
     def test_adjoint_rows_reject_a_negative_dual_in_any_row(self, bench_gen):
         op = evolve(bench_gen, 1.0)
         mats = np.stack([op.matrix, op.matrix])
         duals = np.array([[0.5, 0.5], [1.0, -0.5]])
         with pytest.raises(NonPositiveDualError):
-            _adjoint_rows(mats, PowerFamily(2.0), duals, np.full((2, 2), 2.0))
+            _adjoint_rows(mats, [PowerFamily(2.0)], duals, np.full((2, 2), 2.0))
 
 
 class TestSupportLine:

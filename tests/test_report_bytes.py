@@ -74,6 +74,19 @@ ERROR_CASES = {
         "samples": 40,
         "seed": 1,
     },
+    # ExpH(-400) fails for the first generator at both times, the first
+    # time's argument below the second's, and ExpH(355) passes it; ExpH(355)
+    # fails for the second generator. The first generator's error is raised
+    "later_generator": {
+        "generators": [{"q": [[-1.0, 1.0], [1.0, -1.0]], "name": "first"},
+                       {"q": [[-1.5, 1.0, 0.5], [0.2, -0.7, 0.5], [2.0, 1.0, -3.0]],
+                        "name": "second"}],
+        "families": [{"family": "ExpH", "t": 355}, {"family": "ExpH", "t": -400}],
+        "t_grid": [0.1, 1.0],
+        "p_sets": [],
+        "samples": 6,
+        "seed": 29,
+    },
     # every Jessen block is in the domain; the adjoint elements of the
     # first and the third time are not
     "adjoint_overflow": {
@@ -90,6 +103,7 @@ ERROR_STDERR = {
     "family_overflow": "sgineq: error: ExpH(400): exponent argument 769.18 exceeds 700\n",
     "later_family": "sgineq: error: ExpH(-400): exponent argument 768.265 exceeds 700\n",
     "adjoint_overflow": "sgineq: error: ExpH(380): exponent argument 734.619 exceeds 700\n",
+    "later_generator": "sgineq: error: ExpH(-400): exponent argument 724.618 exceeds 700\n",
 }
 
 

@@ -33,6 +33,7 @@ from sgineq.suites import (
 )
 
 import oracles
+from test_report_bytes import ERROR_CASES
 
 THREE_STATE = dict(
     DEFAULT_CONFIG,
@@ -271,6 +272,9 @@ def verify_outcome(run, cfg):
 # first time to fail is not that of the whole block
 @example(json.loads((Path(__file__).resolve().parents[1] / "configs"
                      / "family_overflow.json").read_text()))
+# the second family of the first generator and the first family of the
+# second generator fail; the first generator's error is the one raised
+@example(ERROR_CASES["later_generator"])
 def test_driver_matches_reference_verify(data):
     cfg = config_from_json(data)
     assert verify_outcome(run_config_verification, cfg) == verify_outcome(oracles.verify, cfg)
@@ -514,7 +518,7 @@ class TestSemigroupAxiomSuite:
     @pytest.mark.parametrize("stack_entries", [None, 40])
     @pytest.mark.parametrize("case,samples,seed", [("bundled", 40, 3),
                                                    ("k5_and_nonconservative", 30, 11),
-                                                   ("split", 25, 5)])
+                                                   ("split", 25, 5), ("bundled", 0, 3)])
     def test_matches_per_sample_loop(self, monkeypatch, case, samples, seed, stack_entries):
         # a small stack bound splits the samples into many chunks
         if stack_entries is not None:
@@ -536,8 +540,8 @@ class TestSemigroupAxiomSuite:
         monkeypatch.setattr(semigroup, "evolve", spy)
         gens = _suite_generators("k5_and_nonconservative")
         suites.run_semigroup_axiom_suite(gens, 200, 1)
-        # the one remaining call per generator is the positivity check at t = 0.7
-        assert calls == [0.7] * len(gens)
+        # the positivity check at t = 0.7 rides in the last evolve_many chunk
+        assert calls == []
 
 
 def test_bundled_suite_evolve_many_operators_match_expm(monkeypatch):
@@ -553,12 +557,26 @@ def test_bundled_suite_evolve_many_operators_match_expm(monkeypatch):
     monkeypatch.setattr(suites, "evolve_many", spy)
     monkeypatch.setattr(semigroup, "evolve_many", spy)
     run_config_verification(config_from_json(DEFAULT_CONFIG))
-    # 4 sampled (s, t, s + t) triples, then the identity, composition and
-    # continuity-sweep times of check_semigroup_axioms
-    assert [len(ts) for _, ts, _ in batches] == [12, 10]
+    # one stack: 4 sampled (s, t, s + t) triples, then the identity,
+    # composition and continuity-sweep times of check_semigroup_axioms and the
+    # time of check_positivity_and_normalization
+    assert [len(ts) for _, ts, _ in batches] == [23]
     for gen, ts, stack in batches:
         for t, z in zip(ts, stack):
             assert np.max(np.abs(z - scipy.linalg.expm(t * gen.q))) <= 1e-13
+
+
+def test_verify_makes_one_jessen_and_one_adjoint_kernel_call_per_generator(monkeypatch):
+    # each call takes the blocks of every family of its generator
+    calls = []
+    for name in ("_members_sides", "_adjoint_rows"):
+        real = getattr(suites, name)
+        monkeypatch.setattr(suites, name, lambda *args, _name=name, _real=real:
+                            calls.append((_name, len(args[1]))) or _real(*args))
+    gens = [*THREE_STATE["generators"], *DEFAULT_CONFIG["generators"]]
+    data = dict(DEFAULT_CONFIG, generators=gens)
+    assert run_config_verification(config_from_json(data))["passed"] is True
+    assert calls == [("_members_sides", 9)] * 2 + [("_adjoint_rows", 9)] * 2
 
 
 def test_bundled_verify_builds_nineteen_lattice_elements(monkeypatch):
@@ -598,9 +616,9 @@ def test_config_json_keys_are_the_fields_and_options_and_round_trip():
     assert back._replace(**objects) == cfg._replace(**objects)
 
 
-def test_bundled_verify_evolves_four_distinct_pairs(monkeypatch):
-    # the stacks of the three grid times and the positivity check at t = 0.7;
-    # evolve_many, which calls evolve only to replay a failure, adds none
+def test_bundled_verify_evolves_three_distinct_pairs(monkeypatch):
+    # the stacks of the three grid times; the semigroup-axiom suite evolves
+    # through evolve_many alone, which calls evolve only to replay a failure
     calls = []
     real_evolve = semigroup.evolve
 
@@ -611,4 +629,4 @@ def test_bundled_verify_evolves_four_distinct_pairs(monkeypatch):
     for module in (semigroup, suites, jessen, expconv):
         monkeypatch.setattr(module, "evolve", spy)
     run_config_verification(config_from_json(DEFAULT_CONFIG))
-    assert sorted(calls) == [0.1, 0.7, 1.0, 10.0]
+    assert sorted(calls) == [0.1, 1.0, 10.0]
