@@ -171,8 +171,10 @@ def _midpoint_residuals(z: np.ndarray, kind: str, mids, f: np.ndarray) -> np.nda
     one ``_members_sides`` call, whose errors name their midpoint."""
     fams = [_member(kind, mid) for mid in mids]
     where = [f"at midpoint {mid:g}" for mid in mids]
-    phi_zf, both = _members_sides(partial(_stack_act, z[None], 1), fams, f[None, :], where)
-    return both[1:] - phi_zf
+    # f as the (1, 1, 1, K) block of one time and one sample, which every member shares
+    block = f[None, None, None]
+    phi_zf, _, z_phi_f = _members_sides(partial(_stack_act, z[None]), fams, block, where)
+    return (z_phi_f - phi_zf)[:, 0, 0]
 
 
 def build_gram(

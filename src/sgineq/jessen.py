@@ -132,18 +132,18 @@ def _members_sides(
     fams: list[OperatorFamily],
     F: np.ndarray,
     where: list[str] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """phi_m(Z f) for every member phi_m of ``fams`` and every row f of its
-    block, and the acted block [Z F; Z phi_1(F_1); ...; Z phi_M(F_M)].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi_m(Z f), Z f and Z phi_m(f) for every member phi_m of ``fams`` and
+    every row f of its block.
 
-    ``F`` is one (S, K) block that every member takes (F_m = F), or an
-    (M, S, K) array of one block F_m per member, whose Z F is then the
-    (M S, K) block of all of them. ``apply`` maps an (N, K) block to the
-    block of its rows under Z(t): ``semigroup._stack_act`` bound to a stack
-    of evolved matrices, or ``semigroup.act`` bound to a generator and a
-    time, which never forms Z(t). It is called once, on [F; phi_1(F_1); ...;
-    phi_M(F_M)], and its result is returned as it is. The first result is an
-    (M S, K) block in member order, for one member a view of phi(Z F).
+    ``F`` is an (M, ..., K) array of one block F_m per member, or a
+    (1, ..., K) array of one block that every member takes. ``apply`` maps
+    [F; phi_1(F_1); ...; phi_M(F_M)], joined along the member axis, to its
+    rows under Z(t), and is called once: ``semigroup._stack_act`` bound to a
+    (G, K, K) stack for (M, G, S, K) blocks, or ``semigroup.act`` bound to a
+    generator and a time for an (M, K) block, which never forms Z(t). Z f
+    has the shape of ``F``; the other two sides are (M, ..., K), for one
+    member phi(Z F) itself.
 
     Checks, in order: F_m in the domain, finite phi_m(F_m), Z F_m in the
     domain, finite phi_m(Z F_m), finite Z phi_m(F_m). Each runs over all
@@ -163,47 +163,47 @@ def _members_sides(
                     err.args = (f"{where[m]}: {err}",)
                 raise
 
-    def finite(rows):
+    def finite(sides):
         # one pass over all members; only a failure looks for the member
-        if not np.isfinite(rows).all():
-            rows = rows.reshape(len(fams), -1)
-            each(lambda m, fam: _require_finite(fam, rows[m]))
+        if not np.isfinite(sides).all():
+            each(lambda m, fam: _require_finite(fam, sides[m]))
 
-    def members(rows):
-        # the entries of each member's rows as one vector: of its own block,
-        # or of the one block all members share
-        return list(rows.reshape(len(fams), -1)) if F.ndim == 3 else [rows.ravel()] * len(fams)
+    def members(X):
+        # the entries of each member's block as one vector: its own, or the shared one
+        return [X[m].ravel() for m in range(len(X))] * (len(fams) // len(X))
 
-    K = F.shape[-1]
-    n = F.size // K
     # an overflow or a division by zero is reported by _require_finite, naming the family
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         xs = members(F)
         each(lambda m, fam: fam.check_domain(xs[m]))
         block = np.concatenate((F.ravel(), *[fam.value(x) for fam, x in zip(fams, xs)]))
-        block = block.reshape(-1, K)
-        finite(block[n:])
-        both = apply(block)
-        zfs = members(both[:n])
+        block = block.reshape(-1, *F.shape[1:])
+        finite(block[len(F):])
+        acted = apply(block)
+        zf, z_phi_f = acted[:len(F)], acted[len(F):]
+        zfs = members(zf)
         each(lambda m, fam: fam.check_domain(zfs[m]))
-        values = [fam.value(zf) for fam, zf in zip(fams, zfs)]
+        values = [fam.value(x) for fam, x in zip(fams, zfs)]
         # one member's values are used as they are: no copy on that path
-        phi_zf = (values[0] if len(fams) == 1 else np.concatenate(values)).reshape(-1, K)
+        phi_zf = (values[0] if len(fams) == 1 else np.concatenate(values)).reshape(z_phi_f.shape)
         finite(phi_zf)
-        finite(both[n:])
-    return phi_zf, both
+        finite(z_phi_f)
+    return phi_zf, zf, z_phi_f
 
 
 def jessen_sides(
     apply: Callable[[np.ndarray], np.ndarray], fam: OperatorFamily, F: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The two sides phi(Z f) and Z phi(f) for every row f of a block:
-    ``_members_sides`` of the one member ``fam``, with the same checks.
+    """The two sides phi(Z f) and Z phi(f) for every row f of an (S, K) block:
+    ``_members_sides`` of the one member ``fam``, with the same checks, where
+    ``apply`` maps an (N, K) block to the block of its rows under Z(t).
 
     Both results are (S, K) and their difference is the residual.
     """
-    phi_zf, both = _members_sides(apply, [fam], F)
-    return phi_zf, both[len(F):]
+    K = F.shape[-1]
+    phi_zf, _, z_phi_f = _members_sides(lambda B: apply(B.reshape(-1, K)).reshape(B.shape),
+                                        [fam], F[None])
+    return phi_zf[0], z_phi_f[0]
 
 
 def jessen_report(
@@ -214,7 +214,7 @@ def jessen_report(
     fam: OperatorFamily,
     gen: Generator,
 ) -> JessenReport:
-    """Residual, verdict and min slack of one row of ``jessen_sides``."""
+    """Residual, verdict and min slack of one row f, given phi(Z f) and Z phi(f)."""
     residual = z_phi_f - phi_zf
     return JessenReport(
         residual=LatticeElement(residual),
@@ -243,7 +243,8 @@ def verify_jessen(
     The verdict is taken within ``DEFAULT_TOLERANCE``.
     """
     _require_normalized(gen, allow_unnormalized)
-    phi_zf, z_phi_f = jessen_sides(partial(act, gen, t), fam, f.values[None, :])
+    # f as the (1, K) block of one member, which ``act`` takes as it is
+    phi_zf, _, z_phi_f = _members_sides(partial(act, gen, t), [fam], f.values[None])
     return jessen_report(phi_zf[0], z_phi_f[0], DEFAULT_TOLERANCE, t, fam, gen)
 
 
@@ -296,16 +297,17 @@ def adjoint_pairing(
     A positive dual is required. The transpose defect passes at 1e-12
     and the gap at -1e-9. This is ``_adjoint_rows`` on one row.
     """
-    return _adjoint_rows(op.matrix[None], [fam], fstar.values[None], f.values[None])[0]
+    return _adjoint_rows(op.matrix[None], [fam], fstar.values[None, None, None],
+                         f.values[None, None, None])[0]
 
 
 def _adjoint_rows(
     mats: np.ndarray, fams: list[OperatorFamily], fstars: np.ndarray, F: np.ndarray
 ) -> list[AdjointPairingReport]:
-    """``adjoint_pairing`` of every row i, with Z(t) = mats[i % G], the dual
-    fstars[i] and the element F[i], all (M G, K) blocks but the (G, K, K)
-    mats, and the family fams[i // G]: rows m G to (m + 1) G are those of
-    member m.
+    """``adjoint_pairing`` of every row of the (M, G, S, K) arrays ``fstars``
+    (the duals) and ``F`` (the elements): row (m, g, s) with the family
+    fams[m] and Z(t) = mats[g] of the (G, K, K) stack. Reports are in
+    (m, g, s) order.
 
     The sides of all rows and Z F come from one ``_members_sides`` call, so
     its checks and their errors are those of the whole block. Z^T f* is
@@ -313,16 +315,14 @@ def _adjoint_rows(
     the rows (one dot product each), so row i has the bits of that row alone.
     """
     _require_positive_dual(fstars)
-    z_t_fstars = _stack_act(mats.transpose(0, 2, 1), 1, fstars)
-    phi_zf, both = _members_sides(partial(_stack_act, mats, 1), fams,
-                                  F.reshape(len(fams), -1, F.shape[-1]))
-    z_f, z_phi_f = both[:len(F)], both[len(F):]
+    z_t_fstars = _stack_act(mats.transpose(0, 2, 1), fstars)
+    phi_zf, z_f, z_phi_f = _members_sides(partial(_stack_act, mats), fams, F)
     # the pairings <Z^T f*, f>, <f*, Z f>, <f*, Z phi(f)>, <f*, phi(Z f)> and
     # <f*, residual> of every row, one stacked product
     left = np.array((z_t_fstars, fstars, fstars, fstars, fstars))[..., None, :]
     right = np.array((F, z_f, z_phi_f, phi_zf, z_phi_f - phi_zf))[..., None]
     reports = []
-    for lhs, rhs, z_phi, phi_z, pairing in zip(*(left @ right)[..., 0, 0].tolist()):
+    for lhs, rhs, z_phi, phi_z, pairing in zip(*(left @ right).reshape(5, -1).tolist()):
         defect, gap = abs(lhs - rhs), z_phi - phi_z
         reports.append(AdjointPairingReport(
             defect, gap, pairing, abs(gap - pairing), defect <= 1e-12, gap >= -1e-9))

@@ -209,7 +209,7 @@ class SemigroupOperator:
 
     def act(self, F) -> np.ndarray:
         """Z(t) f for every row f of an (S, K) block: ``_stack_act`` of the one matrix."""
-        return _stack_act(self.matrix[None], 1, _row_block(F, self.dim))
+        return _stack_act(self.matrix[None], _row_block(F, self.dim)[None])[0]
 
 
 def _row_block(F, dim: int) -> np.ndarray:
@@ -220,17 +220,14 @@ def _row_block(F, dim: int) -> np.ndarray:
     return F
 
 
-def _stack_act(mats: np.ndarray, rows: int, F: np.ndarray) -> np.ndarray:
-    """Z f for every row f of an (N, K) block F, with Z from the (G, K, K) stack ``mats``.
-
-    F is runs of G groups of ``rows`` rows, and group g of each run goes
-    through Z = mats[g]. Each row is one stacked matrix-vector product, so it
-    has the bits of ``mats[g] @ f`` alone (``F @ Z.T`` is a matrix product
-    and does not).
+def _stack_act(mats: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Z f for every row f of an (..., G, S, K) array F, the S rows at group g
+    through Z = mats[g] of the (G, K, K) stack ``mats``; the leading axes are
+    batches, say one per family member. Each row is one stacked matrix-vector
+    product, so it has the bits of ``mats[g] @ f`` alone (``F @ Z.T`` is a
+    matrix product and does not).
     """
-    G, K = mats.shape[:2]
-    runs = len(F) // (G * rows) if len(F) else 0
-    return (mats[:, None] @ F.reshape(runs, G, rows, K, 1))[..., 0].reshape(F.shape)
+    return (mats[:, None] @ F[..., None])[..., 0]
 
 
 def _chain(gen: Generator) -> tuple[np.ndarray | None, float]:

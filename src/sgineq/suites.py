@@ -91,9 +91,9 @@ __all__ = [
 ]
 
 # Cap on samples x (sum of generator dims) x families x times, the number
-# of sampled coordinates in verify's Jessen blocks. A block holds the
-# samples x len(t_grid) rows of every family of one generator, so the cap
-# still bounds its memory. At the cap, configs/at_sample_cap.json (one 2-state
+# of sampled coordinates in verify's Jessen blocks. A block is the
+# (family, time, sample, coordinate) array of one generator, so the cap
+# bounds its memory. At the cap, configs/at_sample_cap.json (one 2-state
 # generator, one family, one time) verifies in 3.7-3.8 s on a shared 2-vCPU
 # machine. The bundled config uses 2160.
 MAX_SAMPLE_WORK = 2_000_000
@@ -212,22 +212,33 @@ def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
                 item = json.loads(ref.read_text())
             except (OSError, ValueError) as err:
                 raise ConfigError(f"cannot read generator ref {item!r}: {err}") from err
+        if not isinstance(item, dict):
+            raise ConfigError(f"a generator must be a JSON object or a file ref, got {item!r}")
+        _known_keys("generator", item, ("q", "name"))
+        q = item.get("q")
+        if not isinstance(q, list) or not all(isinstance(row, list) and all(map(_number, row))
+                                              for row in q):
+            raise ConfigError(f"generator q must be a list of rows of numbers, got {q!r}")
         # failed cases and Gram records name their generator, so a name must be one
-        if isinstance(item, dict) and "name" in item and type(item["name"]) is not str:
+        if "name" in item and type(item["name"]) is not str:
             raise ConfigError(f"generator name must be a string, got {item['name']!r}")
         try:
             generators.append(generator_from_json(item))
-        except (KeyError, TypeError, ValueError, NotSquareError) as err:
+        except (ValueError, OverflowError, NotSquareError) as err:
             raise ConfigError(f"bad generator entry: {err}") from err
     names = [g.name for g in generators if g.name is not None]
     for name in names:
         if names.count(name) > 1:
             raise ConfigError(f"generator name {name!r} is given more than once")
 
-    try:
-        families = [family_from_json(f) for f in raw_fams]
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"bad family selector: {err}") from err
+    families = []
+    for raw in raw_fams:
+        try:
+            families.append(family_from_json(raw))
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
+            raise ConfigError(f"bad family selector: {err}") from err
+        # the keys its wire form writes: a parameter the family does not take is refused
+        _known_keys("family selector", raw, family_to_json(families[-1]))
 
     tols = data.get("tolerances", {})
     if not isinstance(tols, dict):
@@ -603,22 +614,21 @@ def run_midpoint_equivalence_suite(n_instances: int, seed: int) -> dict:
 
 
 def _by_groups(kernel, mats: np.ndarray, fams, *blocks):
-    """``kernel(mats, fams, *arrays)`` on every member of ``fams`` and every
-    group, a matrix of the stack ``mats``, at once: each of ``blocks`` holds,
-    per member, the arrays of its groups, and is passed joined along the
-    rows, member by member. Should it raise, it runs member by member and
-    group by group and raises the first error, whose message (such as the
-    worst exponent argument of ``ExpFamily``) a loop over the members and
-    the groups gives.
+    """``kernel(mats, fams, *blocks)`` on every member of ``fams`` and every
+    group, a matrix of the stack ``mats``, at once: each of ``blocks`` is an
+    (M, G, ...) array, with the M members along axis 0 and the G groups along
+    axis 1. Should it raise, it runs on the slice of each member and group,
+    member by member and group by group, and raises the first error, whose
+    message (such as the worst exponent argument of ``ExpFamily``) a loop over
+    the members and the groups gives.
     """
     try:
-        return kernel(mats, fams, *(np.concatenate([a for parts in member for a in parts])
-                                    for member in blocks))
+        return kernel(mats, fams, *blocks)
     except Exception as err:
         error = err
     for m, fam in enumerate(fams):
         for g in range(len(mats)):
-            kernel(mats[g:g + 1], [fam], *(member[m][g] for member in blocks))
+            kernel(mats[g:g + 1], [fam], *(block[m:m + 1, g:g + 1] for block in blocks))
     raise error
 
 
@@ -665,14 +675,13 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
     override is set, in which case their results go to ``observed``.
     Z(t) is evolved once per (generator, t), and the Jessen, adjoint and
     Gram suites share its matrix. The Jessen samples of each generator are
-    drawn family by family and time by time, in the order of a loop over
-    the families and t_grid, and checked as one block, the samples x
-    len(t_grid) rows of each family in turn, the rows of time t through
-    Z(t); the adjoint samples of each generator likewise, one row per
-    family and time. Failed cases are reported in (family, t, row) order.
-    Should a block fail a check, its families are checked again one by one,
-    and the first family to fail time by time, so that the error raised is
-    that of the first family and time to fail.
+    one (family, time, sample, coordinate) array, each family's part one
+    draw, and are checked as one block, the rows at time index g through
+    Z(t_grid[g]); the adjoint samples of each generator likewise, an
+    element and a dual per family and time. Failed cases are reported in
+    (family, t, row) order. Should a block fail a check, its slices are
+    checked again family by family and time by time, so that the error
+    raised is that of the first family and time to fail.
     A Jessen sample passes when its verdict is LEQ or EQUAL and its min
     slack clears the floor -1e-9 * (1 + ||residual||), the rule of
     ``run_jessen_random_suite``; an adjoint sample passes by
@@ -695,29 +704,27 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
         report["suites"][name] = {"checks": [e.to_json() for e in entries],
                                   "passed": all_passed(entries)}
 
-    # row group j of a block goes through Z(t_grid[j])
+    # group g of a block goes through Z(t_grid[g])
     stacks = _evolved_stacks(asserted_gens, cfg.t_grid)
     tol = cfg.order_tol
+    shape = (len(cfg.t_grid), cfg.samples)
 
     jessen_cases = []
     min_slack = float("inf")
-    rows = cfg.samples * len(cfg.t_grid)
     for gen, mats in zip(asserted_gens, stacks):
-        # per family, its block of each time, drawn time by time
-        blocks = [[rng.uniform(*_DOMAIN_BOX[_family_domain_kind(fam)], size=(cfg.samples, gen.dim))
-                   for _ in cfg.t_grid] for fam in cfg.families]
-        phi_zf, both = _by_groups(
-            lambda m, fams, F: _members_sides(partial(_stack_act, m, cfg.samples), fams,
-                                             F.reshape(len(fams), -1, gen.dim)),
-            mats, cfg.families, blocks)
-        z_phi_f = both[len(phi_zf):]
+        # per family, its (time, sample, coordinate) block in one draw
+        F = np.array([rng.uniform(*_DOMAIN_BOX[_family_domain_kind(fam)], size=(*shape, gen.dim))
+                      for fam in cfg.families])
+        phi_zf, _, z_phi_f = _by_groups(
+            lambda stack, fams, block: _members_sides(partial(_stack_act, stack), fams, block),
+            mats, cfg.families, F)
         residual = z_phi_f - phi_zf
-        slack = residual.min(axis=1)
+        slack = residual.min(axis=-1)
         ok = leq_rows(phi_zf, z_phi_f, tol) & (slack >= _slack_floor(residual))
         min_slack = min(min_slack, float(slack.min()))
-        for i in np.flatnonzero(~ok):
-            fam, t = cfg.families[i // rows], cfg.t_grid[i % rows // cfg.samples]
-            jessen_cases.append(jessen_report(phi_zf[i], z_phi_f[i], tol, t, fam, gen).to_json())
+        for m, g, s in np.argwhere(~ok):
+            jessen_cases.append(jessen_report(phi_zf[m, g, s], z_phi_f[m, g, s], tol,
+                                              cfg.t_grid[g], cfg.families[m], gen).to_json())
     report["suites"]["jessen"] = {
         "aggregate": {
             "min_slack": min_slack if min_slack != float("inf") else None,
@@ -731,14 +738,10 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
     adj_worst_gap = float("inf")
     adj_failures = 0
     for gen, mats in zip(asserted_gens, stacks):
-        # per family, an element and a dual of each time, drawn time by time
-        fs, duals = [], []
-        for fam in cfg.families:
-            low, high = _DOMAIN_BOX[_family_domain_kind(fam)]
-            pairs = [(rng.uniform(low, high, size=(1, gen.dim)), _random_dual(rng, gen.dim)[None])
-                     for _ in cfg.t_grid]
-            fs.append([f for f, _ in pairs])
-            duals.append([d for _, d in pairs])
+        # per family and time, an element and then a dual: (M, G, 1, K) arrays
+        fs, duals = np.array([[(rng.uniform(*_DOMAIN_BOX[_family_domain_kind(fam)], size=gen.dim),
+                                _random_dual(rng, gen.dim)) for _ in cfg.t_grid]
+                              for fam in cfg.families]).transpose(2, 0, 1, 3)[..., None, :]
         for rep in _by_groups(_adjoint_rows, mats, cfg.families, duals, fs):
             adj_worst_tr = max(adj_worst_tr, rep.transpose_defect)
             adj_worst_gap = min(adj_worst_gap, rep.weak_gap)

@@ -220,10 +220,14 @@ class TestVerify:
         ({"tolerances": {"psd": False}}, "tolerances.psd"),
         ({"families": [{"family": "PowerF", "t": "2"}]}, "t must be a number"),
         ({"families": [{"family": "ExpH", "t": True}]}, "t must be a number"),
+        ({"generators": [{"q": [["-1", "1"], ["1", "-1"]]}]}, "generator q must be"),
+        ({"generators": [{"q": [[-1, True], [1, -1]]}]}, "generator q must be"),
+        ({"generators": [{"q": [[-1, 10 ** 400], [1, -1]]}]}, "bad generator entry"),
     ], ids=["t_grid_bool", "t_grid_str", "p_set_bool", "p_set_str", "p_set_not_list", "atol_bool",
-            "rtol_str", "psd_bool", "power_t_str", "exp_t_bool"])
+            "rtol_str", "psd_bool", "power_t_str", "exp_t_bool", "q_str", "q_bool", "q_huge_int"])
     def test_number_field_of_the_wrong_type_is_usage_error(self, tmp_path, capsys, overrides, named):
-        # each of these values would be coerced by float() into a config that runs
+        # each of these values would be coerced by float() into a config that
+        # runs, or, the integer beyond double range, stop it with a traceback
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(small_config(**overrides)))
         assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 64
@@ -239,7 +243,13 @@ class TestVerify:
         ({"generators": [{"q": [[-1.0, 1.0], [1.0, -1.0]], "name": "b"},
                          {"q": [[-2.0, 2.0], [1.0, -1.0]], "name": "b"}]},
          "name 'b' is given more than once"),
-    ], ids=["top_level_key", "tolerances_key", "name_number", "name_null", "name_twice"])
+        ({"generators": [{"q": [[-1.0, 1.0], [1.0, -1.0]], "nmae": "x"}]},
+         "unknown generator key 'nmae'"),
+        ({"families": [{"family": "NegLog", "t": 2.0}]}, "unknown family selector key 't'"),
+        ({"families": [{"family": "PowerF", "t": 2.0, "p": 3}]}, "unknown family selector key 'p'"),
+        ({"generators": [[[-1.0, 1.0], [1.0, -1.0]]]}, "a generator must be a JSON object"),
+    ], ids=["top_level_key", "tolerances_key", "name_number", "name_null", "name_twice",
+            "generator_key", "parameter_of_no_parameter_family", "family_key", "generator_list"])
     def test_unknown_key_or_bad_generator_name_is_usage_error(self, tmp_path, capsys, overrides,
                                                               named):
         # an unknown key would be ignored, and a witness names its generator
@@ -249,6 +259,18 @@ class TestVerify:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("content,named", [
+        ({"q": [[-1.0, 1.0], [1.0, -1.0]], "nmae": "x"}, "unknown generator key 'nmae'"),
+        ([[-1.0, 1.0], [1.0, -1.0]], "a generator must be a JSON object"),
+    ], ids=["key", "list"])
+    def test_generator_ref_is_held_to_the_inline_rules(self, tmp_path, capsys, content, named):
+        (tmp_path / "gen.json").write_text(json.dumps(content))
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(small_config(generators=["gen.json"])))
+        assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 64
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
     def test_unnamed_generators_stay_allowed(self, tmp_path):
         gens = [{"q": [[-1.0, 1.0], [1.0, -1.0]]}, {"q": [[-2.0, 2.0], [1.0, -1.0]]}]

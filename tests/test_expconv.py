@@ -293,11 +293,12 @@ class TestGramBits:
     def test_one_block_action_per_operator(self, bench_gen, bench_f, monkeypatch):
         blocks = []
         stack_act = expconv._stack_act
-        monkeypatch.setattr(expconv, "_stack_act", lambda mats, rows, F: blocks.append(
-            (mats.shape, F.shape)) or stack_act(mats, rows, F))
+        monkeypatch.setattr(expconv, "_stack_act", lambda mats, F: blocks.append(
+            (mats.shape, F.shape)) or stack_act(mats, F))
         build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 3.0, 4.0)))
-        # one matrix, on f and the 5 distinct midpoints 2, 2.5, 3, 3.5, 4
-        assert blocks == [((1, 2, 2), (6, 2))]
+        # one matrix, on f and the 5 distinct midpoints 2, 2.5, 3, 3.5, 4: one
+        # time, one sample, K = 2
+        assert blocks == [((1, 2, 2), (6, 1, 1, 2))]
 
 
 

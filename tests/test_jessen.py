@@ -238,22 +238,26 @@ class TestRowKernels:
         for _ in range(100):
             gen, ops = self.random_groups(rng)
             mats = np.stack([op.matrix for op in ops])
-            rows, runs = int(rng.integers(1, 6)), int(rng.integers(1, 4))
-            block = rng.uniform(-3.0, 3.0, size=(runs * len(ops) * rows, gen.dim))
-            got = _stack_act(mats, rows, block)
-            # row i lies in group (i // rows) mod G of its run
-            want = [mats[i // rows % len(ops)] @ f for i, f in enumerate(block)]
+            members, rows = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            block = rng.uniform(-3.0, 3.0, size=(members, len(ops), rows, gen.dim))
+            got = _stack_act(mats, block)
+            # row (m, g, s) goes through the matrix of its group g
+            want = [mats[g] @ block[m, g, s] for m, g, s in np.ndindex(block.shape[:3])]
+            assert got.shape == block.shape
             assert bits(got.ravel()) == bits(np.concatenate(want))
-            assert bits(ops[0].act(block).ravel()) == bits(np.concatenate(
-                [ops[0].matrix @ f for f in block]))
+            flat = block.reshape(-1, gen.dim)
+            assert bits(ops[0].act(flat).ravel()) == bits(np.concatenate(
+                [ops[0].matrix @ f for f in flat]))
 
     def test_stack_act_takes_an_empty_block(self):
         rng = np.random.default_rng(33)
         for _ in range(20):
             gen, ops = self.random_groups(rng)
             mats, empty = np.stack([op.matrix for op in ops]), np.empty((0, gen.dim))
-            for rows in (0, 1, 3):
-                assert _stack_act(mats, rows, empty).shape == (0, gen.dim)
+            # no rows per group, no members, or neither
+            for shape in ((2, len(ops), 0, gen.dim), (0, len(ops), 3, gen.dim),
+                          (0, len(ops), 0, gen.dim)):
+                assert _stack_act(mats, np.empty(shape)).shape == shape
             assert ops[0].act(empty).shape == (0, gen.dim)
 
     def test_adjoint_rows_match_single_rows(self):
@@ -266,7 +270,9 @@ class TestRowKernels:
             F = np.stack([random_domain_element(rng, gen.dim, kind).values for _ in ops])
             raw = rng.uniform(0.0, 1.0, size=F.shape)
             duals = raw / raw.sum(axis=1, keepdims=True)
-            reps = _adjoint_rows(np.stack([op.matrix for op in ops]), [fam], duals, F)
+            # one member, one row per group
+            reps = _adjoint_rows(np.stack([op.matrix for op in ops]), [fam],
+                                 duals[None, :, None], F[None, :, None])
             for op, rep, fstar, f in zip(ops, reps, duals, F):
                 single = adjoint_pairing(op, fam, DualVector(fstar), LatticeElement(f))
                 want = single_row_adjoint(op.matrix, fam.value, fstar, f)
@@ -279,8 +285,8 @@ class TestRowKernels:
         # carry the bits of the plain stacked product
         calls = []
 
-        def spy(mats, rows, F):
-            calls.append((mats, rows, F, _stack_act(mats, rows, F)))
+        def spy(mats, F):
+            calls.append((mats, F, _stack_act(mats, F)))
             return calls[-1][-1]
 
         monkeypatch.setattr(jessen, "_stack_act", spy)
@@ -290,18 +296,19 @@ class TestRowKernels:
             ts = rng.choice([0.0, 0.1, 0.5, 1.0, 10.0], size=int(rng.integers(1, 6)))
             mats = np.stack([evolve(gen, float(t)).matrix for t in ts])
             raw = rng.uniform(0.0, 1.0, size=(len(ts), dim))
-            fstars = raw / raw.sum(axis=1, keepdims=True)
-            F = rng.uniform(-2.0, 2.0, size=(len(ts), dim))
+            fstars = (raw / raw.sum(axis=1, keepdims=True))[None, :, None]
+            F = rng.uniform(-2.0, 2.0, size=(1, len(ts), 1, dim))
             calls.clear()
             _adjoint_rows(mats, [HalfSquareFamily()], fstars, F)
-            [(got_mats, rows, _, got)] = [call for call in calls if call[2] is fstars]
-            assert rows == 1 and np.array_equal(got_mats, mats.transpose(0, 2, 1))
-            want = (mats.transpose(0, 2, 1) @ fstars[:, :, None])[..., 0]
+            [(got_mats, _, got)] = [call for call in calls if call[1] is fstars]
+            assert got.shape == fstars.shape and np.array_equal(got_mats, mats.transpose(0, 2, 1))
+            want = (mats.transpose(0, 2, 1) @ fstars[0, :, 0, :, None])[..., 0]
             assert bits(got.ravel()) == bits(want.ravel())
 
     def test_own_blocks_of_several_members_match_one_member_each(self):
         # run_config_verification passes every family of a generator at once, each
-        # with its own block; each member's rows keep the bits of its own call
+        # with its own block; each member's rows keep the bits of its own call. So
+        # does a block that every member shares
         rng = np.random.default_rng(34)
         families = benchmark_families()
         for _ in range(100):
@@ -311,40 +318,44 @@ class TestRowKernels:
             fams = [families[i] for i in picks]
             rows = int(rng.integers(1, 4))
             F = np.stack([rng.uniform(*suites._DOMAIN_BOX[suites._family_domain_kind(fam)],
-                                      size=(len(ops) * rows, gen.dim)) for fam in fams])
-            apply = partial(_stack_act, mats, rows)
-            phi_zf, both = _members_sides(apply, fams, F)
-            alone = [_members_sides(apply, [fam], block) for fam, block in zip(fams, F)]
-            n = F.size // gen.dim
-            assert bits(phi_zf.ravel()) == bits(np.concatenate([a[0] for a in alone]).ravel())
-            assert bits(both[:n].ravel()) == bits(np.concatenate([a[1][:len(b)] for a, b
-                                                                  in zip(alone, F)]).ravel())
-            assert bits(both[n:].ravel()) == bits(np.concatenate([a[1][len(b):] for a, b
-                                                                  in zip(alone, F)]).ravel())
+                                      size=(len(ops), rows, gen.dim)) for fam in fams])
+            # the positive-cone box lies in the domain of every family
+            shared = rng.uniform(*suites._DOMAIN_BOX["F"], size=(1, len(ops), rows, gen.dim))
+            apply = partial(_stack_act, mats)
+            for blocks in (F, shared):
+                sides = _members_sides(apply, fams, blocks)
+                alone = [_members_sides(apply, [fam], blocks[m % len(blocks)][None])
+                         for m, fam in enumerate(fams)]
+                assert sides[1].shape == blocks.shape
+                assert sides[0].shape == sides[2].shape == (len(fams), *blocks.shape[1:])
+                for k in range(3):
+                    # Z f: each member's own rows, or the shared rows once
+                    want = alone[:len(blocks)] if k == 1 else alone
+                    assert bits(sides[k].ravel()) == bits(np.concatenate(
+                        [a[k] for a in want]).ravel())
             duals = rng.uniform(0.0, 1.0, size=F.shape)
             duals /= duals.sum(axis=-1, keepdims=True)
-            if rows == 1:
-                reps = _adjoint_rows(mats, fams, duals.reshape(n, -1), F.reshape(n, -1))
-                assert reps == [rep for fam, D, block in zip(fams, duals, F)
-                                for rep in _adjoint_rows(mats, [fam], D, block)]
+            reps = _adjoint_rows(mats, fams, duals, F)
+            assert reps == [rep for fam, D, block in zip(fams, duals, F)
+                            for rep in _adjoint_rows(mats, [fam], D[None], block[None])]
 
     def test_own_blocks_raise_the_first_member_at_the_earliest_check(self):
         # the "Z" below maps the row (1, 2) to (-1, 2), out of the domain of
         # PowerF(-1), whose F passes: that is its third check, so a member
         # behind it whose own F fails the first check raises first
-        shear = partial(_stack_act, np.array([[[1.0, -1.0], [0.0, 1.0]]]), 1)
+        shear = partial(_stack_act, np.array([[[1.0, -1.0], [0.0, 1.0]]]))
         fams = [PowerFamily(-1.0), NegLogFamily()]
         with pytest.raises(NonPositiveInputError, match="NegLog"):
-            _members_sides(shear, fams, np.array([[[1.0, 2.0]], [[-1.0, 2.0]]]))
+            _members_sides(shear, fams, np.array([[[1.0, 2.0]], [[-1.0, 2.0]]])[:, None])
         with pytest.raises(NonPositiveInputError, match=r"PowerF\(-1\)"):
-            _members_sides(shear, fams, np.array([[[1.0, 2.0]], [[1.0, 0.5]]]))
+            _members_sides(shear, fams, np.array([[[1.0, 2.0]], [[1.0, 0.5]]])[:, None])
 
     def test_adjoint_rows_reject_a_negative_dual_in_any_row(self, bench_gen):
         op = evolve(bench_gen, 1.0)
         mats = np.stack([op.matrix, op.matrix])
-        duals = np.array([[0.5, 0.5], [1.0, -0.5]])
+        duals = np.array([[0.5, 0.5], [1.0, -0.5]])[None, :, None]
         with pytest.raises(NonPositiveDualError):
-            _adjoint_rows(mats, [PowerFamily(2.0)], duals, np.full((2, 2), 2.0))
+            _adjoint_rows(mats, [PowerFamily(2.0)], duals, np.full((1, 2, 1, 2), 2.0))
 
 
 class TestSupportLine:
