@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -80,13 +81,19 @@ def _write_meta(outdir: Path, argv, started: float, report: str) -> None:
     _dump_json(outdir / "report_meta.json", meta)
 
 
-def _resolve_outdir(*candidates) -> Path:
-    """Create and return SGINEQ_OUTPUT_DIR if set, else the first nonempty
-    candidate, else ``out``; each command calls it only after its work."""
+@contextmanager
+def _resolve_outdir(*candidates):
+    """Create and yield SGINEQ_OUTPUT_DIR if set, else the first nonempty
+    candidate, else ``out``; each command enters it only after its work and
+    writes its files inside. A directory that cannot be made or written, say
+    an existing file, is a usage error naming it."""
     chosen = os.environ.get("SGINEQ_OUTPUT_DIR", next(filter(None, candidates), None))
     outdir = Path(chosen or "out")
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        yield outdir
+    except OSError as err:
+        raise ConfigError(f"cannot write the output directory {str(outdir)!r}: {err}") from err
 
 
 def _load_config(path: str | None) -> SuiteConfig:
@@ -106,9 +113,9 @@ def cmd_verify(args, argv) -> int:
     started = time.monotonic()
     cfg = _load_config(args.config)
     report = run_config_verification(cfg)
-    outdir = _resolve_outdir(args.out, cfg.output_dir)
-    _dump_json(outdir / "report.json", report)
-    _write_meta(outdir, argv, started, "report.json")
+    with _resolve_outdir(args.out, cfg.output_dir) as outdir:
+        _dump_json(outdir / "report.json", report)
+        _write_meta(outdir, argv, started, "report.json")
     for name, suite in report["suites"].items():
         if "passed" in suite:
             status = "pass" if suite["passed"] else "FAIL"
@@ -156,14 +163,14 @@ def cmd_figure(args, argv) -> int:
                            f"rotation scene, k={k}, n={n}", f"1b k={k} n={n}",
                            partial(RotationScene, k=k, n_points=n), run_rotation_example)
                    for k in ks]
-    outdir = _resolve_outdir(args.out)
-    for stem, title, line, rep in figures:
-        write_curves_csv(outdir / f"{stem}.csv", rep.coords, rep.lhs, rep.rhs)
-        write_curves_svg(outdir / f"{stem}.svg", rep.coords, rep.lhs, rep.rhs, title=title)
-        print(f"{line} verdict={rep.verdict.name}")
-    cases = [rep.to_json() for *_, rep in figures]
-    _dump_json(outdir / "figure_report.json", {"which": which, "cases": cases})
-    _write_meta(outdir, argv, started, "figure_report.json")
+    with _resolve_outdir(args.out) as outdir:
+        for stem, title, line, rep in figures:
+            write_curves_csv(outdir / f"{stem}.csv", rep.coords, rep.lhs, rep.rhs)
+            write_curves_svg(outdir / f"{stem}.svg", rep.coords, rep.lhs, rep.rhs, title=title)
+            print(f"{line} verdict={rep.verdict.name}")
+        cases = [rep.to_json() for *_, rep in figures]
+        _dump_json(outdir / "figure_report.json", {"which": which, "cases": cases})
+        _write_meta(outdir, argv, started, "figure_report.json")
     return 0
 
 
@@ -221,9 +228,11 @@ def cmd_expconv(args, argv) -> int:
     else:
         if not args.p:
             raise ConfigError("expconv needs --p values or --config")
+        gen = generator_from_json(DEFAULT_CONFIG["generators"][0])
+        # the Gram entries, bounded before the set's O(n^2) midpoints are formed
+        _within_budget("--p size^2 x generator dim", len(args.p) ** 2 * gen.dim)
         pset = ExponentSet(args.p, family_kind=args.family)
         outdirs = (args.out,)
-        gen = generator_from_json(DEFAULT_CONFIG["generators"][0])
         _check_n_xi(args.n_xi, [pset], [gen])
         f = LatticeElement([4.0, 1.0])
         gram = build_gram(gen, f, args.t, pset)
@@ -249,17 +258,17 @@ def cmd_expconv(args, argv) -> int:
         print(f"{label} t={gram.t:g} p={list(gram.pset.p)} "
               f"min_eig={rep.min_eigenvalue:.3e} {status}")
 
-    outdir = _resolve_outdir(*outdirs)
-    _dump_json(outdir / "gram.json", {"family_kind": args.family, "instances": results})
-    with open(outdir / "gram.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generator", "t", "p_i", "p_j", "coordinate", "value"])
-        writer.writerows(csv_rows)
-    with open(outdir / "min_eigenvalues.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["generator", "t", "p", "coordinate", "min_eigenvalue"])
-        writer.writerows(eig_rows)
-    _write_meta(outdir, argv, started, "gram.json")
+    with _resolve_outdir(*outdirs) as outdir:
+        _dump_json(outdir / "gram.json", {"family_kind": args.family, "instances": results})
+        with open(outdir / "gram.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["generator", "t", "p_i", "p_j", "coordinate", "value"])
+            writer.writerows(csv_rows)
+        with open(outdir / "min_eigenvalues.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["generator", "t", "p", "coordinate", "min_eigenvalue"])
+            writer.writerows(eig_rows)
+        _write_meta(outdir, argv, started, "gram.json")
     return 0 if all_pass else 1
 
 

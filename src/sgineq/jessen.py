@@ -45,7 +45,6 @@ __all__ = [
     "NonFiniteSideError",
     "DualVector",
     "JessenReport",
-    "jessen_sides",
     "jessen_report",
     "verify_jessen",
     "support_line_check",
@@ -99,6 +98,13 @@ class JessenReport(NamedTuple):
     t: float
     family: str
     generator: str | None
+
+    @property
+    def passed(self) -> bool:
+        """The verdict is LEQ or EQUAL and the min slack clears its floor:
+        ``_jessen_passed`` of this row."""
+        return bool(_jessen_passed(self.verdict in (Ordering.LEQ, Ordering.EQUAL),
+                                   self.residual.values))
 
     def to_json(self) -> dict:
         return self._asdict() | {"verdict": self.verdict.value,
@@ -191,19 +197,16 @@ def _members_sides(
     return phi_zf, zf, z_phi_f
 
 
-def jessen_sides(
-    apply: Callable[[np.ndarray], np.ndarray], fam: OperatorFamily, F: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two sides phi(Z f) and Z phi(f) for every row f of an (S, K) block:
-    ``_members_sides`` of the one member ``fam``, with the same checks, where
-    ``apply`` maps an (N, K) block to the block of its rows under Z(t).
+def _slack_floor(residual: np.ndarray):
+    """Lowest acceptable min slack, -1e-9 * (1 + ||residual||), per row."""
+    return -1e-9 * (1.0 + np.max(np.abs(residual), axis=-1))
 
-    Both results are (S, K) and their difference is the residual.
-    """
-    K = F.shape[-1]
-    phi_zf, _, z_phi_f = _members_sides(lambda B: apply(B.reshape(-1, K)).reshape(B.shape),
-                                        [fam], F[None])
-    return phi_zf[0], z_phi_f[0]
+
+def _jessen_passed(leq, residual: np.ndarray):
+    """The Jessen pass rule, row by row over the last axis: phi(Z f) <= Z phi(f)
+    within the order band (``leq``, as ``leq_rows`` gives it or as a verdict of
+    LEQ or EQUAL), and a min slack of the residual at or above ``_slack_floor``."""
+    return leq & (residual.min(axis=-1) >= _slack_floor(residual))
 
 
 def jessen_report(

@@ -30,9 +30,10 @@ stack for many times with one stacked product per series term, and
 ``act`` sums the series on a block F of a few row vectors by products
 F @ P^T, with P^T a view of P, never forming Z(t) (2^s steps run in
 sequence, as squaring needs the matrix). P is Q/lam with 1 added to its
-diagonal in place; ``sup_norm`` sums row i of |Q| as rowsum_i(Q) - q_ii + |q_ii|,
-and the largest row sum of P is 1 + max_i rowsum_i(Q)/lam, both from one cached
-vector of the row sums of Q.
+diagonal in place. A ``Generator`` forms what the kernels read of Q once,
+at construction, from one vector of the row sums of Q: the conservativity
+certificate, ``sup_norm`` (row i of |Q| summed as rowsum_i(Q) - q_ii + |q_ii|),
+lam and mu, the largest row sum of P, as 1 + max_i rowsum_i(Q)/lam.
 
 All three share one series kernel, ``_series``, in which no term
 allocates: the sum and two term buffers are made once per call, the two
@@ -45,7 +46,6 @@ are those of ``term @ P * c``, so the bits are those of that allocating loop.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -101,33 +101,32 @@ class EvolveOverflowError(SgineqError):
 
 
 class Generator:
-    """Validated Metzler matrix with its conservativity certificate."""
+    """Metzler matrix with what the kernels read of it, all from its row sums.
 
-    def __init__(self, q: np.ndarray, conservative: bool, name: str | None = None):
-        self.q, self.conservative, self.name = q, conservative, name
+    ``conservative`` is the certificate that every row sums to zero within
+    ``CONSERVATIVE_ROW_SUM_TOL``; ``sup_norm`` is the max absolute row sum of
+    Q, formed as max_i rowsum_i(Q) - q_ii + |q_ii| (Q is Metzler);
+    ``uniform_rate`` is lam with P = I + Q/lam >= 0: max |Q_ii|, else the
+    largest entry (0.0 for Q = 0); ``mu`` is the largest row sum of P,
+    max(1, 1 + max_i rowsum_i(Q)/lam), or 1.0 for lam = 0. A row sum beyond
+    double range is inf: not conservative, and a ``sup_norm`` of inf, which
+    ``_plan``'s time cap rejects.
+    """
+
+    def __init__(self, q: np.ndarray, name: str | None = None):
+        self.q, self.name = q, name
+        diag = q.diagonal()
+        with np.errstate(over="ignore"):
+            row_sums = q.sum(axis=1)
+            self.sup_norm = float(np.max(row_sums - diag + np.abs(diag)))
+        self.conservative = bool(np.max(np.abs(row_sums)) <= CONSERVATIVE_ROW_SUM_TOL)
+        lam = self.uniform_rate = float(np.max(np.abs(diag))) or float(np.max(q))
+        # float division gives inf without a warning
+        self.mu = max(1.0, 1.0 + float(row_sums.max()) / lam) if lam else 1.0
 
     @property
     def dim(self) -> int:
         return self.q.shape[0]
-
-    @cached_property
-    def row_sums(self) -> np.ndarray:
-        """rowsum_i(Q), read by ``validate_generator``, by ``sup_norm`` and by
-        ``_chain`` for mu; inf beyond double range, so not conservative."""
-        with np.errstate(over="ignore"):
-            return self.q.sum(axis=1)
-
-    @cached_property
-    def sup_norm(self) -> float:
-        """Max absolute row sum of Q, formed as max_i rowsum_i(Q) - q_ii + |q_ii| (Q is Metzler);
-        inf beyond double range, which ``_plan``'s time cap then rejects."""
-        with np.errstate(over="ignore"):
-            return float(np.max(self.row_sums - self.q.diagonal() + np.abs(self.q.diagonal())))
-
-    @cached_property
-    def uniform_rate(self) -> float:
-        """lam with P = I + Q/lam >= 0: max |Q_ii|, else the largest entry (0.0 for Q = 0)."""
-        return float(np.max(np.abs(np.diag(self.q)))) or float(np.max(self.q))
 
 
 def validate_generator(q, name: str | None = None) -> Generator:
@@ -160,9 +159,7 @@ def validate_generator(q, name: str | None = None) -> Generator:
             f"off-diagonal entry ({i},{j}) = {arr[i, j]}{label} is negative"
         )
     arr.setflags(write=False)
-    gen = Generator(q=arr, conservative=False, name=name)
-    gen.conservative = bool(np.max(np.abs(gen.row_sums)) <= CONSERVATIVE_ROW_SUM_TOL)
-    return gen
+    return Generator(arr, name)
 
 
 def generator_from_json(data: dict) -> Generator:
@@ -207,18 +204,6 @@ class SemigroupOperator:
             raise ValueError(f"element dim {f.dim} does not match operator dim {self.dim}")
         return LatticeElement(self.matrix @ f.values)
 
-    def act(self, F) -> np.ndarray:
-        """Z(t) f for every row f of an (S, K) block: ``_stack_act`` of the one matrix."""
-        return _stack_act(self.matrix[None], _row_block(F, self.dim)[None])[0]
-
-
-def _row_block(F, dim: int) -> np.ndarray:
-    """F as a float (S, dim) array; any other shape is a ValueError."""
-    F = np.asarray(F, dtype=float)
-    if F.ndim != 2 or F.shape[1] != dim:
-        raise ValueError(f"act needs an (S, {dim}) block, got shape {F.shape}")
-    return F
-
 
 def _stack_act(mats: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Z f for every row f of an (..., G, S, K) array F, the S rows at group g
@@ -230,22 +215,20 @@ def _stack_act(mats: np.ndarray, F: np.ndarray) -> np.ndarray:
     return (mats[:, None] @ F[..., None])[..., 0]
 
 
-def _chain(gen: Generator) -> tuple[np.ndarray | None, float]:
-    """P = I + Q/lam >= 0 and its largest row sum mu = 1 + max_i rowsum_i(Q)/lam (at
-    least 1), taken from the row sums of Q, not summed over P; (None, 1.0) for Q = 0."""
+def _chain(gen: Generator) -> np.ndarray | None:
+    """P = I + Q/lam >= 0, one K x K array per call; None for Q = 0."""
     lam = gen.uniform_rate
     if not lam:
-        return None, 1.0
-    # a P beyond double range is reported by _plan's growth guard; mu is a Python
-    # float there, as float division gives inf without a warning
+        return None
+    # a P beyond double range is reported by _plan's growth guard
     with np.errstate(over="ignore", invalid="ignore"):
         p = gen.q / lam
         p.flat[:: gen.dim + 1] += 1.0
-    return p, max(1.0, 1.0 + float(gen.row_sums.max()) / lam)
+    return p
 
 
-def _plan(gen: Generator, t: float, mu: float):
-    """Guards and series schedule of one time, given mu from ``_chain``.
+def _plan(gen: Generator, t: float):
+    """Guards and series schedule of one time, with the generator's mu.
 
     None for the identity (t = 0, Q = 0 or lam*t below the double range),
     else ``(rate, splits, terms, tail)`` for 2^splits steps of rate <=
@@ -264,14 +247,14 @@ def _plan(gen: Generator, t: float, mu: float):
     while lam * t / (2 ** splits) > _STEP_LIMIT:
         splits += 1
     rate = lam * (t / (2 ** splits))
-    log_growth = rate * (mu - 1.0)
+    log_growth = rate * (gen.mu - 1.0)
     if not log_growth <= 700.0:  # also NaN or inf when P = I + Q/lam is not finite
         raise EvolveOverflowError(_OVERFLOW)
     if rate == 0.0:  # lam*t underflowed: Z(t) = I to double precision
         return None
     # scalar majorant b_k = exp(-rate) * (rate*mu)^k / k!, tracked in logs
     log_target = math.log(_TAIL_REL) + log_growth
-    rate_mu = rate * mu
+    rate_mu = rate * gen.mu
     log_rate_mu = math.log(rate_mu)
     max_iter = int(rate_mu + 60.0 * math.sqrt(rate_mu + 1.0) + 400)
     logs = _LOGS
@@ -352,8 +335,8 @@ def evolve(gen: Generator, t: float) -> SemigroupOperator:
         only, kept below 1e-14 * ||Z(t)||; rounding in the sums and the
         squarings is not included in it.
     """
-    p, mu = _chain(gen)
-    plan = _plan(gen, t, mu)
+    p = _chain(gen)
+    plan = _plan(gen, t)
     if plan is None:
         return SemigroupOperator(np.eye(gen.dim), t=t or 0.0, trunc_error=0.0)
     rate, splits, terms, err = plan
@@ -376,10 +359,10 @@ def evolve_many(gen: Generator, ts) -> np.ndarray:
     of one time.
     """
     ts = list(ts)  # read again on a failure
-    p, mu = _chain(gen)
+    p = _chain(gen)
     try:
         # the identity is the series with no term past the first
-        plans = [_plan(gen, t, mu) or (0.0, 0, 0, 0.0) for t in ts]
+        plans = [_plan(gen, t) or (0.0, 0, 0, 0.0) for t in ts]
         rates, splits, terms, _ = np.array(plans, dtype=float).reshape(-1, 4).T
         start = np.array([math.exp(-r) for r in rates])[:, None, None] * np.eye(gen.dim)
         coefs = (np.where(k <= terms, rates / k, 0.0)[:, None, None]
@@ -406,10 +389,12 @@ def act(gen: Generator, t: float, F) -> np.ndarray:
     and square, ``act`` runs the 2^s steps one after the other. The
     guards (negative t, time cap, overflow) are those of ``evolve``.
     """
-    F = _row_block(F, gen.dim)
+    F = np.asarray(F, dtype=float)
+    if F.ndim != 2 or F.shape[1] != gen.dim:
+        raise ValueError(f"act needs an (S, {gen.dim}) block, got shape {F.shape}")
     block = F.copy()
-    p, mu = _chain(gen)
-    plan = _plan(gen, t, mu)
+    p = _chain(gen)
+    plan = _plan(gen, t)
     if plan is not None:
         rate, splits, terms, _ = plan
         coefs = [rate / k for k in range(1, terms + 1)]

@@ -7,6 +7,7 @@ package's single-case functions in the plainest loop.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -93,22 +94,30 @@ def plain_term_schedule(lam: float, t: float, mu: float) -> tuple:
     raise AssertionError("no term count reaches the tail target")
 
 
-def eye_plus_chain(gen, mu_from_p=False):
-    """(P, mu) of ``semigroup._chain`` with P formed as np.eye(K) + Q/lam.
+def eye_plus_chain(gen):
+    """P of ``semigroup._chain`` formed as np.eye(K) + Q/lam.
 
     The chain as a sum of two K x K arrays, the reference for the P that
-    ``_chain`` builds in place; (None, 1.0) for Q = 0. mu is
-    max(1, 1 + max_i rowsum_i(Q)/lam) in Python floats, as ``_chain``
-    takes it; with ``mu_from_p`` it is the largest row sum of P summed
-    over P, which can differ from that in the last bits.
+    ``_chain`` builds in place; None for Q = 0.
     """
     if not gen.uniform_rate:
-        return None, 1.0
+        return None
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.eye(gen.dim) + gen.q / gen.uniform_rate
-        if mu_from_p:
-            return p, max(1.0, float(p.sum(axis=1).max()))
-    return p, max(1.0, 1.0 + float(gen.q.sum(axis=1).max()) / gen.uniform_rate)
+        return np.eye(gen.dim) + gen.q / gen.uniform_rate
+
+
+def chain_mu(gen, from_p=False):
+    """mu of the generator, the largest row sum of P: max(1, 1 + max_i rowsum_i(Q)/lam)
+    in Python floats, as ``Generator`` forms it, or 1.0 for Q = 0. With ``from_p``
+    it is the largest row sum of ``eye_plus_chain(gen)`` summed over P, which can
+    differ from that in the last bits.
+    """
+    if not gen.uniform_rate:
+        return 1.0
+    if from_p:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return max(1.0, float(eye_plus_chain(gen).sum(axis=1).max()))
+    return max(1.0, 1.0 + float(gen.q.sum(axis=1).max()) / gen.uniform_rate)
 
 
 def plain_series(term, m, coefs) -> np.ndarray:
@@ -132,10 +141,10 @@ def row_block_act(gen, t: float, F) -> np.ndarray:
     of ``plain_term_schedule`` and 2^splits steps in sequence.
     """
     block = np.array(F, dtype=float)
-    p, mu = eye_plus_chain(gen)
+    p = eye_plus_chain(gen)
     if p is None or t == 0.0:
         return block
-    rate, splits, terms, _ = plain_term_schedule(gen.uniform_rate, t, mu)
+    rate, splits, terms, _ = plain_term_schedule(gen.uniform_rate, t, chain_mu(gen))
     pt = np.ascontiguousarray(p.T)
     for _ in range(2 ** splits):
         term = math.exp(-rate) * block
@@ -172,15 +181,15 @@ def verify(cfg) -> dict:
     axiom suites, ``evolve``, ``build_gram``, ``check_order_psd`` and
     ``verify_jessen``. The Jessen and adjoint values of a row are the plain
     1-D products ``z @ f`` and ``single_row_adjoint``, with each pass rule
-    written out. ``jessen_sides`` on the block of one (generator, family, t)
+    written out. ``_members_sides`` on the block of one (generator, family, t)
     stands for the input checks, so the first error raised, in loop order,
     is that of the loop that checked each time's block on its own.
     """
     from sgineq.expconv import ExponentSet, build_gram, check_order_psd
     from sgineq.families import PowerFamily
-    from sgineq.jessen import NotNormalizedError, jessen_report, jessen_sides, verify_jessen
+    from sgineq.jessen import NotNormalizedError, _members_sides, jessen_report, verify_jessen
     from sgineq.lattice import Ordering
-    from sgineq.semigroup import evolve
+    from sgineq.semigroup import _stack_act, evolve
     from sgineq.suites import (_family_domain_kind, random_domain_element,
                                run_lattice_axiom_suite, run_semigroup_axiom_suite)
 
@@ -211,7 +220,8 @@ def verify(cfg) -> dict:
             for t, op in zip(cfg.t_grid, gen_ops):
                 block = np.array([random_domain_element(rng, gen.dim, kind).values
                                   for _ in range(cfg.samples)])
-                jessen_sides(op.act, fam, block)  # for the errors of its input checks
+                # for the errors of its input checks
+                _members_sides(partial(_stack_act, op.matrix[None]), [fam], block[None, None])
                 for f in block:
                     phi_zf, z_phi_f = fam.value(op.matrix @ f), op.matrix @ fam.value(f)
                     rep = jessen_report(phi_zf, z_phi_f, cfg.order_tol, t, fam, gen)
@@ -234,7 +244,8 @@ def verify(cfg) -> dict:
                 f = random_domain_element(rng, gen.dim, kind).values
                 raw = rng.uniform(0.0, 1.0, size=gen.dim)
                 fstar = raw / max(raw.sum(), 1e-12)
-                jessen_sides(op.act, fam, f[None])  # for the errors of its input checks
+                # for the errors of its input checks
+                _members_sides(partial(_stack_act, op.matrix[None]), [fam], f[None, None, None])
                 defect, gap, _, consistency, transpose_ok, gap_ok = single_row_adjoint(
                     op.matrix, fam.value, fstar, f)
                 worst_tr, worst_gap = max(worst_tr, defect), min(worst_gap, gap)

@@ -55,6 +55,19 @@ def run_cli(*args, cwd, env_extra=None, timeout=None):
 CONFIG_DIR = SOURCE_ROOT.parent / "configs"
 
 
+@pytest.fixture
+def exponent_sets(monkeypatch):
+    """The arguments of every ExponentSet built while the test runs."""
+    real_init, built = ExponentSet.__init__, []
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExponentSet, "__init__", spy)
+    return built
+
+
 def small_config(**overrides):
     cfg = {
         "generators": [{"q": [[-1.0, 1.0], [1.0, -1.0]], "name": "benchmark2"}],
@@ -677,25 +690,55 @@ class TestExpconv:
                 "budget 8"]
             assert not out.exists()
 
-    @pytest.mark.parametrize("n_xi,code", [("2", 64), ("1", 0)], ids=["over", "at"])
+    @pytest.mark.parametrize("n_xi,code", [("8", 64), ("7", 0)], ids=["over", "at"])
     def test_config_route_n_xi_over_the_work_budget_is_usage_error(self, tmp_path, capsys,
                                                                     monkeypatch, n_xi, code):
-        # the largest p_set has 3 exponents and the largest generator 3 states
+        # the largest p_set has 3 exponents and the largest generator 3 states; the
+        # Gram entries, (2^2 + 3^2) x (2 + 3) states x 1 time = 65, sit at the budget
         cfg = small_config(
             generators=[{"q": [[-1.0, 1.0], [1.0, -1.0]]},
                         {"q": [[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]]}],
             families=[{"family": "PowerF", "t": 2.0}], t_grid=[1.0], samples=1,
             p_sets=[[2.0, 4.0], [2.0, 3.0, 5.0]])
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-        monkeypatch.setattr(suites, "MAX_SAMPLE_WORK", 9)
+        monkeypatch.setattr(suites, "MAX_SAMPLE_WORK", 65)
         out = tmp_path / "o"
         assert cli.main(["expconv", "--config", str(tmp_path / "cfg.json"), "--n-xi", n_xi,
                          "--out", str(out)]) == code
         if code == 64:
             assert capsys.readouterr().err.splitlines() == [
-                "sgineq: error: --n-xi x p-set size x generator dim = 18 exceeds the work "
-                "budget 9"]
+                "sgineq: error: --n-xi x p-set size x generator dim = 72 exceeds the work "
+                "budget 65"]
             assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["verify"], ["expconv", "--n-xi", "1"]],
+                             ids=["verify", "expconv"])
+    def test_config_p_set_over_the_gram_budget_is_usage_error(self, tmp_path, capsys,
+                                                              monkeypatch, exponent_sets, command):
+        # 5 samples x 2 states x 2 families x 2 times = 40 sampled coordinates; the
+        # Gram entries are 4^2 x 2 states x 2 times = 64, and 36 for 3 exponents
+        monkeypatch.setattr(suites, "MAX_SAMPLE_WORK", 40)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+        cfg.write_text(json.dumps(small_config(p_sets=[[2.0, 4.0, 6.0, 8.0]])))
+        assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 64
+        assert capsys.readouterr().err.splitlines() == [
+            "sgineq: error: p_set sizes^2 x generator dims x times = 64 exceeds the work budget 40"]
+        assert not exponent_sets and not out.exists()
+        cfg.write_text(json.dumps(small_config(p_sets=[[2.0, 4.0, 6.0]])))
+        assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("p,code", [(["2", "4", "6"], 64), (["2", "4"], 0)],
+                             ids=["over", "at"])
+    def test_flag_route_p_over_the_gram_budget_is_usage_error(self, tmp_path, capsys,
+                                                              monkeypatch, exponent_sets, p, code):
+        # n^2 x 2 states Gram entries: 18 and 8; with --n-xi 1 the screen holds 6 and 4
+        monkeypatch.setattr(suites, "MAX_SAMPLE_WORK", 8)
+        out = tmp_path / "o"
+        assert cli.main(["expconv", "--p", *p, "--n-xi", "1", "--out", str(out)]) == code
+        if code == 64:
+            assert capsys.readouterr().err.splitlines() == [
+                "sgineq: error: --p size^2 x generator dim = 18 exceeds the work budget 8"]
+            assert not exponent_sets and not out.exists()
 
     def test_flag_route_defaults(self, tmp_path):
         code = cli.main(["expconv", "--p", "2", "4", "--out", str(tmp_path / "o")])
@@ -749,6 +792,40 @@ class TestOutputDirectory:
         assert cli.main([*command, "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == files
         assert len(capsys.readouterr().out.splitlines()) == lines
+
+
+@pytest.mark.parametrize("command,route", [
+    (["verify"], "out"), (["verify"], "output_dir"), (["verify"], "env"),
+    (["verify"], "report_is_a_directory"),
+    (["expconv", "--p", "2", "4"], "out"), (["expconv"], "output_dir"),
+    (["expconv", "--p", "2", "4"], "env"),
+    (["figure", "1a"], "out"), (["figure", "1b"], "env"),
+], ids=["verify_out", "verify_output_dir", "verify_env", "verify_report_is_a_directory",
+        "expconv_out", "expconv_output_dir", "expconv_env", "figure_out", "figure_env"])
+def test_output_path_that_cannot_be_written_is_usage_error(tmp_path, command, route):
+    # an existing file where the directory would go, or below it; or a directory
+    # where verify writes report.json
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    target = blocker if command[0] == "verify" else blocker / "sub"
+    args, env = list(command), None
+    if route == "report_is_a_directory":
+        target = tmp_path / "o"
+        (target / "report.json").mkdir(parents=True)
+    if command in (["verify"], ["expconv"]):
+        config = small_config(samples=1)
+        if route == "output_dir":
+            config["output_dir"] = str(target)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args += ["--config", str(tmp_path / "cfg.json")]
+    if route == "env":
+        env = {"SGINEQ_OUTPUT_DIR": str(target)}
+    elif route != "output_dir":
+        args += ["--out", str(target)]
+    res = run_cli(*args, cwd=tmp_path, env_extra=env, timeout=120)
+    assert res.returncode == 64, res.stderr
+    assert res.stderr.startswith("sgineq: error: cannot write the output directory ")
+    assert str(target) in res.stderr and "Traceback" not in res.stderr
 
 
 class TestUsage:

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,9 @@ from sgineq.families import (
     NegLogFamily,
     NonPositiveInputError,
 )
-from sgineq.jessen import NonFiniteSideError, NotNormalizedError, jessen_sides
+from sgineq.jessen import NonFiniteSideError, NotNormalizedError, _members_sides
 from sgineq.lattice import LatticeElement, Ordering
-from sgineq.semigroup import evolve, validate_generator
+from sgineq.semigroup import _stack_act, evolve, validate_generator
 from sgineq.suites import random_conservative_generator, random_domain_element
 
 from oracles import BENCH_Q, brute_quad_form, power_map, sym2_eigs, two_state_closed_form
@@ -231,9 +233,10 @@ class TestBuildGram:
 
 
 def _residual(op, fam, f):
-    """Z phi(f) - phi(Z f) of one element through ``jessen_sides``."""
-    phi_zf, z_phi_f = jessen_sides(op.act, fam, f.values[None, :])
-    return LatticeElement(z_phi_f[0] - phi_zf[0])
+    """Z phi(f) - phi(Z f) of one element through ``_members_sides``."""
+    phi_zf, _, z_phi_f = _members_sides(partial(_stack_act, op.matrix[None]), [fam],
+                                        f.values[None, None, None])
+    return LatticeElement(z_phi_f[0, 0, 0] - phi_zf[0, 0, 0])
 
 
 def _gram_bits_reference(gen, f, t, pset):

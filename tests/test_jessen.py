@@ -24,13 +24,12 @@ from sgineq.jessen import (
     adjoint_pairing,
     dual_convexity_report,
     jessen_report,
-    jessen_sides,
     support_line_check,
     verify_adjoint_pairing,
     verify_jessen,
 )
-from sgineq.lattice import DEFAULT_TOLERANCE, LatticeElement, Ordering
-from sgineq.semigroup import SemigroupOperator, _stack_act, act, evolve, validate_generator
+from sgineq.lattice import DEFAULT_TOLERANCE, LatticeElement, Ordering, OrderTolerance, leq_rows
+from sgineq.semigroup import _stack_act, act, evolve, validate_generator
 from sgineq import jessen, suites
 from sgineq.suites import (
     benchmark_families,
@@ -121,6 +120,37 @@ class TestVerifyJessen:
         assert rep.min_slack >= -1e-9 * (1.0 + abs(rep.min_slack))
 
 
+class TestPassRule:
+    """``JessenReport.passed`` (the random suite's rule) and the rule that
+    ``run_config_verification`` applies to its rows are one rule, with the floor
+    -1e-9 * (1 + ||residual||)."""
+
+    def test_report_and_rows_follow_the_written_out_rule(self):
+        rng = np.random.default_rng(47)
+        fam, gen = HalfSquareFamily(), validate_generator(BENCH_Q)
+        # per entry: equal sides, a gap inside the band, one past the floor or the band
+        gaps = [0.0, 1e-10, -1e-10, 2e-9, -2e-9, -5e-9, 1e-3, -1e-3]
+        for tol in (DEFAULT_TOLERANCE, OrderTolerance(atol=1e-6, rtol=0.0)):
+            phi_zf = rng.uniform(-2.0, 2.0, size=(400, 3))
+            z_phi_f = phi_zf + rng.choice(gaps, size=phi_zf.shape)
+            rows = jessen._jessen_passed(leq_rows(phi_zf, z_phi_f, tol), z_phi_f - phi_zf)
+            reports = [jessen_report(a, b, tol, 1.0, fam, gen) for a, b in zip(phi_zf, z_phi_f)]
+            want = [rep.verdict in (Ordering.LEQ, Ordering.EQUAL)
+                    and rep.min_slack >= -1e-9 * (1.0 + float(np.max(np.abs(rep.residual.values))))
+                    for rep in reports]
+            assert [rep.passed for rep in reports] == rows.tolist() == want
+            # every verdict occurs, and rows pass and fail by either half of the rule
+            assert {rep.verdict for rep in reports} == set(Ordering)
+            assert 0 < sum(want) < len(want)
+
+    def test_random_suite_keeps_the_cases_that_fail_the_rule(self, monkeypatch):
+        # a floor above every slack fails every case, through JessenReport.passed
+        monkeypatch.setattr(jessen, "_slack_floor", lambda residual: np.inf)
+        result = suites.run_jessen_random_suite(5, seed=3)
+        assert result.failures == len(result.cases) == 5
+        assert all(case["ok"] is False for case in result.cases)
+
+
 def random_evolved(k, seed, t=0.7):
     rng = np.random.default_rng(seed)
     q = rng.uniform(0.0, 1.0, size=(k, k))
@@ -129,7 +159,14 @@ def random_evolved(k, seed, t=0.7):
     return evolve(validate_generator(q), t)
 
 
-IDENTITY_ACTION = SemigroupOperator(np.eye(2), t=0.0).act
+IDENTITY_ACTION = partial(_stack_act, np.eye(2)[None])
+
+
+def one_matrix_sides(z, fam, block):
+    """phi(Z f) and Z phi(f) for every row f of an (S, K) block: ``_members_sides``
+    of the one member ``fam`` on the (1, 1, S, K) block, through the one matrix z."""
+    phi_zf, _, z_phi_f = _members_sides(partial(_stack_act, z[None]), [fam], block[None, None])
+    return phi_zf[0, 0], z_phi_f[0, 0]
 
 
 class TestJessenSides:
@@ -141,7 +178,7 @@ class TestJessenSides:
         for fam, low, high in [(PowerFamily(-1.0), 0.2, 3.0), (NegLogFamily(), 0.2, 3.0),
                                (ExpFamily(1.0), -2.0, 2.0), (HalfSquareFamily(), -2.0, 2.0)]:
             block = rng.uniform(low, high, size=(17, k))
-            phi_zf, z_phi_f = jessen_sides(op.act, fam, block)
+            phi_zf, z_phi_f = one_matrix_sides(z, fam, block)
             assert phi_zf.shape == z_phi_f.shape == (17, k)
             assert np.array_equal(phi_zf, np.array([fam.value(z @ f) for f in block]))
             assert np.array_equal(z_phi_f, np.array([z @ fam.value(f) for f in block]))
@@ -149,15 +186,15 @@ class TestJessenSides:
     def test_single_row_is_verify_jessen_residual(self, bench_gen, bench_f):
         # verify_jessen applies Z(t) through semigroup.act, never forming it
         rep = verify_jessen(bench_gen, PowerFamily(3.0), bench_f, 1.0)
-        phi_zf, z_phi_f = jessen_sides(partial(act, bench_gen, 1.0), PowerFamily(3.0),
-                                       bench_f.values[None, :])
+        phi_zf, _, z_phi_f = _members_sides(partial(act, bench_gen, 1.0), [PowerFamily(3.0)],
+                                            bench_f.values[None, :])
         assert np.array_equal(z_phi_f[0] - phi_zf[0], rep.residual.values)
 
     def test_domain_error_names_row_major_entry(self):
         block = np.full((3, 2), 1.5)
         block[2, 1] = 0.0
         with pytest.raises(NonPositiveInputError, match=r"entry 5 = 0"):
-            jessen_sides(IDENTITY_ACTION, EntropyFamily(), block)
+            _members_sides(IDENTITY_ACTION, [EntropyFamily()], block[None, None])
 
     def test_family_callables_see_vectors(self, bench_gen, bench_f):
         seen = []
@@ -175,15 +212,15 @@ class TestJessenSides:
         fam = CustomFamily(fn=vector_only, d2=np.ones_like, domain=positive_entries)
         op = evolve(bench_gen, 1.0)
         block = np.random.default_rng(5).uniform(0.2, 3.0, size=(4, 2))
-        phi_zf, z_phi_f = jessen_sides(op.act, fam, block)
-        want = jessen_sides(op.act, HalfSquareFamily(), block)
+        phi_zf, z_phi_f = one_matrix_sides(op.matrix, fam, block)
+        want = one_matrix_sides(op.matrix, HalfSquareFamily(), block)
         assert np.allclose(phi_zf, want[0], rtol=1e-15) and np.allclose(z_phi_f, want[1], rtol=1e-15)
         assert verify_jessen(bench_gen, fam, bench_f, 1.0).verdict in (Ordering.LEQ, Ordering.EQUAL)
         assert set(seen) == {1}
 
     def test_non_finite_side_rejected(self, bench_gen):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            jessen_sides(IDENTITY_ACTION, PowerFamily(1000.0), np.full((1, 2), 3.0))
+            _members_sides(IDENTITY_ACTION, [PowerFamily(1000.0)], np.full((1, 1, 1, 2), 3.0))
         # phi(f) overflows before Z(t) is applied; the error names the family
         with pytest.raises(NonFiniteSideError, match=r"PowerF\(1000\)"):
             verify_jessen(bench_gen, PowerFamily(1000.0), el(3.0, 0.5), 1.0)
@@ -208,7 +245,7 @@ class TestJessenSides:
             t = float(rng.choice([0.1, 1.0, 10.0] if conservative else [0.5, 1.5]))
             f = random_domain_element(rng, gen.dim, suites._family_domain_kind(fam))
             rep = verify_jessen(gen, fam, f, t, allow_unnormalized=not conservative)
-            phi_zf, z_phi_f = jessen_sides(evolve(gen, t).act, fam, f.values[None, :])
+            phi_zf, z_phi_f = one_matrix_sides(evolve(gen, t).matrix, fam, f.values[None, :])
             want = jessen_report(phi_zf[0], z_phi_f[0], DEFAULT_TOLERANCE, t, fam, gen)
             r = want.residual.values
             assert rep.verdict is want.verdict
@@ -246,7 +283,7 @@ class TestRowKernels:
             assert got.shape == block.shape
             assert bits(got.ravel()) == bits(np.concatenate(want))
             flat = block.reshape(-1, gen.dim)
-            assert bits(ops[0].act(flat).ravel()) == bits(np.concatenate(
+            assert bits(_stack_act(mats[:1], flat[None]).ravel()) == bits(np.concatenate(
                 [ops[0].matrix @ f for f in flat]))
 
     def test_stack_act_takes_an_empty_block(self):
@@ -258,7 +295,7 @@ class TestRowKernels:
             for shape in ((2, len(ops), 0, gen.dim), (0, len(ops), 3, gen.dim),
                           (0, len(ops), 0, gen.dim)):
                 assert _stack_act(mats, np.empty(shape)).shape == shape
-            assert ops[0].act(empty).shape == (0, gen.dim)
+            assert _stack_act(mats[:1], empty[None])[0].shape == (0, gen.dim)
 
     def test_adjoint_rows_match_single_rows(self):
         rng = np.random.default_rng(32)

@@ -1,4 +1,3 @@
-import functools
 import math
 import tracemalloc
 import warnings
@@ -12,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     BENCH_Q,
     abs_row_sum_norm,
+    chain_mu,
     eye_plus_chain,
     plain_series,
     plain_term_schedule,
@@ -434,6 +434,7 @@ class TestChain:
         ops = [evolve(gen, t) for t in ts]
         stack = evolve_many(gen, ts)
         monkeypatch.setattr(semigroup, "_chain", eye_plus_chain)
+        monkeypatch.setattr(gen, "mu", chain_mu(gen))
         want = [evolve(gen, t) for t in ts]
         assert [(op.matrix.tobytes(), op.trunc_error) for op in ops] == [
             (op.matrix.tobytes(), op.trunc_error) for op in want]
@@ -447,25 +448,24 @@ class TestChain:
         lam = gen.uniform_rate or 1.0
         ts = [0.0, 0.3, 1.0, 10.0, 129.0 / lam, 1000.0 / lam]
         mats, stack = [evolve(gen, t).matrix.tobytes() for t in ts], evolve_many(gen, ts).tobytes()
-        monkeypatch.setattr(semigroup, "_chain", functools.partial(eye_plus_chain, mu_from_p=True))
+        monkeypatch.setattr(semigroup, "_chain", eye_plus_chain)
+        monkeypatch.setattr(gen, "mu", chain_mu(gen, from_p=True))
         assert mats == [evolve(gen, t).matrix.tobytes() for t in ts]
         assert stack == evolve_many(gen, ts).tobytes()
 
     def test_signed_zeros_reach_the_chain(self):
         gen = validate_generator(SIGNED_ZERO_Q)
-        p, mu = semigroup._chain(gen)
-        ref_p, ref_mu = eye_plus_chain(gen)
+        p, ref_p = semigroup._chain(gen), eye_plus_chain(gen)
         assert np.signbit(p).sum() == 3 and not np.signbit(ref_p).any()
-        assert np.array_equal(p, ref_p) and mu == ref_mu
+        assert np.array_equal(p, ref_p) and gen.mu == chain_mu(gen)
 
     def test_chain_of_a_fortran_ordered_q(self):
         # the diagonal add must reach P whatever the layout of q
         q = np.asfortranarray(_generator(6, seed=4, conservative=False).q)
         assert validate_generator(q).q.flags.c_contiguous
-        gen = semigroup.Generator(q=q, conservative=False)
-        p, mu = semigroup._chain(gen)
-        ref_p, ref_mu = eye_plus_chain(gen)
-        assert np.array_equal(p, ref_p) and mu == ref_mu
+        gen = semigroup.Generator(q)
+        p, ref_p = semigroup._chain(gen), eye_plus_chain(gen)
+        assert np.array_equal(p, ref_p) and gen.mu == chain_mu(gen)
 
     @pytest.mark.parametrize("name", sorted(CHAIN_GENERATORS))
     def test_act_matches_row_block_route(self, name):
@@ -543,8 +543,9 @@ class TestChain:
 
     def test_sup_norm_allocates_no_matrix(self):
         k = 300
-        gen = _birth_death(k, seed=0)
-        assert _traced_peak(lambda: gen.sup_norm) < k * k * 8 / 4
+        q = _birth_death(k, seed=0).q
+        # the row sums, sup_norm, lam and mu are all formed at construction
+        assert _traced_peak(lambda: semigroup.Generator(q)) < k * k * 8 / 4
 
     def test_sup_norm_is_the_abs_row_sum(self):
         rng = np.random.default_rng(12)
@@ -576,7 +577,8 @@ class TestTermSchedule:
         assert gen.uniform_rate == lam
         for t in ts:
             for mu in mus:
-                assert semigroup._plan(gen, t, mu) == plain_term_schedule(lam, t, mu), (t, mu)
+                gen.mu = mu  # the schedule of any mu, not only of the generator's own
+                assert semigroup._plan(gen, t) == plain_term_schedule(lam, t, mu), (t, mu)
 
     def test_rate_from_tiny_to_the_step_limit(self):
         ts = [*np.logspace(-300.0, math.log10(128.0), 301), 128.0]
@@ -787,10 +789,9 @@ class TestOperatorSurface:
             SemigroupOperator(np.array([[1.0, -1e-6], [0.0, 1.0]]), t=0.0)
 
     def test_act_rejects_malformed_blocks(self, bench_gen):
-        op = evolve(bench_gen, 1.0)
         for bad in (np.ones(2), np.ones((1, 3)), np.ones((1, 2, 2))):
             with pytest.raises(ValueError, match=r"act needs an \(S, 2\) block, got shape"):
-                op.act(bad)
+                act(bench_gen, 1.0, bad)
 
     def test_apply_dim_mismatch(self, bench_gen):
         op = evolve(bench_gen, 1.0)

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,11 @@ from sgineq import cli, expconv, jessen, lattice, semigroup, suites
 from sgineq.expconv import ExponentSet, build_gram, check_order_psd
 from sgineq.families import NonPositiveInputError, exp_member, power_member
 from sgineq.cli import DEFAULT_CONFIG
-from sgineq.jessen import DualVector, jessen_sides, verify_adjoint_pairing
+from sgineq.jessen import DualVector, _members_sides, verify_adjoint_pairing
 from sgineq.lattice import LatticeElement, Ordering, partial_leq
 from sgineq.semigroup import (
     NegativeOffDiagonalError,
+    _stack_act,
     check_positivity_and_normalization,
     check_semigroup_axioms,
     evolve,
@@ -69,8 +71,10 @@ def reference_aggregates(cfg):
             for t in cfg.t_grid:
                 for _ in range(cfg.samples):
                     f = random_domain_element(rng, gen.dim, kind)
-                    phi_zf, z_phi_f = jessen_sides(evolve(gen, t).act, fam, f.values[None, :])
-                    lhs, rhs = LatticeElement(phi_zf[0]), LatticeElement(z_phi_f[0])
+                    z = evolve(gen, t).matrix
+                    phi_zf, _, z_phi_f = _members_sides(partial(_stack_act, z[None]), [fam],
+                                                        f.values[None, None, None])
+                    lhs, rhs = LatticeElement(phi_zf[0, 0, 0]), LatticeElement(z_phi_f[0, 0, 0])
                     verdict = partial_leq(lhs, rhs, cfg.order_tol)
                     residual = (rhs - lhs).values
                     floor = -1e-9 * (1.0 + float(np.max(np.abs(residual))))
@@ -192,8 +196,9 @@ class TestConfigVerification:
         # each record carries its own block row's residual, bit for bit
         gen, fam = cfg.generators[0], cfg.families[0]
         block = skip_axiom_suite_seeds(cfg).uniform(0.2, 3.0, size=(5, 2))
-        phi_zf, z_phi_f = jessen_sides(evolve(gen, 1e6).act, fam, block)
-        residual = z_phi_f - phi_zf
+        phi_zf, _, z_phi_f = _members_sides(partial(_stack_act, evolve(gen, 1e6).matrix[None]),
+                                            [fam], block[None, None])
+        residual = (z_phi_f - phi_zf)[0, 0]
         assert [case["residual"] for case in jes["failed_cases"]] == residual.tolist()
         assert [case["min_slack"] for case in jes["failed_cases"]] == residual.min(axis=1).tolist()
 
@@ -326,6 +331,8 @@ def test_config_from_json_returns_config_or_config_error(overrides, dropped):
     assert all(math.isfinite(t) and t >= 0 for t in cfg.t_grid)
     assert cfg.samples * sum(g.dim for g in cfg.generators) * len(cfg.families) \
         * len(cfg.t_grid) <= MAX_SAMPLE_WORK
+    assert sum(len(ps) ** 2 for ps in cfg.p_sets) * sum(g.dim for g in cfg.generators) \
+        * len(cfg.t_grid) <= MAX_SAMPLE_WORK
 
 
 # Small sample counts, valid or not, so each fuzzed verify run stays short.
@@ -357,6 +364,30 @@ def test_bundled_config_is_far_inside_the_work_budget():
     assert cfg.samples * 2 * len(cfg.families) * len(cfg.t_grid) == 2160 < MAX_SAMPLE_WORK
     with pytest.raises(ConfigError, match="work budget"):
         config_from_json(dict(DEFAULT_CONFIG, samples=MAX_SAMPLE_WORK))
+
+
+def test_gram_entries_of_every_p_set_are_held_to_the_work_budget(monkeypatch):
+    # the bundled Gram: 2^2 exponent pairs x 2 states x 3 times = 24 entries; one
+    # family and one sample keep the sampled coordinates at 6
+    one_family = dict(DEFAULT_CONFIG, samples=1, families=DEFAULT_CONFIG["families"][:1])
+    monkeypatch.setattr(suites, "MAX_SAMPLE_WORK", 24)
+    assert config_from_json(one_family).p_sets == [[2.0, 4.0]]
+    monkeypatch.setattr(suites, "MAX_SAMPLE_WORK", 23)
+    with pytest.raises(ConfigError, match=r"p_set sizes\^2 x generator dims x times = 24 exceeds"):
+        config_from_json(one_family)
+    # every p_set counts: (2^2 + 3^2) x 2 x 3 = 78
+    monkeypatch.setattr(suites, "MAX_SAMPLE_WORK", 77)
+    with pytest.raises(ConfigError, match=r"p_set sizes\^2 x generator dims x times = 78 exceeds"):
+        config_from_json(dict(one_family, p_sets=[[2.0, 4.0], [2.0, 3.0, 5.0]]))
+
+
+def test_committed_gram_config_is_just_over_the_work_budget():
+    # the CI run of this config exits 64 before any Gram or exponent set is built
+    path = Path(__file__).resolve().parents[1] / "configs" / "gram_over_budget.json"
+    data = json.loads(path.read_text())
+    assert [len(ps) for ps in data["p_sets"]] == [1001] and len(data["t_grid"]) == 1
+    with pytest.raises(ConfigError, match=rf"= 2004002 exceeds the work budget {MAX_SAMPLE_WORK}$"):
+        config_from_json(data)
 
 
 def test_config_order_band_defaults_are_the_default_tolerance():
