@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import HypothesisViolationError
 from .lattice import LatticeElement, Ordering, partial_leq
-from .families import OperatorFamily, exp_member, power_member
+from .families import OperatorFamily, _exp_rows, _power_rows, exp_member, power_member
 from .jessen import _members_sides, _require_normalized
 from .semigroup import Generator, _stack_act, evolve
 
@@ -167,14 +167,49 @@ class LambdaGram(NamedTuple):
 
 
 def _midpoint_residuals(z: np.ndarray, kind: str, mids, f: np.ndarray) -> np.ndarray:
-    """Rows z phi_m(f) - phi_m(z f), one per midpoint m of ``mids``, from
-    one ``_members_sides`` call, whose errors name their midpoint."""
-    fams = [_member(kind, mid) for mid in mids]
-    where = [f"at midpoint {mid:g}" for mid in mids]
+    """Rows z phi_m(f) - phi_m(z f), one per midpoint m of ``mids``.
+
+    Every midpoint is evaluated at once by ``_batched_sides``. When one of
+    its checks fails, the per-member route ``_members_sides`` runs the whole
+    block again: it raises the error of the first member to fail the
+    earliest check, with its type, and its message names that midpoint.
+    """
+    apply = partial(_stack_act, z[None])
     # f as the (1, 1, 1, K) block of one time and one sample, which every member shares
     block = f[None, None, None]
-    phi_zf, _, z_phi_f = _members_sides(partial(_stack_act, z[None]), fams, block, where)
-    return (z_phi_f - phi_zf)[:, 0, 0]
+    sides = _batched_sides(apply, kind, np.array(mids, dtype=float), block)
+    if sides is None:
+        fams = [_member(kind, mid) for mid in mids]
+        where = [f"at midpoint {mid:g}" for mid in mids]
+        phi_zf, _, z_phi_f = _members_sides(apply, fams, block, where)
+        sides = phi_zf[:, 0, 0], z_phi_f[:, 0, 0]
+    phi_zf, z_phi_f = sides
+    return z_phi_f - phi_zf
+
+
+def _batched_sides(apply, kind: str, mids: np.ndarray, block: np.ndarray):
+    """phi_m(Z f) and Z phi_m(f) as (M, K) arrays, one row per midpoint m of
+    ``mids``, with the bits of ``_members_sides`` on the members of ``mids``;
+    None when one of its checks would fail.
+
+    One array expression per family branch gives phi over all midpoints
+    (``families._power_rows`` or ``families._exp_rows``), and ``apply`` acts
+    on the block [f; phi_1(f); ...; phi_M(f)] that ``_members_sides`` joins.
+    The checks are those of ``_members_sides``, each once over all members
+    and in its order: f in the domain, finite phi(f), Z f in the domain,
+    finite phi(Z f), finite Z phi(f).
+    """
+    rows = _power_rows if kind == "F" else _exp_rows
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phi_f = rows(mids, block.ravel())
+        if phi_f is None or not np.isfinite(phi_f).all():
+            return None
+        acted = apply(np.concatenate((block, phi_f[:, None, None])))
+        phi_zf = rows(mids, acted[0].ravel())
+        z_phi_f = acted[1:, 0, 0]
+        if phi_zf is None or not np.isfinite(phi_zf).all() or not np.isfinite(z_phi_f).all():
+            return None
+    return phi_zf, z_phi_f
 
 
 def build_gram(

@@ -75,6 +75,18 @@ class MaxTermsExceededError(SgineqError):
     """log series did not reach its term tolerance within the budget."""
 
 
+def _power(x, p):
+    """x^p / (p(p-1)), the generic branch of the power family: for one
+    exponent p, or one row per exponent of a column p."""
+    return np.power(x, p) / (p * (p - 1.0))
+
+
+def _exp(x, rate):
+    """exp(rate*x) / rate^2, the generic branch of the exponential family:
+    for one rate, or one row per rate of a column."""
+    return np.exp(rate * x) / (rate * rate)
+
+
 class OperatorFamily:
     """Convex scalar map with analytic first and second derivatives."""
 
@@ -132,8 +144,7 @@ class PowerFamily(_PositiveConeFamily):
         return f"PowerF({self.exponent:g})"
 
     def value(self, x):
-        p = self.exponent
-        return np.power(x, p) / (p * (p - 1.0))
+        return _power(x, self.exponent)
 
     def derivative(self, x):
         p = self.exponent
@@ -196,7 +207,7 @@ class ExpFamily(OperatorFamily):
             )
 
     def value(self, x):
-        return np.exp(self.rate * x) / (self.rate * self.rate)
+        return _exp(x, self.rate)
 
     def derivative(self, x):
         return np.exp(self.rate * x) / self.rate
@@ -265,6 +276,45 @@ def exp_member(p: float) -> OperatorFamily:
     if p == 0.0:
         return HalfSquareFamily()
     return ExpFamily(p)
+
+
+# Exponents at which np.power with a float exponent takes its own path
+# (reciprocal, square root, square), whose bits differ from those of pow.
+# With a column of exponents numpy 2.4 takes it for some row lengths only,
+# so ``_power_rows`` leaves these rows to their member.
+_SCALAR_POWER_PATHS = (-1.0, 0.5, 2.0)
+
+
+def _power_rows(ps: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """``power_member(p).value(x)`` for every exponent p of ``ps``, as
+    (len(ps), K) rows with the same bits; None when x is off the strictly
+    positive cone, where the ``check_domain`` of every member raises."""
+    if x.min() <= STRICT_POSITIVITY_TOL:
+        return None
+    return _member_rows(power_member, _power, (0.0, 1.0) + _SCALAR_POWER_PATHS, ps, x)
+
+
+def _exp_rows(rates: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """``exp_member(r).value(x)`` for every rate r of ``rates``, as
+    (len(rates), K) rows with the same bits; None when the ``check_domain``
+    of some member raises, that is when some r x exceeds EXP_ARG_LIMIT."""
+    if (np.where(rates > 0, rates * x.max(), rates * x.min()) > EXP_ARG_LIMIT).any():
+        return None
+    return _member_rows(exp_member, _exp, (0.0,), rates, x)
+
+
+def _member_rows(member, generic, own, ps: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rows of the branch ``generic`` on the column ``ps``, one array
+    expression, with the row of each parameter in ``own`` (a branch of its
+    own, or a float path of np.power) from ``member(p).value(x)``. The
+    caller holds numpy's error state: the generic branch divides by zero at
+    a branch parameter, and a row beyond double range overflows.
+    """
+    rows = generic(x, ps[:, None])
+    # one mask picks the rows of own; np.isin takes 3-4 times as long on a few rows
+    for i in (ps[:, None] == own).nonzero()[0]:
+        rows[i] = member(float(ps[i])).value(x)
+    return rows
 
 
 # Wire name -> (family class, attribute of its parameter "t" or None).

@@ -99,10 +99,11 @@ __all__ = [
 # generator, one family, one time) verifies in 3.7-3.8 s on a shared 2-vCPU
 # machine. The bundled config uses 2160. The same cap bounds the entries of
 # every Gram, the sum over p_sets of size^2 x (sum of generator dims) x
-# times; the bundled config uses 24. At that cap, one 2-state generator, one
-# time and one p_set of 1000 exponents verify in 1.1 s with evenly spaced
-# exponents and in 8.9-9.9 s with random ones in [2, 6], whose 500500
-# distinct midpoints each take a family member (2-vCPU machine, one BLAS thread).
+# times; the bundled config uses 24. At that cap, configs/at_gram_cap.json
+# (one 2-state generator, one time, one p_set of 1000 random exponents in
+# [2, 6], whose 500500 midpoints are all distinct) verifies in 1.4-1.8 s on a
+# shared 2-vCPU machine with one BLAS thread, all midpoints evaluated as one
+# array per family branch.
 MAX_SAMPLE_WORK = 2_000_000
 
 # Matrix entries per evolve_many stack in the semigroup-axiom suite, which

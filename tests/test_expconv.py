@@ -2,6 +2,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgineq import expconv
 from sgineq.errors import SgineqError
@@ -22,6 +23,7 @@ from sgineq.families import (
     CustomFamily,
     EntropyFamily,
     ExpFamily,
+    ExpOverflowError,
     HalfSquareFamily,
     NegLogFamily,
     NonPositiveInputError,
@@ -183,7 +185,8 @@ class TestBuildGram:
         assert np.allclose(gram.entries[0, 1], manual(ExpFamily(2.0)), atol=1e-14)
         assert np.allclose(gram.entries[1, 1], manual(ExpFamily(4.0)), atol=1e-14)
 
-    def test_family_error_names_midpoint_and_keeps_its_type(self, bench_gen, bench_f, monkeypatch):
+    def test_family_error_names_midpoint_and_keeps_its_type(self, bench_gen, bench_f):
+        # the replay kernel of the Gram route, on the labels _midpoint_residuals gives it
         class CodedFamilyError(SgineqError):
             def __init__(self, code, detail):
                 super().__init__(f"[{code}] {detail}")
@@ -192,17 +195,18 @@ class TestBuildGram:
         def refuse(x):
             raise CodedFamilyError(17, "refused input")
 
-        monkeypatch.setattr(expconv, "_member", lambda kind, p: CustomFamily(
-            fn=np.array, d2=np.ones_like, name=f"coded({p:g})", domain=refuse))
+        fam = CustomFamily(fn=np.array, d2=np.ones_like, name="coded(3)", domain=refuse)
         with pytest.raises(CodedFamilyError, match=r"^at midpoint 3: \[17\] refused input$") as info:
-            build_gram(bench_gen, bench_f, 1.0, ExponentSet((3.0,)))
+            _replay(bench_gen, bench_f, {3.0: fam})
         assert info.value.code == 17
 
-    def test_overflowing_member_names_midpoint(self, bench_gen, bench_f):
+    def test_overflowing_member_names_midpoint(self, bench_gen, bench_f, route_calls):
         with pytest.raises(NonFiniteSideError, match=r"at midpoint 1001: PowerF\(1001\)"):
             build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 2000.0)))
+        # the batch fails its finiteness check, and the replay runs once
+        assert route_calls == {"_member": 3, "_members_sides": 1}
 
-    def test_earliest_check_fails_first_across_members(self, bench_gen, bench_f, monkeypatch):
+    def test_earliest_check_fails_first_across_members(self, bench_gen, bench_f):
         # member 1 has a non-finite phi(f), member 2 refuses f itself: the
         # domain check runs over every member before the finiteness check
         def refuse(x):
@@ -212,13 +216,11 @@ class TestBuildGram:
             2.0: CustomFamily(fn=lambda x: np.full_like(x, np.inf), d2=np.ones_like, name="inf"),
             3.0: CustomFamily(fn=np.array, d2=np.ones_like, name="refusing", domain=refuse),
         }
-        monkeypatch.setattr(expconv, "_member", lambda kind, p: members[p])
-        z = evolve(bench_gen, 1.0).matrix
         with pytest.raises(NonPositiveInputError, match=r"^at midpoint 3: refused input$"):
-            expconv._midpoint_residuals(z, "F", [2.0, 3.0], bench_f.values)
+            _replay(bench_gen, bench_f, members)
         members[3.0] = CustomFamily(fn=np.array, d2=np.ones_like, name="plain")
         with pytest.raises(NonFiniteSideError, match=r"^at midpoint 2: inf: "):
-            expconv._midpoint_residuals(z, "F", [2.0, 3.0], bench_f.values)
+            _replay(bench_gen, bench_f, members)
 
     def test_json_and_csv_exports(self, bench_gen, bench_f):
         gram = build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 4.0)))
@@ -230,6 +232,15 @@ class TestBuildGram:
         rows = list(gram.to_csv_rows())
         assert len(rows) == 2 * 2 * 2
         assert rows[0][:3] == (2.0, 2.0, 0)
+
+
+def _replay(gen, f, members):
+    """The per-member route of ``_midpoint_residuals`` on the families
+    ``members`` (midpoint -> family) at t = 1, with its ``where`` labels."""
+    z = evolve(gen, 1.0).matrix
+    return _members_sides(partial(_stack_act, z[None]), list(members.values()),
+                          f.values[None, None, None],
+                          [f"at midpoint {mid:g}" for mid in members])
 
 
 def _residual(op, fam, f):
@@ -287,8 +298,9 @@ class TestGramBits:
 
     def test_duplicate_midpoints_evaluated_once(self, bench_gen, bench_f, monkeypatch):
         seen = []
-        member = expconv._member
-        monkeypatch.setattr(expconv, "_member", lambda kind, p: seen.append(p) or member(kind, p))
+        residuals = expconv._midpoint_residuals
+        monkeypatch.setattr(expconv, "_midpoint_residuals",
+                            lambda z, kind, mids, f: seen.extend(mids) or residuals(z, kind, mids, f))
         build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 3.0, 4.0, 5.0)))
         # (i <= j) order: 2, 2.5, 3, 3.5 | 3 (again), 3.5, 4 | 4, 4.5 | 5
         assert seen == [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0]
@@ -303,6 +315,127 @@ class TestGramBits:
         # time, one sample, K = 2
         assert blocks == [((1, 2, 2), (6, 1, 1, 2))]
 
+
+
+@pytest.fixture
+def route_calls(monkeypatch):
+    """Calls of ``expconv._member`` and of the replay ``expconv._members_sides``."""
+    calls = {"_member": 0, "_members_sides": 0}
+    for name in calls:
+        def spy(*args, _name=name, _fn=getattr(expconv, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(expconv, name, spy)
+    return calls
+
+
+class TestReplay:
+    @pytest.mark.parametrize("kind", ["F", "H"])
+    def test_passing_gram_builds_no_member(self, kind, route_calls):
+        rng = np.random.default_rng(24)
+        for n in range(2, 41):
+            gen = random_conservative_generator(rng, max_dim=4, max_norm=4.0)
+            f = random_domain_element(rng, gen.dim, kind)
+            lo, hi = (1.5, 5.0) if kind == "F" else (-2.0, 2.0)
+            points = rng.uniform(lo, hi, size=n)
+            # midpoints at the branches 0 and 1 and at the float power paths 2, 0.5 and -1
+            points[:3] = ((0.0, 2.0, -1.0) if kind == "F" else (0.0, 1.0, -1.0))[:n]
+            build_gram(gen, f, float(rng.uniform(0.2, 2.0)), ExponentSet(points, kind))
+        assert route_calls == {"_member": 0, "_members_sides": 0}
+
+    def test_f_off_the_cone_replays_once_and_names_the_midpoint(self, bench_gen, route_calls):
+        with pytest.raises(NonPositiveInputError, match=r"^at midpoint 2\.5: PowerF\(2\.5\) needs "
+                           r"strictly positive input, entry 0 = 1e-12$"):
+            build_gram(bench_gen, el(1e-12, 1.0), 1.0, ExponentSet((2.5, 3.0)))
+        assert route_calls == {"_member": 3, "_members_sides": 1}
+
+    def test_overflowing_rate_replays_once_and_names_the_midpoint(self, bench_gen, route_calls):
+        # midpoints in (i <= j) order: 1, 400.5, 800; 400.5 * 2 is the first argument past 700
+        with pytest.raises(ExpOverflowError, match=r"^at midpoint 400\.5: ExpH\(400\.5\): "
+                           r"exponent argument 801 exceeds 700$"):
+            build_gram(bench_gen, el(2.0, 1.0), 1.0, ExponentSet((1.0, 800.0), family_kind="H"))
+        assert route_calls == {"_member": 3, "_members_sides": 1}
+
+
+# Midpoints at the branches (0 and 1), at the float paths of np.power (2,
+# 0.5 and -1), and at the edges of the guard band around the branches.
+_EDGE_MIDPOINTS = (0.0, 1.0, 2.0, 0.5, -1.0) + tuple(
+    sp + side * width for sp in (0.0, 1.0) for side in (-1.0, 1.0)
+    for width in (MIDPOINT_GUARD, np.nextafter(MIDPOINT_GUARD, 0.0), 2.0 * MIDPOINT_GUARD))
+# Entries of f per family kind: at and next to the cone tolerance, and large
+# enough that a power or an exponential of them leaves double range.
+_EDGE_ENTRIES = {"F": (1e-12, float(np.nextafter(1e-12, 1.0)), 1e-300, 1e40, 1e160),
+                 "H": (300.0, -300.0, 1e-300, 1e40)}
+
+
+@st.composite
+def _midpoint_cases(draw):
+    """(z, kind, mids, f): Z(t) of a conservative generator with K = 1..6,
+    1..8 distinct midpoints, and f, with edge midpoints and edge entries."""
+    kind = draw(st.sampled_from("FH"))
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    span = 8.0 if kind == "F" else 400.0
+    mids = draw(st.lists(st.one_of(st.sampled_from(_EDGE_MIDPOINTS),
+                                   st.floats(-span, span, allow_subnormal=False)),
+                         min_size=n, max_size=n))
+    entries = st.floats(1e-3, 10.0) if kind == "F" else st.floats(-3.0, 3.0)
+    f = draw(st.lists(st.one_of(entries, st.sampled_from(_EDGE_ENTRIES[kind])),
+                      min_size=k, max_size=k))
+    gen = random_conservative_generator(np.random.default_rng(draw(st.integers(0, 2 ** 32))),
+                                        min_dim=k, max_dim=k, max_norm=4.0)
+    z = evolve(gen, draw(st.floats(0.0, 3.0))).matrix
+    # the distinct midpoints in first-seen order, as _gram keys them
+    return z, kind, list(dict.fromkeys(float(m) for m in mids)), np.array(f)
+
+
+class TestBatchedSides:
+    @settings(max_examples=400, deadline=None)
+    @given(_midpoint_cases())
+    def test_batched_rows_match_the_per_member_route(self, case):
+        # the batch gives the rows of _members_sides bit for bit, and gives
+        # none exactly when _members_sides raises; _midpoint_residuals then
+        # raises that error, with its type and message
+        z, kind, mids, f = case
+        apply = partial(_stack_act, z[None])
+        block = f[None, None, None]
+        try:
+            phi_zf, _, z_phi_f = _members_sides(apply, [expconv._member(kind, m) for m in mids],
+                                                block, [f"at midpoint {m:g}" for m in mids])
+        except Exception as err:
+            want = err
+        else:
+            want = None
+        sides = expconv._batched_sides(apply, kind, np.array(mids), block)
+        if want is None:
+            assert sides is not None
+            assert sides[0].tobytes() == phi_zf[:, 0, 0].tobytes()
+            assert sides[1].tobytes() == z_phi_f[:, 0, 0].tobytes()
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = expconv._midpoint_residuals(z, kind, mids, f)
+                assert got.tobytes() == (z_phi_f - phi_zf)[:, 0, 0].tobytes()
+        else:
+            assert sides is None
+            with pytest.raises(type(want)) as info:
+                expconv._midpoint_residuals(z, kind, mids, f)
+            assert type(info.value) is type(want) and str(info.value) == str(want)
+
+    def test_non_finite_z_phi_f_gives_no_rows(self, bench_gen, bench_f):
+        # Z phi(f) of a stochastic Z leaves double range only in rare roundings,
+        # so an action that puts the last row out of range stands in for one
+        z = evolve(bench_gen, 1.0).matrix
+
+        def apply(block):
+            out = _stack_act(z[None], block)
+            out[-1] = np.inf
+            return out
+
+        mids = [2.0, 3.0]
+        block = bench_f.values[None, None, None]
+        assert expconv._batched_sides(apply, "F", np.array(mids), block) is None
+        with pytest.raises(NonFiniteSideError, match=r"^at midpoint 3: PowerF\(3\): "):
+            _members_sides(apply, [expconv._member("F", m) for m in mids], block,
+                           [f"at midpoint {m:g}" for m in mids])
 
 
 class TestOrderPsd:

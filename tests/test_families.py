@@ -153,6 +153,55 @@ class TestDispatch:
             family_from_json(data)
 
 
+# The parameters whose batched rows are pinned to their member's bits: k/4
+# for k = -24..24 (the branches 0 and 1, the float paths of np.power at -1,
+# 0.5 and 2, and the integers and quarters around them) and seeded random ones.
+_PINNED_PARAMETERS = [k / 4 for k in range(-24, 25)] \
+    + np.random.default_rng(2024).uniform(-6.0, 6.0, size=16).tolist()
+# Row lengths K of the pinned x: numpy's power loop takes another path at
+# some lengths, so the pin spans several.
+_PINNED_LENGTHS = (1, 2, 3, 4, 5, 8, 17)
+
+
+def _pinned_x(k, lo, hi):
+    return np.random.default_rng(k).uniform(lo, hi, size=k)
+
+
+class TestMemberRows:
+    """Each row of ``_power_rows`` and ``_exp_rows`` has the bits of its
+    member's ``value`` with a float parameter. A numpy release that adds a
+    float path to np.power (or to np.exp) fails the test of that parameter."""
+
+    @pytest.mark.parametrize("p", _PINNED_PARAMETERS, ids=lambda p: f"p={p:.17g}")
+    def test_power_row_has_the_bits_of_its_member(self, p):
+        ps = np.array(_PINNED_PARAMETERS)
+        i = _PINNED_PARAMETERS.index(p)
+        for k in _PINNED_LENGTHS:
+            x = _pinned_x(k, 1e-3, 10.0)
+            with np.errstate(divide="ignore"):
+                row = families._power_rows(ps, x)[i]
+            assert row.tobytes() == power_member(p).value(x).tobytes(), (p, k)
+
+    @pytest.mark.parametrize("r", _PINNED_PARAMETERS, ids=lambda r: f"r={r:.17g}")
+    def test_exp_row_has_the_bits_of_its_member(self, r):
+        rates = np.array(_PINNED_PARAMETERS)
+        i = _PINNED_PARAMETERS.index(r)
+        for k in _PINNED_LENGTHS:
+            x = _pinned_x(k, -5.0, 5.0)
+            with np.errstate(divide="ignore"):
+                row = families._exp_rows(rates, x)[i]
+            assert row.tobytes() == exp_member(r).value(x).tobytes(), (r, k)
+
+    def test_off_the_domain_gives_no_rows(self):
+        ps = np.array([2.5, 3.0])
+        assert families._power_rows(ps, np.array([1.0, families.STRICT_POSITIVITY_TOL])) is None
+        assert families._power_rows(ps, np.array([1.0, np.nextafter(1e-12, 1.0)])) is not None
+        # 350 * 2 = 700 is at the limit, and the smallest entry decides for a negative rate
+        assert families._exp_rows(np.array([350.0, -1.0]), np.array([2.0, -700.0])) is not None
+        assert families._exp_rows(np.array([350.0, -1.0]), np.array([2.0, -700.5])) is None
+        assert families._exp_rows(np.array([350.5, 0.0]), np.array([2.0, -1.0])) is None
+
+
 class TestLogSeries:
     def test_at_unit(self):
         out = log_series(el(1.0, 1.0))

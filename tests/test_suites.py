@@ -390,6 +390,20 @@ def test_committed_gram_config_is_just_over_the_work_budget():
         config_from_json(data)
 
 
+def test_committed_gram_cap_config_sits_at_the_work_budget():
+    # the CI run of this config (exit 0 within 60 s) is the time bound on a
+    # verify at the Gram cap: 1000 seeded exponents in [2, 6], whose 500500
+    # midpoints are all distinct
+    path = Path(__file__).resolve().parents[1] / "configs" / "at_gram_cap.json"
+    data = json.loads(path.read_text())
+    (ps,) = data["p_sets"]
+    assert len(ps) == 1000 and all(2.0 <= p <= 6.0 for p in ps)
+    assert len({0.5 * (p + q) for i, p in enumerate(ps) for q in ps[: i + 1]}) == 500500
+    cfg = config_from_json(data)
+    assert sum(len(p) ** 2 for p in cfg.p_sets) * sum(g.dim for g in cfg.generators) \
+        * len(cfg.t_grid) == MAX_SAMPLE_WORK
+
+
 def test_config_order_band_defaults_are_the_default_tolerance():
     defaults = SuiteConfig._field_defaults
     band = lattice.DEFAULT_TOLERANCE
