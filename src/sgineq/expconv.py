@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import HypothesisViolationError
 from .lattice import LatticeElement, Ordering, partial_leq
-from .families import OperatorFamily, _exp_rows, _power_rows, exp_member, power_member
+from .families import _MemberColumn
 from .jessen import _members_sides, _require_normalized
 from .semigroup import Generator, _stack_act, evolve
 
@@ -69,10 +69,6 @@ def _special_points(kind: str) -> tuple[float, ...]:
     raise ValueError(f"family kind must be 'F' or 'H', got {kind!r}")
 
 
-def _member(kind: str, p: float) -> OperatorFamily:
-    return power_member(p) if kind == "F" else exp_member(p)
-
-
 class ExponentSet:
     """Finite parameter set whose pairwise midpoints are all evaluable.
 
@@ -87,19 +83,20 @@ class ExponentSet:
 
     def __init__(self, p, family_kind: str = "F"):
         specials = _special_points(family_kind)
-        points = tuple(float(v) for v in p)
-        if len(points) == 0:
+        self.p, self.family_kind = tuple(float(v) for v in p), family_kind
+        if len(self.p) == 0:
             raise ValueError("exponent set must be nonempty")
-        for i, pi in enumerate(points):
-            for pj in points[: i + 1]:
-                mid = 0.5 * (pi + pj)
-                for sp in specials:
-                    if mid != sp and abs(mid - sp) < MIDPOINT_GUARD:
-                        raise IllConditionedMidpointError(
-                            f"midpoint ({pi!r}+{pj!r})/2 = {mid!r} lies within "
-                            f"{MIDPOINT_GUARD:g} of {sp:g}"
-                        )
-        self.p, self.family_kind = points, family_kind
+        with np.errstate(over="ignore"):  # a midpoint of two finite exponents may overflow
+            mids = self.midpoints()
+        # near[i, j, s]: the midpoint of (i, j <= i) is in the band of specials[s], not on it
+        dist = np.abs(mids[..., None] - specials)
+        near = (dist > 0.0) & (dist < MIDPOINT_GUARD) & np.tri(self.size, dtype=bool)[..., None]
+        if near.any():  # the first in row-major order: i, then j, then s
+            i, j, s = np.unravel_index(near.argmax(), near.shape)
+            raise IllConditionedMidpointError(
+                f"midpoint ({self.p[i]!r}+{self.p[j]!r})/2 = {float(mids[i, j])!r} lies within "
+                f"{MIDPOINT_GUARD:g} of {specials[s]:g}"
+            )
 
     @property
     def size(self) -> int:
@@ -166,50 +163,26 @@ class LambdaGram(NamedTuple):
                     yield (self.pset.p[i], self.pset.p[j], k, float(self.entries[i, j, k]))
 
 
+class _AtMidpoint:
+    """The ``where`` labels "at midpoint <m>" of a column of midpoints, each
+    formed only for the member whose error it begins."""
+
+    def __init__(self, mids: np.ndarray):
+        self.mids = mids
+
+    def __getitem__(self, m: int) -> str:
+        return f"at midpoint {self.mids[m]:g}"
+
+
 def _midpoint_residuals(z: np.ndarray, kind: str, mids, f: np.ndarray) -> np.ndarray:
-    """Rows z phi_m(f) - phi_m(z f), one per midpoint m of ``mids``.
-
-    Every midpoint is evaluated at once by ``_batched_sides``. When one of
-    its checks fails, the per-member route ``_members_sides`` runs the whole
-    block again: it raises the error of the first member to fail the
-    earliest check, with its type, and its message names that midpoint.
-    """
-    apply = partial(_stack_act, z[None])
+    """Rows z phi_m(f) - phi_m(z f), one per midpoint m of ``mids``: one
+    ``_members_sides`` call on the column of their members, whose error, of
+    the first member to fail the earliest check, names that midpoint."""
+    mids = np.array(mids, dtype=float)
     # f as the (1, 1, 1, K) block of one time and one sample, which every member shares
-    block = f[None, None, None]
-    sides = _batched_sides(apply, kind, np.array(mids, dtype=float), block)
-    if sides is None:
-        fams = [_member(kind, mid) for mid in mids]
-        where = [f"at midpoint {mid:g}" for mid in mids]
-        phi_zf, _, z_phi_f = _members_sides(apply, fams, block, where)
-        sides = phi_zf[:, 0, 0], z_phi_f[:, 0, 0]
-    phi_zf, z_phi_f = sides
-    return z_phi_f - phi_zf
-
-
-def _batched_sides(apply, kind: str, mids: np.ndarray, block: np.ndarray):
-    """phi_m(Z f) and Z phi_m(f) as (M, K) arrays, one row per midpoint m of
-    ``mids``, with the bits of ``_members_sides`` on the members of ``mids``;
-    None when one of its checks would fail.
-
-    One array expression per family branch gives phi over all midpoints
-    (``families._power_rows`` or ``families._exp_rows``), and ``apply`` acts
-    on the block [f; phi_1(f); ...; phi_M(f)] that ``_members_sides`` joins.
-    The checks are those of ``_members_sides``, each once over all members
-    and in its order: f in the domain, finite phi(f), Z f in the domain,
-    finite phi(Z f), finite Z phi(f).
-    """
-    rows = _power_rows if kind == "F" else _exp_rows
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        phi_f = rows(mids, block.ravel())
-        if phi_f is None or not np.isfinite(phi_f).all():
-            return None
-        acted = apply(np.concatenate((block, phi_f[:, None, None])))
-        phi_zf = rows(mids, acted[0].ravel())
-        z_phi_f = acted[1:, 0, 0]
-        if phi_zf is None or not np.isfinite(phi_zf).all() or not np.isfinite(z_phi_f).all():
-            return None
-    return phi_zf, z_phi_f
+    phi_zf, _, z_phi_f = _members_sides(partial(_stack_act, z[None]), _MemberColumn(kind, mids),
+                                        f[None, None, None], _AtMidpoint(mids))
+    return z_phi_f[:, 0, 0] - phi_zf[:, 0, 0]
 
 
 def build_gram(
@@ -233,7 +206,6 @@ def build_gram(
 
 def _gram(z: np.ndarray, f: np.ndarray, t: float, pset: ExponentSet) -> LambdaGram:
     """``build_gram`` on the evolved K x K matrix Z(t) = ``z`` and f as an array."""
-    kind = pset.family_kind
     n = pset.size
     rows: dict[float, int] = {}
     index = np.empty((n, n), dtype=np.intp)
@@ -241,7 +213,7 @@ def _gram(z: np.ndarray, f: np.ndarray, t: float, pset: ExponentSet) -> LambdaGr
         for j in range(i, n):
             mid = 0.5 * (pi + pset.p[j])
             index[i, j] = index[j, i] = rows.setdefault(mid, len(rows))
-    values = _midpoint_residuals(z, kind, list(rows), f)
+    values = _midpoint_residuals(z, pset.family_kind, list(rows), f)
     entries = values[index]
     entries.setflags(write=False)
 

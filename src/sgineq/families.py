@@ -281,40 +281,56 @@ def exp_member(p: float) -> OperatorFamily:
 # Exponents at which np.power with a float exponent takes its own path
 # (reciprocal, square root, square), whose bits differ from those of pow.
 # With a column of exponents numpy 2.4 takes it for some row lengths only,
-# so ``_power_rows`` leaves these rows to their member.
+# so ``_MemberColumn.value`` leaves these rows to their member.
 _SCALAR_POWER_PATHS = (-1.0, 0.5, 2.0)
 
-
-def _power_rows(ps: np.ndarray, x: np.ndarray) -> np.ndarray | None:
-    """``power_member(p).value(x)`` for every exponent p of ``ps``, as
-    (len(ps), K) rows with the same bits; None when x is off the strictly
-    positive cone, where the ``check_domain`` of every member raises."""
-    if x.min() <= STRICT_POSITIVITY_TOL:
-        return None
-    return _member_rows(power_member, _power, (0.0, 1.0) + _SCALAR_POWER_PATHS, ps, x)
+# Family kind -> (its member at a parameter, its generic branch, the
+# parameters whose rows ``_MemberColumn.value`` takes from their member: a
+# branch of its own, or a float path of np.power).
+_KINDS = {"F": (power_member, _power, (0.0, 1.0) + _SCALAR_POWER_PATHS),
+          "H": (exp_member, _exp, (0.0,))}
 
 
-def _exp_rows(rates: np.ndarray, x: np.ndarray) -> np.ndarray | None:
-    """``exp_member(r).value(x)`` for every rate r of ``rates``, as
-    (len(rates), K) rows with the same bits; None when the ``check_domain``
-    of some member raises, that is when some r x exceeds EXP_ARG_LIMIT."""
-    if (np.where(rates > 0, rates * x.max(), rates * x.min()) > EXP_ARG_LIMIT).any():
-        return None
-    return _member_rows(exp_member, _exp, (0.0,), rates, x)
+def _member(kind: str, p: float) -> OperatorFamily:
+    """The member of the power ("F") or exponential ("H") family at p."""
+    return _KINDS[kind][0](p)
 
 
-def _member_rows(member, generic, own, ps: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Rows of the branch ``generic`` on the column ``ps``, one array
-    expression, with the row of each parameter in ``own`` (a branch of its
-    own, or a float path of np.power) from ``member(p).value(x)``. The
-    caller holds numpy's error state: the generic branch divides by zero at
-    a branch parameter, and a row beyond double range overflows.
-    """
-    rows = generic(x, ps[:, None])
-    # one mask picks the rows of own; np.isin takes 3-4 times as long on a few rows
-    for i in (ps[:, None] == own).nonzero()[0]:
-        rows[i] = member(float(ps[i])).value(x)
-    return rows
+class _MemberColumn:
+    """The members ``_member(kind, p)`` at the parameters p of the column
+    ``ps``, whose values and domain test are one array expression each, with
+    the bits and the verdicts of every member's own. ``column[m]`` builds one."""
+
+    __slots__ = ("kind", "ps")
+
+    def __init__(self, kind: str, ps: np.ndarray):
+        self.kind, self.ps = kind, ps
+
+    def __len__(self):
+        return len(self.ps)
+
+    def __getitem__(self, m: int) -> OperatorFamily:
+        return _member(self.kind, float(self.ps[m]))
+
+    def first_off_domain(self, x: np.ndarray) -> int | None:
+        """The first member whose ``check_domain`` raises on the vector x, or
+        None: x leaves the strictly positive cone (every member of the power
+        family raises then), or some r x exceeds EXP_ARG_LIMIT."""
+        if self.kind == "F":
+            return 0 if x.min() <= STRICT_POSITIVITY_TOL else None
+        off = np.where(self.ps > 0, self.ps * x.max(), self.ps * x.min()) > EXP_ARG_LIMIT
+        return int(off.argmax()) if off.any() else None
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        """``self[m].value(x)`` of every member m as one row. The caller holds
+        numpy's error state: the generic branch divides by zero at a branch
+        parameter, and a row beyond double range overflows."""
+        member, generic, own = _KINDS[self.kind]
+        rows = generic(x, self.ps[:, None])
+        # one mask picks the rows of own; np.isin takes 3-4 times as long on a few rows
+        for i in (self.ps[:, None] == own).nonzero()[0]:
+            rows[i] = member(float(self.ps[i])).value(x)
+        return rows
 
 
 # Wire name -> (family class, attribute of its parameter "t" or None).

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import HypothesisViolationError, SgineqError
-from .families import OperatorFamily
+from .families import OperatorFamily, _MemberColumn
 from .lattice import (
     DEFAULT_TOLERANCE,
     LatticeElement,
@@ -126,72 +126,79 @@ def _require_positive_dual(values: np.ndarray) -> None:
         )
 
 
-def _require_finite(fam: OperatorFamily, values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise NonFiniteSideError(
-            f"{fam.label}: phi(f), phi(Z f) and Z phi(f) must have finite entries"
-        )
-
-
 def _members_sides(
     apply: Callable[[np.ndarray], np.ndarray],
-    fams: list[OperatorFamily],
+    fams: list[OperatorFamily] | _MemberColumn,
     F: np.ndarray,
-    where: list[str] | None = None,
+    where=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """phi_m(Z f), Z f and Z phi_m(f) for every member phi_m of ``fams`` and
     every row f of its block.
 
-    ``F`` is an (M, ..., K) array of one block F_m per member, or a
-    (1, ..., K) array of one block that every member takes. ``apply`` maps
+    ``fams`` is a list of families, or a ``families._MemberColumn`` of one
+    family kind at a column of parameters. ``F`` is an (M, ..., K) array of
+    one block F_m per member of a list, or a (1, ..., K) array of one block
+    that every member takes, as a column's members always do. ``apply`` maps
     [F; phi_1(F_1); ...; phi_M(F_M)], joined along the member axis, to its
     rows under Z(t), and is called once: ``semigroup._stack_act`` bound to a
     (G, K, K) stack for (M, G, S, K) blocks, or ``semigroup.act`` bound to a
-    generator and a time for an (M, K) block, which never forms Z(t). Z f
-    has the shape of ``F``; the other two sides are (M, ..., K), for one
-    member phi(Z F) itself.
+    generator and a time for an (M, K) block, which never forms Z(t). Z f has
+    the shape of ``F``; the other two sides are (M, ..., K), for one member
+    or a column phi(Z F) itself.
 
     Checks, in order: F_m in the domain, finite phi_m(F_m), Z F_m in the
     domain, finite phi_m(Z F_m), finite Z phi_m(F_m). Each runs over all
-    members before the next, so the error raised is that of the first
-    member to fail the earliest check. With ``where``, its message is
-    rewritten to begin with ``where[m]`` and the error itself re-raised,
-    so its type (and exit code) is kept. The family sees each block
-    flattened to one vector (a domain error names the entry by its
-    row-major index), since phi acts entry by entry.
+    members before the next, so the error raised is that of the first member
+    to fail the earliest check. A finiteness check, and a column's domain
+    check, tests all members at once; only a failure looks up that member,
+    which a column builds then, and checks it alone. With ``where``, the
+    message is rewritten to begin with ``where[m]`` (indexed only then) and
+    the error itself re-raised, so its type (and exit code) is kept. The
+    family sees each block flattened to one vector (a domain error names the
+    entry by its row-major index), since phi acts entry by entry.
     """
-    def each(check):
-        for m, fam in enumerate(fams):
-            try:
-                check(m, fam)
-            except Exception as err:
-                if where is not None:
-                    err.args = (f"{where[m]}: {err}",)
-                raise
+    def check(m, test):
+        # test member m alone; its error goes up, relabelled
+        try:
+            test(fams[m])
+        except Exception as err:
+            if where is not None:
+                err.args = (f"{where[m]}: {err}",)
+            raise
+
+    def require_finite(fam):
+        raise NonFiniteSideError(
+            f"{fam.label}: phi(f), phi(Z f) and Z phi(f) must have finite entries")
 
     def finite(sides):
-        # one pass over all members; only a failure looks for the member
+        # one pass over all members; only a failure looks for the first member
         if not np.isfinite(sides).all():
-            each(lambda m, fam: _require_finite(fam, sides[m]))
+            check(int(np.isfinite(sides.reshape(len(sides), -1)).all(axis=1).argmin()),
+                  require_finite)
 
-    def members(X):
-        # the entries of each member's block as one vector: its own, or the shared one
-        return [X[m].ravel() for m in range(len(X))] * (len(fams) // len(X))
+    def phi(X):
+        # phi_m of each member's block of X (its own, or the shared one) once all are
+        # in the domain: one vector per member of a list, one for a whole column
+        if isinstance(fams, _MemberColumn):
+            x = X.ravel()
+            m = fams.first_off_domain(x)
+            if m is not None:
+                check(m, lambda fam: fam.check_domain(x))
+            return [fams.value(x).ravel()]
+        xs = [X[m].ravel() for m in range(len(X))] * (len(fams) // len(X))
+        for m, x in enumerate(xs):
+            check(m, lambda fam: fam.check_domain(x))
+        return [fam.value(x) for fam, x in zip(fams, xs)]
 
-    # an overflow or a division by zero is reported by _require_finite, naming the family
+    # an overflow or a division by zero is reported by require_finite, naming the family
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        xs = members(F)
-        each(lambda m, fam: fam.check_domain(xs[m]))
-        block = np.concatenate((F.ravel(), *[fam.value(x) for fam, x in zip(fams, xs)]))
-        block = block.reshape(-1, *F.shape[1:])
+        block = np.concatenate((F.ravel(), *phi(F))).reshape(-1, *F.shape[1:])
         finite(block[len(F):])
         acted = apply(block)
         zf, z_phi_f = acted[:len(F)], acted[len(F):]
-        zfs = members(zf)
-        each(lambda m, fam: fam.check_domain(zfs[m]))
-        values = [fam.value(x) for fam, x in zip(fams, zfs)]
-        # one member's values are used as they are: no copy on that path
-        phi_zf = (values[0] if len(fams) == 1 else np.concatenate(values)).reshape(z_phi_f.shape)
+        values = phi(zf)
+        # one array of values is used as it is: no copy for one member or a column
+        phi_zf = (values[0] if len(values) == 1 else np.concatenate(values)).reshape(z_phi_f.shape)
         finite(phi_zf)
         finite(z_phi_f)
     return phi_zf, zf, z_phi_f

@@ -267,8 +267,10 @@ def _plan(gen: Generator, t: float):
         if log_next <= log_target + 1.0:
             ratio = rate_mu / (k + 1)
             if ratio < 1.0:
-                # geometric tail bound: sum_{j>k} b_j <= b_k * ratio/(1-ratio)
-                log_tail = log_b + math.log(ratio) - math.log(1.0 - ratio)
+                # geometric tail bound: sum_{j>k} b_j <= b_k * ratio/(1-ratio); a ratio
+                # that underflows to 0 (a subnormal rate) takes its log as a difference
+                log_ratio = math.log(ratio) if ratio > 0.0 else log_rate_mu - logs[k + 1]
+                log_tail = log_b + log_ratio - math.log(1.0 - ratio)
                 if log_tail <= log_target:
                     return rate, splits, k, math.exp(log_tail)
         log_b = log_next

@@ -101,9 +101,10 @@ __all__ = [
 # every Gram, the sum over p_sets of size^2 x (sum of generator dims) x
 # times; the bundled config uses 24. At that cap, configs/at_gram_cap.json
 # (one 2-state generator, one time, one p_set of 1000 random exponents in
-# [2, 6], whose 500500 midpoints are all distinct) verifies in 1.4-1.8 s on a
-# shared 2-vCPU machine with one BLAS thread, all midpoints evaluated as one
-# array per family branch.
+# [2, 6], whose 500500 midpoints are all distinct) verifies in 1.2-1.6 s on a
+# shared 2-vCPU machine with one BLAS thread, all midpoints in one call of the
+# members kernel; configs/gram_cap_overflow.json, the same with its last
+# exponent 4000, exits 64 there in 0.8-1.2 s, before any eigenvalue is taken.
 MAX_SAMPLE_WORK = 2_000_000
 
 # Matrix entries per evolve_many stack in the semigroup-axiom suite, which

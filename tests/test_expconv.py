@@ -1,10 +1,11 @@
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgineq import expconv
+from sgineq import cli, expconv, families
 from sgineq.errors import SgineqError
 from sgineq.expconv import (
     ExponentSet,
@@ -70,6 +71,41 @@ class TestExponentSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ExponentSet(())
+
+    @pytest.mark.parametrize("ps,kind,message", [
+        # (1, 0) comes before (2, 2), whose midpoint 1e-9 is nearer its special point
+        ((0.999998, 1.0000015, 1e-9), "F",
+         "midpoint (1.0000015+0.999998)/2 = 0.99999975 lies within 1e-06 of 1"),
+        ((5.0, 1.0000008, 1e-9), "F",
+         "midpoint (1.0000008+1.0000008)/2 = 1.0000008 lies within 1e-06 of 1"),
+        ((3.0, -4e-7, 2e-7, 1e-12), "H",
+         "midpoint (-4e-07+-4e-07)/2 = -4e-07 lies within 1e-06 of 0"),
+    ])
+    def test_first_pair_in_row_order_is_named(self, ps, kind, message):
+        with pytest.raises(IllConditionedMidpointError) as exc:
+            ExponentSet(ps, kind)
+        assert str(exc.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from("FH"), st.lists(st.one_of(
+        st.floats(-3.0, 3.0), st.sampled_from((0.0, 1.0, 2.0, -1.0)),
+        st.sampled_from((0.0, 1.0, 2.0)).flatmap(lambda sp: st.floats(sp - 3e-6, sp + 3e-6))),
+        min_size=1, max_size=6))
+    def test_guard_matches_the_pairwise_scan(self, kind, ps):
+        # the plain scan over the pairs (i, j <= i) and the special points
+        want = None
+        for i, pi in enumerate(ps):
+            for pj in ps[:i + 1]:
+                mid = 0.5 * (pi + pj)
+                for sp in ((0.0, 1.0) if kind == "F" else (0.0,)):
+                    if want is None and mid != sp and abs(mid - sp) < MIDPOINT_GUARD:
+                        want = f"midpoint ({pi!r}+{pj!r})/2 = {mid!r} lies within 1e-06 of {sp:g}"
+        try:
+            ExponentSet(ps, kind)
+        except IllConditionedMidpointError as err:
+            assert str(err) == want
+        else:
+            assert want is None
 
 
 class TestLambdaResidual:
@@ -186,7 +222,7 @@ class TestBuildGram:
         assert np.allclose(gram.entries[1, 1], manual(ExpFamily(4.0)), atol=1e-14)
 
     def test_family_error_names_midpoint_and_keeps_its_type(self, bench_gen, bench_f):
-        # the replay kernel of the Gram route, on the labels _midpoint_residuals gives it
+        # the list form of the residual kernel, on the labels of the Gram route
         class CodedFamilyError(SgineqError):
             def __init__(self, code, detail):
                 super().__init__(f"[{code}] {detail}")
@@ -197,14 +233,14 @@ class TestBuildGram:
 
         fam = CustomFamily(fn=np.array, d2=np.ones_like, name="coded(3)", domain=refuse)
         with pytest.raises(CodedFamilyError, match=r"^at midpoint 3: \[17\] refused input$") as info:
-            _replay(bench_gen, bench_f, {3.0: fam})
+            _labelled_sides(bench_gen, bench_f, {3.0: fam})
         assert info.value.code == 17
 
     def test_overflowing_member_names_midpoint(self, bench_gen, bench_f, route_calls):
         with pytest.raises(NonFiniteSideError, match=r"at midpoint 1001: PowerF\(1001\)"):
             build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 2000.0)))
-        # the batch fails its finiteness check, and the replay runs once
-        assert route_calls == {"_member": 3, "_members_sides": 1}
+        # the column fails its finiteness check, and only the member it names is built
+        assert route_calls == {"_member": 1, "_members_sides": 1}
 
     def test_earliest_check_fails_first_across_members(self, bench_gen, bench_f):
         # member 1 has a non-finite phi(f), member 2 refuses f itself: the
@@ -217,10 +253,10 @@ class TestBuildGram:
             3.0: CustomFamily(fn=np.array, d2=np.ones_like, name="refusing", domain=refuse),
         }
         with pytest.raises(NonPositiveInputError, match=r"^at midpoint 3: refused input$"):
-            _replay(bench_gen, bench_f, members)
+            _labelled_sides(bench_gen, bench_f, members)
         members[3.0] = CustomFamily(fn=np.array, d2=np.ones_like, name="plain")
         with pytest.raises(NonFiniteSideError, match=r"^at midpoint 2: inf: "):
-            _replay(bench_gen, bench_f, members)
+            _labelled_sides(bench_gen, bench_f, members)
 
     def test_json_and_csv_exports(self, bench_gen, bench_f):
         gram = build_gram(bench_gen, bench_f, 1.0, ExponentSet((2.0, 4.0)))
@@ -234,9 +270,9 @@ class TestBuildGram:
         assert rows[0][:3] == (2.0, 2.0, 0)
 
 
-def _replay(gen, f, members):
-    """The per-member route of ``_midpoint_residuals`` on the families
-    ``members`` (midpoint -> family) at t = 1, with its ``where`` labels."""
+def _labelled_sides(gen, f, members):
+    """``_members_sides`` on the list of families ``members`` (midpoint ->
+    family) at t = 1, labelled as ``_midpoint_residuals`` labels a column."""
     z = evolve(gen, 1.0).matrix
     return _members_sides(partial(_stack_act, z[None]), list(members.values()),
                           f.values[None, None, None],
@@ -258,7 +294,7 @@ def _gram_bits_reference(gen, f, t, pset):
     for i, pi in enumerate(pset.p):
         for j, pj in enumerate(pset.p):
             mid = 0.5 * (pi + pj)
-            want[i, j] = _residual(op, expconv._member(pset.family_kind, mid), f).values
+            want[i, j] = _residual(op, families._member(pset.family_kind, mid), f).values
     return want
 
 
@@ -294,7 +330,7 @@ class TestGramBits:
         op, kind = evolve(gen, t), pset.family_kind
         for p in pset.p:
             got = lambda_residual(gen, f, p, t, kind).values
-            assert got.tobytes() == _residual(op, expconv._member(kind, p), f).values.tobytes()
+            assert got.tobytes() == _residual(op, families._member(kind, p), f).values.tobytes()
 
     def test_duplicate_midpoints_evaluated_once(self, bench_gen, bench_f, monkeypatch):
         seen = []
@@ -319,17 +355,21 @@ class TestGramBits:
 
 @pytest.fixture
 def route_calls(monkeypatch):
-    """Calls of ``expconv._member`` and of the replay ``expconv._members_sides``."""
+    """Calls of ``families._member``, which builds one member of a column, and of
+    the residual kernel ``expconv._members_sides``."""
     calls = {"_member": 0, "_members_sides": 0}
-    for name in calls:
-        def spy(*args, _name=name, _fn=getattr(expconv, name)):
+    for module, name in ((families, "_member"), (expconv, "_members_sides")):
+        def spy(*args, _name=name, _fn=getattr(module, name)):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(expconv, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 
 class TestReplay:
+    """A Gram is one kernel call on the column of its midpoints, which builds
+    a member only to raise the error of the first one to fail a check."""
+
     @pytest.mark.parametrize("kind", ["F", "H"])
     def test_passing_gram_builds_no_member(self, kind, route_calls):
         rng = np.random.default_rng(24)
@@ -341,20 +381,33 @@ class TestReplay:
             # midpoints at the branches 0 and 1 and at the float power paths 2, 0.5 and -1
             points[:3] = ((0.0, 2.0, -1.0) if kind == "F" else (0.0, 1.0, -1.0))[:n]
             build_gram(gen, f, float(rng.uniform(0.2, 2.0)), ExponentSet(points, kind))
-        assert route_calls == {"_member": 0, "_members_sides": 0}
+        assert route_calls == {"_member": 0, "_members_sides": 39}
 
-    def test_f_off_the_cone_replays_once_and_names_the_midpoint(self, bench_gen, route_calls):
+    def test_f_off_the_cone_builds_one_member_and_names_the_midpoint(self, bench_gen,
+                                                                     route_calls):
         with pytest.raises(NonPositiveInputError, match=r"^at midpoint 2\.5: PowerF\(2\.5\) needs "
                            r"strictly positive input, entry 0 = 1e-12$"):
             build_gram(bench_gen, el(1e-12, 1.0), 1.0, ExponentSet((2.5, 3.0)))
-        assert route_calls == {"_member": 3, "_members_sides": 1}
+        assert route_calls == {"_member": 1, "_members_sides": 1}
 
-    def test_overflowing_rate_replays_once_and_names_the_midpoint(self, bench_gen, route_calls):
+    def test_overflowing_rate_builds_one_member_and_names_the_midpoint(self, bench_gen,
+                                                                       route_calls):
         # midpoints in (i <= j) order: 1, 400.5, 800; 400.5 * 2 is the first argument past 700
         with pytest.raises(ExpOverflowError, match=r"^at midpoint 400\.5: ExpH\(400\.5\): "
                            r"exponent argument 801 exceeds 700$"):
             build_gram(bench_gen, el(2.0, 1.0), 1.0, ExponentSet((1.0, 800.0), family_kind="H"))
-        assert route_calls == {"_member": 3, "_members_sides": 1}
+        assert route_calls == {"_member": 1, "_members_sides": 1}
+
+    def test_gram_cap_overflow_config_builds_one_member(self, tmp_path, capsys, route_calls):
+        # the 1000 exponents of configs/at_gram_cap.json with the last one 4000:
+        # (3.32... + 4000)/2 is the first of the 500500 midpoints, in (i <= j)
+        # order, whose phi(f) leaves double range
+        config = Path(__file__).resolve().parents[1] / "configs" / "gram_cap_overflow.json"
+        assert cli.main(["verify", "--config", str(config), "--out", str(tmp_path / "o")]) == 64
+        assert capsys.readouterr().err == (
+            "sgineq: error: at midpoint 2001.66: PowerF(2001.66): phi(f), phi(Z f) and Z phi(f) "
+            "must have finite entries\n")
+        assert route_calls == {"_member": 1, "_members_sides": 1}
 
 
 # Midpoints at the branches (0 and 1), at the float paths of np.power (2,
@@ -389,36 +442,41 @@ def _midpoint_cases(draw):
     return z, kind, list(dict.fromkeys(float(m) for m in mids)), np.array(f)
 
 
+def _sides_or_error(apply, fams, block, where):
+    """(shape, bits) of each side ``_members_sides`` gives, or the type and
+    message of its error."""
+    try:
+        return [(side.shape, side.tobytes()) for side in _members_sides(apply, fams, block, where)]
+    except Exception as err:
+        return type(err), str(err)
+
+
 class TestBatchedSides:
+    """The column form of ``_members_sides`` against its list form."""
+
     @settings(max_examples=400, deadline=None)
     @given(_midpoint_cases())
     def test_batched_rows_match_the_per_member_route(self, case):
-        # the batch gives the rows of _members_sides bit for bit, and gives
-        # none exactly when _members_sides raises; _midpoint_residuals then
-        # raises that error, with its type and message
+        # the column of the members gives the sides of their list bit for bit,
+        # or the same error, with its type and message; _midpoint_residuals,
+        # the column form on its own labels, gives their rows or that error
         z, kind, mids, f = case
         apply = partial(_stack_act, z[None])
         block = f[None, None, None]
+        where = [f"at midpoint {m:g}" for m in mids]
+        listed = [families._member(kind, m) for m in mids]
+        want = _sides_or_error(apply, listed, block, where)
+        assert _sides_or_error(apply, families._MemberColumn(kind, np.array(mids)), block,
+                               where) == want
         try:
-            phi_zf, _, z_phi_f = _members_sides(apply, [expconv._member(kind, m) for m in mids],
-                                                block, [f"at midpoint {m:g}" for m in mids])
-        except Exception as err:
-            want = err
-        else:
-            want = None
-        sides = expconv._batched_sides(apply, kind, np.array(mids), block)
-        if want is None:
-            assert sides is not None
-            assert sides[0].tobytes() == phi_zf[:, 0, 0].tobytes()
-            assert sides[1].tobytes() == z_phi_f[:, 0, 0].tobytes()
             with np.errstate(over="ignore", invalid="ignore"):
                 got = expconv._midpoint_residuals(z, kind, mids, f)
-                assert got.tobytes() == (z_phi_f - phi_zf)[:, 0, 0].tobytes()
+        except Exception as err:
+            assert (type(err), str(err)) == want
         else:
-            assert sides is None
-            with pytest.raises(type(want)) as info:
-                expconv._midpoint_residuals(z, kind, mids, f)
-            assert type(info.value) is type(want) and str(info.value) == str(want)
+            phi_zf, _, z_phi_f = _members_sides(apply, listed, block)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert got.tobytes() == (z_phi_f - phi_zf)[:, 0, 0].tobytes()
 
     def test_non_finite_z_phi_f_gives_no_rows(self, bench_gen, bench_f):
         # Z phi(f) of a stochastic Z leaves double range only in rare roundings,
@@ -432,10 +490,21 @@ class TestBatchedSides:
 
         mids = [2.0, 3.0]
         block = bench_f.values[None, None, None]
-        assert expconv._batched_sides(apply, "F", np.array(mids), block) is None
-        with pytest.raises(NonFiniteSideError, match=r"^at midpoint 3: PowerF\(3\): "):
-            _members_sides(apply, [expconv._member("F", m) for m in mids], block,
-                           [f"at midpoint {m:g}" for m in mids])
+        for fams in ([families._member("F", m) for m in mids],
+                     families._MemberColumn("F", np.array(mids))):
+            with pytest.raises(NonFiniteSideError, match=r"^at midpoint 3: PowerF\(3\): "):
+                _members_sides(apply, fams, block, [f"at midpoint {m:g}" for m in mids])
+
+    def test_non_finite_phi_f_is_found_before_z_f_leaves_the_domain(self):
+        # the "Z" below maps the row (1, 2) to (-1, 2), off the cone, and phi(f)
+        # of PowerF(2000) overflows: a finite phi(f) is the earlier check
+        shear = partial(_stack_act, np.array([[[1.0, -1.0], [0.0, 1.0]]]))
+        mids = [3.0, 2000.0]
+        block = np.array([1.0, 2.0])[None, None, None]
+        for fams in ([families._member("F", m) for m in mids],
+                     families._MemberColumn("F", np.array(mids))):
+            with pytest.raises(NonFiniteSideError, match=r"^at midpoint 2000: PowerF\(2000\): "):
+                _members_sides(shear, fams, block, [f"at midpoint {m:g}" for m in mids])
 
 
 class TestOrderPsd:

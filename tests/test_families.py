@@ -24,6 +24,8 @@ from sgineq.families import (
     power_member,
     second_derivative_check,
 )
+from sgineq.errors import SgineqError
+from sgineq.jessen import _members_sides
 from sgineq.lattice import LatticeElement, Ordering, lattice_norm
 
 
@@ -168,8 +170,9 @@ def _pinned_x(k, lo, hi):
 
 
 class TestMemberRows:
-    """Each row of ``_power_rows`` and ``_exp_rows`` has the bits of its
-    member's ``value`` with a float parameter. A numpy release that adds a
+    """Each row of a ``_MemberColumn``'s ``value`` has the bits of its
+    member's ``value`` with a float parameter, and its ``first_off_domain`` is
+    the first member whose ``check_domain`` raises. A numpy release that adds a
     float path to np.power (or to np.exp) fails the test of that parameter."""
 
     @pytest.mark.parametrize("p", _PINNED_PARAMETERS, ids=lambda p: f"p={p:.17g}")
@@ -179,7 +182,7 @@ class TestMemberRows:
         for k in _PINNED_LENGTHS:
             x = _pinned_x(k, 1e-3, 10.0)
             with np.errstate(divide="ignore"):
-                row = families._power_rows(ps, x)[i]
+                row = families._MemberColumn("F", ps).value(x)[i]
             assert row.tobytes() == power_member(p).value(x).tobytes(), (p, k)
 
     @pytest.mark.parametrize("r", _PINNED_PARAMETERS, ids=lambda r: f"r={r:.17g}")
@@ -189,17 +192,35 @@ class TestMemberRows:
         for k in _PINNED_LENGTHS:
             x = _pinned_x(k, -5.0, 5.0)
             with np.errstate(divide="ignore"):
-                row = families._exp_rows(rates, x)[i]
+                row = families._MemberColumn("H", rates).value(x)[i]
             assert row.tobytes() == exp_member(r).value(x).tobytes(), (r, k)
 
     def test_off_the_domain_gives_no_rows(self):
-        ps = np.array([2.5, 3.0])
-        assert families._power_rows(ps, np.array([1.0, families.STRICT_POSITIVITY_TOL])) is None
-        assert families._power_rows(ps, np.array([1.0, np.nextafter(1e-12, 1.0)])) is not None
-        # 350 * 2 = 700 is at the limit, and the smallest entry decides for a negative rate
-        assert families._exp_rows(np.array([350.0, -1.0]), np.array([2.0, -700.0])) is not None
-        assert families._exp_rows(np.array([350.0, -1.0]), np.array([2.0, -700.5])) is None
-        assert families._exp_rows(np.array([350.5, 0.0]), np.array([2.0, -1.0])) is None
+        # first_off_domain names the first member whose check_domain raises, and
+        # a column's sides raise that member's error
+        cases = [("F", [2.5, 0.0, 1.0], [1.0, families.STRICT_POSITIVITY_TOL], [True] * 3),
+                 ("F", [2.5, 0.0, 1.0], [1.0, np.nextafter(1e-12, 1.0)], [False] * 3),
+                 # 350 * 2 = 700 is at the limit, and the smallest entry decides for a
+                 # negative rate
+                 ("H", [350.0, -1.0], [2.0, -700.0], [False, False]),
+                 ("H", [350.0, -1.0], [2.0, -700.5], [False, True]),
+                 ("H", [350.5, 0.0], [2.0, -1.0], [True, False]),
+                 ("H", [1.0, 400.0, 500.0], [2.0, 1.0], [False, True, True])]
+        for kind, ps, x, want in cases:
+            column, x = families._MemberColumn(kind, np.array(ps)), np.array(x)
+            assert column.first_off_domain(x) == (want.index(True) if any(want) else None)
+            errors = []
+            for m in range(len(ps)):
+                try:
+                    column[m].check_domain(x)
+                    errors.append(None)
+                except SgineqError as err:
+                    errors.append(str(err))
+            assert [err is not None for err in errors] == want
+            if any(want):
+                with pytest.raises(SgineqError) as info:
+                    _members_sides(lambda block: block, column, x[None])
+                assert str(info.value) == errors[want.index(True)]
 
 
 class TestLogSeries:

@@ -619,6 +619,15 @@ class TestDegenerateRates:
         assert evolve_many(gen, [1e-300, 0.0]).tobytes() == np.stack([np.eye(2)] * 2).tobytes()
         assert np.array_equal(act(gen, 1e-300, block), block)
 
+    def test_subnormal_rate_has_a_plan(self):
+        # lam*t = 5e-324 is the smallest subnormal, and the tail ratio rate*mu/2 of
+        # its first term rounds to 0: the tail bound is 0, not a math domain error
+        gen = validate_generator([[-1.0, 1.0], [1.0, -1.0]])
+        assert semigroup._plan(gen, 5e-324) == (5e-324, 0, 1, 0.0)
+        want = np.array([[1.0, 5e-324], [5e-324, 1.0]])
+        assert evolve(gen, 5e-324).matrix.tobytes() == want.tobytes()
+        assert evolve_many(gen, [5e-324, 0.0]).tobytes() == np.stack([want, np.eye(2)]).tobytes()
+
     def test_non_finite_chain_is_an_overflow(self):
         # Q/lam overflows off the diagonal, with lam*t underflowing to 0 (NaN growth)
         # at t = 1e-300 and representable (infinite growth) at t = 1e-20
