@@ -29,9 +29,9 @@ _EXPORTS = {
               "dual_convexity_report support_line_check verify_adjoint_pairing verify_jessen",
     "lattice": "DEFAULT_TOLERANCE DimensionMismatchError LatticeElement Ordering OrderTolerance "
                "abs_val join lattice_norm meet multiply neg_part partial_leq pos_part",
-    "semigroup": "EvolveOverflowError Generator NegativeOffDiagonalError SemigroupOperator "
-                 "TimeCapError act check_positivity_and_normalization check_semigroup_axioms "
-                 "estimate_generator evolve validate_generator",
+    "semigroup": "EvolveOverflowError Generator NegativeOffDiagonalError TimeCapError act "
+                 "check_positivity_and_normalization check_semigroup_axioms estimate_generator "
+                 "evolve validate_generator",
     "scenes": "RotationScene ShiftScene run_rotation_example run_shift_example",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -37,7 +37,7 @@ from .lattice import (
     order_verdict,
     partial_leq,
 )
-from .semigroup import Generator, SemigroupOperator, _stack_act, act, evolve
+from .semigroup import Generator, _stack_act, act, evolve
 
 __all__ = [
     "NotNormalizedError",
@@ -49,7 +49,6 @@ __all__ = [
     "verify_jessen",
     "support_line_check",
     "AdjointPairingReport",
-    "adjoint_pairing",
     "verify_adjoint_pairing",
     "DualConvexityReport",
     "dual_convexity_report",
@@ -294,30 +293,13 @@ class AdjointPairingReport(NamedTuple):
         return self._asdict()
 
 
-def adjoint_pairing(
-    op: SemigroupOperator,
-    fam: OperatorFamily,
-    fstar: DualVector,
-    f: LatticeElement,
-) -> AdjointPairingReport:
-    """Transpose identity plus the weak-form inequality for an evolved Z(t).
-
-    The gap <f*, Z(t) phi(f)> - <f*, phi(Z(t) f)> must be nonnegative
-    for positive duals, and must agree with the pairing of the residual.
-    A positive dual is required. The transpose defect passes at 1e-12
-    and the gap at -1e-9. This is ``_adjoint_rows`` on one row.
-    """
-    return _adjoint_rows(op.matrix[None], [fam], fstar.values[None, None, None],
-                         f.values[None, None, None])[0]
-
-
 def _adjoint_rows(
     mats: np.ndarray, fams: list[OperatorFamily], fstars: np.ndarray, F: np.ndarray
 ) -> list[AdjointPairingReport]:
-    """``adjoint_pairing`` of every row of the (M, G, S, K) arrays ``fstars``
-    (the duals) and ``F`` (the elements): row (m, g, s) with the family
-    fams[m] and Z(t) = mats[g] of the (G, K, K) stack. Reports are in
-    (m, g, s) order.
+    """The check of ``verify_adjoint_pairing`` on every row of the (M, G, S, K)
+    arrays ``fstars`` (the duals, all positive) and ``F`` (the elements):
+    row (m, g, s) with the family fams[m] and Z(t) = mats[g] of the (G, K, K)
+    stack. Reports are in (m, g, s) order.
 
     The sides of all rows and Z F come from one ``_members_sides`` call, so
     its checks and their errors are those of the whole block. Z^T f* is
@@ -346,15 +328,19 @@ def verify_adjoint_pairing(
     f: LatticeElement,
     t: float,
 ) -> AdjointPairingReport:
-    """Evolve Z(t) and run ``adjoint_pairing`` on it.
+    """Transpose identity plus the weak-form inequality for Z(t) = exp(tQ).
 
-    The weak-form gap is only meaningful for a positive dual and a
-    conservative generator, so both are required; a dual with a negative
-    coefficient is reported before a generator that is not conservative.
+    The gap <f*, Z(t) phi(f)> - <f*, phi(Z(t) f)> must be nonnegative and
+    agree with the pairing of the residual. The transpose defect passes at
+    1e-12 and the gap at -1e-9. The gap is only meaningful for a positive
+    dual and a conservative generator, so both are required; a dual with a
+    negative coefficient is reported before a generator that is not
+    conservative. This is ``_adjoint_rows`` on one row.
     """
     _require_positive_dual(fstar.values)
     _require_normalized(gen, False)
-    return adjoint_pairing(evolve(gen, t), fam, fstar, f)
+    return _adjoint_rows(evolve(gen, t).matrix[None], [fam], fstar.values[None, None, None],
+                         f.values[None, None, None])[0]
 
 
 class DualConvexityReport(NamedTuple):

@@ -78,7 +78,6 @@ DEFAULT_TIME_CAP = 1e4
 
 _STEP_LIMIT = 128.0
 _TAIL_REL = 1e-17
-_ENTRY_CLAMP_BAND = 1e-12
 _AXIOM_TOL = 1e-10
 _OVERFLOW = "exp(tQ) or its uniformization exceeds double range for this generator"
 _LOGS = [0.0]  # _LOGS[k] = math.log(k) for k >= 1, grown by _plan as far as it needs
@@ -103,17 +102,32 @@ class EvolveOverflowError(SgineqError):
 class Generator:
     """Metzler matrix with what the kernels read of it, all from its row sums.
 
-    ``conservative`` is the certificate that every row sums to zero within
-    ``CONSERVATIVE_ROW_SUM_TOL``; ``sup_norm`` is the max absolute row sum of
-    Q, formed as max_i rowsum_i(Q) - q_ii + |q_ii| (Q is Metzler);
-    ``uniform_rate`` is lam with P = I + Q/lam >= 0: max |Q_ii|, else the
-    largest entry (0.0 for Q = 0); ``mu`` is the largest row sum of P,
-    max(1, 1 + max_i rowsum_i(Q)/lam), or 1.0 for lam = 0. A row sum beyond
-    double range is inf: not conservative, and a ``sup_norm`` of inf, which
-    ``_plan``'s time cap rejects.
+    The hypothesis is checked here, with boolean masks only: a ``q`` that is
+    not a square array of finite entries raises NotSquareError, and a negative
+    off-diagonal entry NegativeOffDiagonalError, so every evolved matrix is
+    entrywise nonnegative by construction. ``conservative`` is the certificate
+    that every row sums to zero within ``CONSERVATIVE_ROW_SUM_TOL``;
+    ``sup_norm`` is the max absolute row sum of Q, formed as
+    max_i rowsum_i(Q) - q_ii + |q_ii|; ``uniform_rate`` is lam with
+    P = I + Q/lam >= 0: max |Q_ii|, else the largest entry (0.0 for Q = 0);
+    ``mu`` is the largest row sum of P, max(1, 1 + max_i rowsum_i(Q)/lam), or
+    1.0 for lam = 0. A row sum beyond double range is inf: not conservative,
+    and a ``sup_norm`` of inf, which ``_plan``'s time cap rejects.
     """
 
     def __init__(self, q: np.ndarray, name: str | None = None):
+        if q.ndim != 2 or q.shape[0] != q.shape[1]:
+            raise NotSquareError(f"generator must be square, got shape {q.shape}")
+        if not np.isfinite(q).all():
+            raise NotSquareError("generator entries must be finite")
+        negative = q < 0.0
+        negative.flat[:: q.shape[0] + 1] = False
+        if negative.any():
+            i, j = np.argwhere(negative)[0]
+            label = f" in {name!r}" if name else ""
+            raise NegativeOffDiagonalError(
+                f"off-diagonal entry ({i},{j}) = {q[i, j]}{label} is negative"
+            )
         self.q, self.name = q, name
         diag = q.diagonal()
         with np.errstate(over="ignore"):
@@ -130,7 +144,7 @@ class Generator:
 
 
 def validate_generator(q, name: str | None = None) -> Generator:
-    """Check the positive minimum principle and classify row sums.
+    """The ``Generator`` of a read-only, C-ordered float copy of ``q``.
 
     Parameters
     ----------
@@ -138,26 +152,8 @@ def validate_generator(q, name: str | None = None) -> Generator:
         Square matrix; off-diagonal entries must be >= 0.
     name : str, optional
         Label used in reports and error messages.
-
-    Returns
-    -------
-    Generator
-        Wrapper with ``conservative`` set when every row sums to
-        zero within 1e-12.
     """
     arr = np.array(q, dtype=float, order="C")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NotSquareError(f"generator must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NotSquareError("generator entries must be finite")
-    off = arr.copy()
-    np.fill_diagonal(off, 0.0)
-    if np.any(off < 0.0):
-        i, j = np.argwhere(off < 0.0)[0]
-        label = f" in {name!r}" if name else ""
-        raise NegativeOffDiagonalError(
-            f"off-diagonal entry ({i},{j}) = {arr[i, j]}{label} is negative"
-        )
     arr.setflags(write=False)
     return Generator(arr, name)
 
@@ -174,7 +170,8 @@ def generator_to_json(gen: Generator) -> dict:
 
 
 class SemigroupOperator:
-    """One evolution matrix Z(t), entrywise nonnegative.
+    """One evolution matrix Z(t), as ``evolve`` returns it: entrywise
+    nonnegative by construction, since its generator is Metzler, and read-only.
 
     ``trunc_error`` bounds the error of cutting the uniformization series
     off, propagated through the squarings. It does not bound rounding,
@@ -185,14 +182,8 @@ class SemigroupOperator:
     __slots__ = ("matrix", "t", "trunc_error")
 
     def __init__(self, matrix: np.ndarray, t: float, trunc_error: float = 0.0):
-        arr = np.array(matrix, dtype=float)
-        low = arr.min()
-        if low < -_ENTRY_CLAMP_BAND:
-            raise ValueError(f"operator entry {low} below the positivity band")
-        if low < 0.0:
-            arr[arr < 0.0] = 0.0
-        arr.setflags(write=False)
-        self.matrix, self.t, self.trunc_error = arr, t, trunc_error
+        matrix.setflags(write=False)
+        self.matrix, self.t, self.trunc_error = matrix, t, trunc_error
 
     @property
     def dim(self) -> int:

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sgineq.lattice import LatticeElement
 from sgineq.semigroup import validate_generator
+
+# The plain test command loads "tier1": every @given test draws the same examples
+# on every run (and keeps no example database), so one tree gets one verdict.
+# "explore" draws fresh examples; load it with --hypothesis-profile explore and
+# give --hypothesis-seed to replay a run.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("tier1")
 
 # Filled by test_acceptance.py; printed as one line per criterion at the
 # end of the run so the verdicts survive output capture.

@@ -88,7 +88,9 @@ def plain_term_schedule(lam: float, t: float, mu: float) -> tuple:
         log_b += log_rate_mu - math.log(k)
         ratio = rate_mu / (k + 1)
         if ratio < 1.0:
-            log_tail = log_b + math.log(ratio) - math.log(1.0 - ratio)
+            # a ratio that underflows to 0 (a subnormal rate) takes its log as a difference
+            log_ratio = math.log(ratio) if ratio > 0.0 else log_rate_mu - math.log(k + 1)
+            log_tail = log_b + log_ratio - math.log(1.0 - ratio)
             if log_tail <= log_target:
                 return rate, splits, k, math.exp(log_tail)
     raise AssertionError("no term count reaches the tail target")

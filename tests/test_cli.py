@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,19 +179,23 @@ class TestVerify:
         assert report["passed"] is False
         assert "FAIL" in res.stdout
 
-    @pytest.mark.parametrize("overrides", [
-        {"tolerances": [1]},
-        {"families": ["PowerF"]},
-        {"p_sets": [[]]},
-        {"seed": -3},
-        {"t_grid": [float("nan")]},
+    @pytest.mark.parametrize("config,message", [
+        (small_config(tolerances=[1]), "tolerances must be a JSON object"),
+        (small_config(families=["PowerF"]),
+         "bad family selector: family selector must be a JSON object, got 'PowerF'"),
+        (small_config(p_sets=[[]]), "every p_set must be a nonempty list of finite exponents"),
+        (small_config(seed=-3), "seed must be nonnegative"),
+        (small_config(t_grid=[float("nan")]),
+         "t_grid must be nonempty with finite nonnegative entries"),
+        ([], "config must be a JSON object"),
     ], ids=["tolerances_not_object", "family_not_object", "empty_p_set", "negative_seed",
-            "nan_time"])
-    def test_malformed_config_is_usage_error(self, tmp_path, overrides):
-        (tmp_path / "cfg.json").write_text(json.dumps(small_config(**overrides)))
-        res = run_cli("verify", "--config", "cfg.json", "--out", "o", cwd=tmp_path)
+            "nan_time", "config_not_object"])
+    def test_malformed_config_is_usage_error(self, tmp_path, config, message):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        res = run_cli("verify", "--config", "cfg.json", "--out", "o", cwd=tmp_path,
+                      env_extra={"PYTHONWARNINGS": "error"})
         assert res.returncode == 64, res.stderr
-        assert "Traceback" not in res.stderr
+        assert res.stderr.splitlines() == [f"sgineq: error: {message}"]
         assert not (tmp_path / "o" / "report.json").exists()
 
     @pytest.mark.parametrize("selector", [{"family": []}, {"family": 3}, {}],
@@ -236,14 +241,31 @@ class TestVerify:
         ({"generators": [{"q": [["-1", "1"], ["1", "-1"]]}]}, "generator q must be"),
         ({"generators": [{"q": [[-1, True], [1, -1]]}]}, "generator q must be"),
         ({"generators": [{"q": [[-1, 10 ** 400], [1, -1]]}]}, "bad generator entry"),
+        ({"t_grid": [10 ** 400]},
+         "t_grid entries must be numbers: int too large to convert to float"),
+        ({"p_sets": [[2.0, 10 ** 400]]}, "bad config value: int too large to convert to float"),
+        ({"tolerances": {"atol": 10 ** 400}},
+         "bad config value: int too large to convert to float"),
+        ({"generators": [{"q": [[-1.0, float("nan")], [1.0, -1.0]]}]},
+         "bad generator entry: generator entries must be finite"),
+        ({"families": [{"family": "PowerF", "t": float("nan")}]},
+         "bad family selector: family parameter must be finite, got nan"),
+        ({"families": [{"family": "ExpH", "t": float("inf")}]},
+         "bad family selector: family parameter must be finite, got inf"),
     ], ids=["t_grid_bool", "t_grid_str", "p_set_bool", "p_set_str", "p_set_not_list", "atol_bool",
-            "rtol_str", "psd_bool", "power_t_str", "exp_t_bool", "q_str", "q_bool", "q_huge_int"])
+            "rtol_str", "psd_bool", "power_t_str", "exp_t_bool", "q_str", "q_bool", "q_huge_int",
+            "t_grid_huge_int", "p_set_huge_int", "atol_huge_int", "q_nan", "power_t_nan",
+            "exp_t_inf"])
     def test_number_field_of_the_wrong_type_is_usage_error(self, tmp_path, capsys, overrides, named):
         # each of these values would be coerced by float() into a config that
-        # runs, or, the integer beyond double range, stop it with a traceback
+        # runs, or, an integer beyond double range or a NaN or infinite entry
+        # (JSON's NaN and Infinity), stop it with a traceback; no warning escapes
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(small_config(**overrides)))
-        assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert code == 64
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "o" / "report.json").exists()
@@ -626,20 +648,25 @@ class TestExpconv:
         assert not (tmp_path / "o" / "gram.json").exists()
 
     @pytest.mark.parametrize("flags,message", [
-        (["--t", "-1"], "--t must be a finite nonnegative time, got -1"),
-        (["--t", "nan"], "--t must be a finite nonnegative time, got nan"),
-        (["--t", "inf"], "--t must be a finite nonnegative time, got inf"),
-        (["--n-xi", "0"], "--n-xi must be at least 1, got 0"),
-        (["--n-xi", "-5"], "--n-xi must be at least 1, got -5"),
-        (["--tol", "nan"], "--tol must be finite and nonnegative, got nan"),
-        (["--tol=-1e-8"], "--tol must be finite and nonnegative, got -1e-08"),
-        (["--tol", "inf"], "--tol must be finite and nonnegative, got inf"),
-        (["--seed", "-1"], "--seed must be nonnegative, got -1"),
-        (["--p", "2", "nan"], "--p values must be finite exponents"),
+        (["--p", "2", "4", "--t", "-1"], "--t must be a finite nonnegative time, got -1"),
+        (["--p", "2", "4", "--t", "nan"], "--t must be a finite nonnegative time, got nan"),
+        (["--p", "2", "4", "--t", "inf"], "--t must be a finite nonnegative time, got inf"),
+        (["--p", "2", "4", "--n-xi", "0"], "--n-xi must be at least 1, got 0"),
+        (["--p", "2", "4", "--n-xi", "-5"], "--n-xi must be at least 1, got -5"),
+        (["--p", "2", "4", "--tol", "nan"], "--tol must be finite and nonnegative, got nan"),
+        (["--p", "2", "4", "--tol=-1e-8"], "--tol must be finite and nonnegative, got -1e-08"),
+        (["--p", "2", "4", "--tol", "inf"], "--tol must be finite and nonnegative, got inf"),
+        (["--p", "2", "4", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+        (["--p", "2", "4", "--p", "2", "nan"], "--p values must be finite exponents"),
+        ([], "expconv needs --p values or --config"),
+        # a config with no p_sets, here the one at the sample cap
+        (["--config", str(CONFIG_DIR / "at_sample_cap.json")],
+         "expconv needs at least one p_set in the config"),
     ], ids=["t_negative", "t_nan", "t_inf", "n_xi_zero", "n_xi_negative", "tol_nan",
-            "tol_negative", "tol_inf", "seed_negative", "p_nan"])
+            "tol_negative", "tol_inf", "seed_negative", "p_nan", "no_p_or_config",
+            "config_without_p_sets"])
     def test_bad_flag_is_usage_error(self, tmp_path, capsys, flags, message):
-        code = cli.main(["expconv", "--p", "2", "4", *flags, "--out", str(tmp_path / "o")])
+        code = cli.main(["expconv", *flags, "--out", str(tmp_path / "o")])
         assert code == 64
         assert capsys.readouterr().err.splitlines() == [f"sgineq: error: {message}"]
         assert not (tmp_path / "o" / "gram.json").exists()

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sgineq import cli, expconv, families
 from sgineq.errors import SgineqError
@@ -423,7 +423,7 @@ _EDGE_ENTRIES = {"F": (1e-12, float(np.nextafter(1e-12, 1.0)), 1e-300, 1e40, 1e1
 
 @st.composite
 def _midpoint_cases(draw):
-    """(z, kind, mids, f): Z(t) of a conservative generator with K = 1..6,
+    """(gen, t, kind, mids, f): a conservative generator with K = 1..6, a time,
     1..8 distinct midpoints, and f, with edge midpoints and edge entries."""
     kind = draw(st.sampled_from("FH"))
     k = draw(st.integers(1, 6))
@@ -437,9 +437,9 @@ def _midpoint_cases(draw):
                       min_size=k, max_size=k))
     gen = random_conservative_generator(np.random.default_rng(draw(st.integers(0, 2 ** 32))),
                                         min_dim=k, max_dim=k, max_norm=4.0)
-    z = evolve(gen, draw(st.floats(0.0, 3.0))).matrix
+    t = draw(st.floats(0.0, 3.0))
     # the distinct midpoints in first-seen order, as _gram keys them
-    return z, kind, list(dict.fromkeys(float(m) for m in mids)), np.array(f)
+    return gen, t, kind, list(dict.fromkeys(float(m) for m in mids)), np.array(f)
 
 
 def _sides_or_error(apply, fams, block, where):
@@ -456,11 +456,15 @@ class TestBatchedSides:
 
     @settings(max_examples=400, deadline=None)
     @given(_midpoint_cases())
+    # the subnormal times whose evolution once raised a math domain error
+    @example((validate_generator(BENCH_Q), 5e-324, "F", [2.0, 0.5, 1.0], np.array([1.0, 4.0])))
+    @example((validate_generator(BENCH_Q), 1e-323, "H", [-1.0, 0.0, 2.0], np.array([-3.0, 300.0])))
     def test_batched_rows_match_the_per_member_route(self, case):
         # the column of the members gives the sides of their list bit for bit,
         # or the same error, with its type and message; _midpoint_residuals,
         # the column form on its own labels, gives their rows or that error
-        z, kind, mids, f = case
+        gen, t, kind, mids, f = case
+        z = evolve(gen, t).matrix
         apply = partial(_stack_act, z[None])
         block = f[None, None, None]
         where = [f"at midpoint {m:g}" for m in mids]

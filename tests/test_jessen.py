@@ -21,7 +21,6 @@ from sgineq.jessen import (
     NonFiniteSideError,
     NonPositiveDualError,
     NotNormalizedError,
-    adjoint_pairing,
     dual_convexity_report,
     jessen_report,
     support_line_check,
@@ -254,7 +253,8 @@ class TestJessenSides:
     def test_adjoint_pairing_matches_verify(self, bench_gen, bench_f):
         fstar = DualVector([0.25, 0.75])
         want = verify_adjoint_pairing(bench_gen, ExpFamily(-1.0), fstar, bench_f, 2.0)
-        got = adjoint_pairing(evolve(bench_gen, 2.0), ExpFamily(-1.0), fstar, bench_f)
+        got = _adjoint_rows(evolve(bench_gen, 2.0).matrix[None], [ExpFamily(-1.0)],
+                            fstar.values[None, None, None], bench_f.values[None, None, None])[0]
         assert got == want
 
 
@@ -311,7 +311,7 @@ class TestRowKernels:
             reps = _adjoint_rows(np.stack([op.matrix for op in ops]), [fam],
                                  duals[None, :, None], F[None, :, None])
             for op, rep, fstar, f in zip(ops, reps, duals, F):
-                single = adjoint_pairing(op, fam, DualVector(fstar), LatticeElement(f))
+                single = verify_adjoint_pairing(gen, fam, DualVector(fstar), LatticeElement(f), op.t)
                 want = single_row_adjoint(op.matrix, fam.value, fstar, f)
                 assert bits(rep) == bits(single) == bits(want)
                 assert rep[4:] == want[4:]
@@ -460,7 +460,9 @@ class TestAdjointPairing:
     def test_nonpositive_dual_rejected_on_evolved_operator(self, bench_gen, bench_f):
         op = evolve(bench_gen, 1.0)
         with pytest.raises(NonPositiveDualError):
-            adjoint_pairing(op, PowerFamily(2.0), DualVector([1.0, -0.5]), bench_f)
+            _adjoint_rows(op.matrix[None], [PowerFamily(2.0)],
+                          DualVector([1.0, -0.5]).values[None, None, None],
+                          bench_f.values[None, None, None])
 
     def test_nonpositive_dual_reported_before_unnormalized_generator(self, bench_f):
         leaky = validate_generator([[-1.0, 0.5], [0.0, 0.0]])
@@ -468,6 +470,11 @@ class TestAdjointPairing:
             verify_adjoint_pairing(leaky, PowerFamily(2.0), DualVector([1.0, -0.5]), bench_f, 1.0)
         with pytest.raises(NotNormalizedError):
             verify_adjoint_pairing(leaky, PowerFamily(2.0), DualVector([1.0, 0.5]), bench_f, 1.0)
+
+    def test_dual_vector_rejects_a_matrix(self):
+        with pytest.raises(ValueError) as err:
+            DualVector([[1.0]])
+        assert str(err.value) == "dual vectors are finite one dimensional arrays"
 
     def test_dual_positive_cache(self):
         assert DualVector([0.0, 2.0]).positive

@@ -116,6 +116,16 @@ class TestOrderVerdicts:
         with pytest.raises(ValueError):
             LatticeElement([float("inf"), 0.0])
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: OrderTolerance(-1, 0), "tolerances must be nonnegative"),
+        (lambda: LatticeElement([[1.0]]), "lattice elements are one dimensional"),
+        (lambda: LatticeElement([]), "lattice elements need at least one coordinate"),
+    ], ids=["negative_tolerance", "matrix_element", "empty_element"])
+    def test_malformed_input_rejected(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
 
 # Dyadic rationals keep max/min/add/sub/abs exact and stay outside the
 # default tolerance gray zone unless two entries coincide exactly.

@@ -28,7 +28,6 @@ from sgineq.semigroup import (
     EvolveOverflowError,
     NegativeOffDiagonalError,
     NotSquareError,
-    SemigroupOperator,
     TimeCapError,
     act,
     check_positivity_and_normalization,
@@ -581,7 +580,7 @@ class TestTermSchedule:
                 assert semigroup._plan(gen, t) == plain_term_schedule(lam, t, mu), (t, mu)
 
     def test_rate_from_tiny_to_the_step_limit(self):
-        ts = [*np.logspace(-300.0, math.log10(128.0), 301), 128.0]
+        ts = [5e-324, 1e-323, *np.logspace(-300.0, math.log10(128.0), 301), 128.0]
         self._assert_same(1.0, ts, [1.0, 1.5, 4.0])
 
     def test_growth_up_to_the_overflow_guard(self):
@@ -787,15 +786,72 @@ class TestGeneratorEstimate:
             estimate_generator(bench_gen, 0.0, LatticeElement([1.0, 0.0]))
 
 
-class TestOperatorSurface:
-    def test_clamp_band(self):
-        m = np.array([[1.0, -1e-13], [0.0, 1.0]])
-        op = SemigroupOperator(m, t=0.0)
-        assert op.matrix[0, 1] == 0.0
+# (q, the type and message that Generator(q, "g") and validate_generator(q, "g") raise)
+BAD_GENERATORS = {
+    "row": ([[0.0, 1.0]], NotSquareError, "generator must be square, got shape (1, 2)"),
+    "vector": ([0.0, 1.0], NotSquareError, "generator must be square, got shape (2,)"),
+    "inf": ([[-1.0, np.inf], [0.0, 0.0]], NotSquareError, "generator entries must be finite"),
+    "minus_inf_diagonal": ([[-np.inf, 1.0], [0.0, 0.0]], NotSquareError,
+                           "generator entries must be finite"),
+    "nan": ([[np.nan, 0.0], [0.0, 0.0]], NotSquareError, "generator entries must be finite"),
+    "negative_off_diagonal": ([[-1.0, -0.5], [0.0, 0.0]], NegativeOffDiagonalError,
+                              "off-diagonal entry (0,1) = -0.5 in 'g' is negative"),
+    # the first negative entry in row order, whatever the layout of q
+    "two_negative_off_diagonals": ([[-1.0, 0.0, -3.0], [-2.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                                   NegativeOffDiagonalError,
+                                   "off-diagonal entry (0,2) = -3.0 in 'g' is negative"),
+}
 
-    def test_below_band_rejected(self):
-        with pytest.raises(ValueError):
-            SemigroupOperator(np.array([[1.0, -1e-6], [0.0, 1.0]]), t=0.0)
+
+def _extreme_generators(count):
+    """Validated generators with off-diagonal entries from 2^-40 to 2^40, signed
+    zeros among them, and diagonals at, below and above minus the row sum."""
+    rng = np.random.default_rng(19)
+    gens = []
+    for i in range(count):
+        k = int(rng.integers(1, 7))
+        q = rng.uniform(1.0, 2.0, size=(k, k)) * 2.0 ** rng.integers(-40, 41, size=(k, k))
+        q[rng.uniform(size=(k, k)) < 0.25] = 0.0
+        q[rng.uniform(size=(k, k)) < 0.25] = -0.0
+        np.fill_diagonal(q, 0.0)
+        np.fill_diagonal(q, -q.sum(axis=1) * (1.0, 0.5, 2.0)[i % 3])
+        gens.append(validate_generator(q * 2.0 ** int(rng.integers(-40, 41))))
+    return gens
+
+
+class TestOperatorSurface:
+    @pytest.mark.parametrize("name", sorted(BAD_GENERATORS))
+    def test_generator_checks_the_hypothesis(self, name):
+        raw, exc, message = BAD_GENERATORS[name]
+        for q in (np.array(raw), np.asfortranarray(raw)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _outcome(lambda: semigroup.Generator(q, "g")) == (exc, message)
+                assert _outcome(lambda: validate_generator(q, "g")) == (exc, message)
+        # the diagonal may be negative, and an off-diagonal zero of either sign
+        q = np.array([[-1.0, -0.0, 1.0], [0.0, -2.0, 2.0], [-0.0, 0.0, -0.0]])
+        gen = validate_generator(q)
+        assert gen.q.tobytes() == q.tobytes() and semigroup.Generator(q).q is q
+        # validate_generator holds a read-only, C-ordered float copy
+        for raw_q in (q, np.asfortranarray(q), q.astype(np.float32), q.tolist()):
+            held = validate_generator(raw_q).q
+            assert held.dtype == np.float64 and held.flags.c_contiguous
+            assert not held.flags.writeable and not np.shares_memory(held, raw_q)
+
+    def test_evolved_entries_are_nonnegative_with_no_clamp(self):
+        # the series and its squarings keep every entry >= 0 on their own
+        rng = np.random.default_rng(20)
+        for gen in _extreme_generators(60):
+            norm = gen.sup_norm or 1.0
+            ts = [0.0, 5e-324, 1e-300 / norm, 1e-6 / norm, 0.7 / norm, 30.0 / norm, 500.0 / norm]
+            shape = (3, gen.dim)
+            block = rng.uniform(0.0, 2.0, size=shape) * 2.0 ** rng.integers(-40, 41, size=shape)
+            block[0, 0] = -0.0
+            for t in ts:
+                op = evolve(gen, t)
+                assert not op.matrix.flags.writeable
+                assert (op.matrix >= 0.0).all() and (act(gen, t, block) >= 0.0).all(), (gen.q, t)
+            assert (evolve_many(gen, ts) >= 0.0).all()
 
     def test_act_rejects_malformed_blocks(self, bench_gen):
         for bad in (np.ones(2), np.ones((1, 3)), np.ones((1, 2, 2))):
