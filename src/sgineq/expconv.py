@@ -279,9 +279,10 @@ def check_order_psd(gram: LambdaGram, n_xi: int, seed: int, tol: float = 1e-8) -
     The sampled minimum is that of
     ``einsum("si,sj,ijk->sk", xi, xi, entries)`` over all n_xi rows, bit
     for bit, but the einsum only runs on the rows that can hold it.
-    Screen: the same forms through one BLAS product ``M @ xi.T``, with
-    the K coordinate matrices stacked as M of shape (K n, n), and a
-    row-wise dot with ``xi``; the intermediates hold K n n_xi values.
+    Screen: the same forms through one BLAS product ``M @ xi^T``, with
+    the K coordinate matrices stacked as M of shape (K n, n) and xi^T
+    made contiguous, multiplied by xi^T in place and summed over i; the
+    one (K, n, n_xi) block is the only large array it adds to xi^T.
     Exact: the einsum on every row whose screened minimum (over the
     coordinates) is within 2 delta of the smallest one, and on at least
     the first ``_EXACT_MIN_ROWS`` rows.
@@ -292,9 +293,10 @@ def check_order_psd(gram: LambdaGram, n_xi: int, seed: int, tol: float = 1e-8) -
     since ||x|| = 1. The einsum rounds each term x_i x_j E_ijk twice and
     sums n^2 terms, so a term passes at most n^2 + 1 roundings and the
     error is at most gamma_{n^2+1} T. The screen sums y_i = sum_j E_ijk x_j
-    and then sum_i x_i y_i, at most 2n roundings per term, so its error
-    is at most gamma_{2n} T. Products that underflow add at most
-    8 n^2 (1 + m) 2^-1075 between the two. Hence
+    and then sum_i x_i y_i, in whatever order BLAS and numpy pick: a term
+    passes at most n roundings into y_i and n more into the form, so the
+    error is at most gamma_{2n} T for any summation order. Products that
+    underflow add at most 8 n^2 (1 + m) 2^-1075 between the two. Hence
 
         delta = 2 ((gamma_{2n} + gamma_{n^2+1}) n m + 8 n^2 (1 + m) 2^-1075),
 
@@ -316,20 +318,22 @@ def check_order_psd(gram: LambdaGram, n_xi: int, seed: int, tol: float = 1e-8) -
     rng = np.random.default_rng(seed)
     n = gram.pset.size
     xi = rng.normal(size=(n_xi, n))
-    norms = np.linalg.norm(xi, axis=1, keepdims=True)
+    # the ufuncs np.linalg.norm(xi, axis=1) runs on a real array, so its bits
+    norms = np.sqrt(np.add.reduce(xi * xi, axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
-    xi = xi / norms
+    xi /= norms
 
-    entries = gram.entries
-    stacked = gram.coordinate_matrices.reshape(-1, n)
-    forms = np.sum((stacked @ xi.T).reshape(-1, n, n_xi) * xi.T, axis=1)
-    screened = np.min(forms, axis=0)
+    xt = np.ascontiguousarray(xi.T)
+    forms = (gram.coordinate_matrices.reshape(-1, n) @ xt).reshape(-1, n, n_xi)
+    forms *= xt
+    screened = np.min(forms.sum(axis=1), axis=0)
+    del xt, forms  # freed before the exact pass, which may copy every row of xi
     delta = 2.0 * ((_gamma(2 * n) + _gamma(n * n + 1)) * n * peak
                    + n * n * (1.0 + peak) * _UNDERFLOW_STEP)
     keep = ~(screened > np.min(screened) + 2.0 * delta)
     keep[:_EXACT_MIN_ROWS] = True
     exact = xi[keep]
-    quad = np.einsum("si,sj,ijk->sk", exact, exact, entries)
+    quad = np.einsum("si,sj,ijk->sk", exact, exact, gram.entries)
     min_quad = float(np.min(quad))
     sampled_pass = min_quad >= -scale
 

@@ -103,10 +103,10 @@ class Generator:
     """Metzler matrix with what the kernels read of it, all from its row sums.
 
     The hypothesis is checked here, with boolean masks only: a ``q`` that is
-    not a square array of finite entries raises NotSquareError, and a negative
-    off-diagonal entry NegativeOffDiagonalError, so every evolved matrix is
-    entrywise nonnegative by construction. ``conservative`` is the certificate
-    that every row sums to zero within ``CONSERVATIVE_ROW_SUM_TOL``;
+    not a nonempty square array of finite entries raises NotSquareError, and
+    a negative off-diagonal entry NegativeOffDiagonalError, so every evolved
+    matrix is entrywise nonnegative by construction. ``conservative`` is the
+    certificate that every row sums to zero within ``CONSERVATIVE_ROW_SUM_TOL``;
     ``sup_norm`` is the max absolute row sum of Q, formed as
     max_i rowsum_i(Q) - q_ii + |q_ii|; ``uniform_rate`` is lam with
     P = I + Q/lam >= 0: max |Q_ii|, else the largest entry (0.0 for Q = 0);
@@ -118,6 +118,8 @@ class Generator:
     def __init__(self, q: np.ndarray, name: str | None = None):
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise NotSquareError(f"generator must be square, got shape {q.shape}")
+        if not q.size:
+            raise NotSquareError("generator must have at least one state, got shape (0, 0)")
         if not np.isfinite(q).all():
             raise NotSquareError("generator entries must be finite")
         negative = q < 0.0

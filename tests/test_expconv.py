@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -570,14 +571,18 @@ class TestScreenedMinimum:
 
     @pytest.mark.parametrize("n_xi", [1, 7, 1000, 5000])
     def test_bits_match_full_einsum(self, n_xi):
+        # sizes past numpy's 8-element pairwise block, and coordinates scaled
+        # from 1e-300 to 1e300
         rng = np.random.default_rng(n_xi)
-        for n in range(1, 7):
+        for n in (*range(1, 10), 17, 33):
             for dim in range(1, 9):
-                a = rng.normal(size=(n, n, dim))
-                gram = _gram_of(a + a.transpose(1, 0, 2))
-                seed = int(rng.integers(1 << 30))
-                rep = check_order_psd(gram, n_xi=n_xi, seed=seed)
-                assert _bits(rep.min_quadform) == _bits(_full_einsum_min(gram, n_xi, seed)), (n, dim)
+                for scales in (1.0, np.logspace(-300, 300, dim)):
+                    a = rng.normal(size=(n, n, dim)) * scales
+                    gram = _gram_of(a + a.transpose(1, 0, 2))
+                    seed = int(rng.integers(1 << 30))
+                    rep = check_order_psd(gram, n_xi=n_xi, seed=seed)
+                    want = _full_einsum_min(gram, n_xi, seed)
+                    assert _bits(rep.min_quadform) == _bits(want), (n, dim, scales)
 
     def test_bits_two_points_one_coordinate(self):
         # the shape where numpy's einsum sums a block of one or two rows in
@@ -606,6 +611,22 @@ class TestScreenedMinimum:
         a = np.random.default_rng(3).normal(size=(5, 5, 4))
         check_order_psd(_gram_of(a + a.transpose(1, 0, 2)), n_xi=5000, seed=1)
         assert len(rows) == 1 and rows[0] < 50
+
+    @pytest.mark.parametrize("keeps_every_row", [False, True])
+    def test_peak_memory_is_one_screen_block(self, keeps_every_row):
+        # at most one (K, n, n_xi) block and three (n_xi, n) arrays, whether the
+        # exact pass runs on a few rows or, on a zero Gram, on all of them
+        n, dim, n_xi = 64, 4, 5000
+        a = np.random.default_rng(4).normal(size=(n, n, dim)) * (not keeps_every_row)
+        gram = _gram_of(a + a.transpose(1, 0, 2))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            check_order_psd(gram, n_xi=n_xi, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (dim * n * n_xi + 3 * n_xi * n), peak
 
     def test_non_finite_entry_keeps_every_row(self):
         entries = np.ones((2, 2, 1))

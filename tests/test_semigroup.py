@@ -790,6 +790,8 @@ class TestGeneratorEstimate:
 BAD_GENERATORS = {
     "row": ([[0.0, 1.0]], NotSquareError, "generator must be square, got shape (1, 2)"),
     "vector": ([0.0, 1.0], NotSquareError, "generator must be square, got shape (2,)"),
+    "empty": (np.zeros((0, 0)), NotSquareError,
+              "generator must have at least one state, got shape (0, 0)"),
     "inf": ([[-1.0, np.inf], [0.0, 0.0]], NotSquareError, "generator entries must be finite"),
     "minus_inf_diagonal": ([[-np.inf, 1.0], [0.0, 0.0]], NotSquareError,
                            "generator entries must be finite"),
