@@ -163,17 +163,6 @@ class LambdaGram(NamedTuple):
                     yield (self.pset.p[i], self.pset.p[j], k, float(self.entries[i, j, k]))
 
 
-class _AtMidpoint:
-    """The ``where`` labels "at midpoint <m>" of a column of midpoints, each
-    formed only for the member whose error it begins."""
-
-    def __init__(self, mids: np.ndarray):
-        self.mids = mids
-
-    def __getitem__(self, m: int) -> str:
-        return f"at midpoint {self.mids[m]:g}"
-
-
 def _midpoint_residuals(z: np.ndarray, kind: str, mids, f: np.ndarray) -> np.ndarray:
     """Rows z phi_m(f) - phi_m(z f), one per midpoint m of ``mids``: one
     ``_members_sides`` call on the column of their members, whose error, of
@@ -181,7 +170,8 @@ def _midpoint_residuals(z: np.ndarray, kind: str, mids, f: np.ndarray) -> np.nda
     mids = np.array(mids, dtype=float)
     # f as the (1, 1, 1, K) block of one time and one sample, which every member shares
     phi_zf, _, z_phi_f = _members_sides(partial(_stack_act, z[None]), _MemberColumn(kind, mids),
-                                        f[None, None, None], _AtMidpoint(mids))
+                                        f[None, None, None],
+                                        lambda m: f"at midpoint {mids[m]:g}")
     return z_phi_f[:, 0, 0] - phi_zf[:, 0, 0]
 
 

@@ -129,7 +129,7 @@ def _members_sides(
     apply: Callable[[np.ndarray], np.ndarray],
     fams: list[OperatorFamily] | _MemberColumn,
     F: np.ndarray,
-    where=None,
+    where: Callable[[int], str] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """phi_m(Z f), Z f and Z phi_m(f) for every member phi_m of ``fams`` and
     every row f of its block.
@@ -137,7 +137,7 @@ def _members_sides(
     ``fams`` is a list of families, or a ``families._MemberColumn`` of one
     family kind at a column of parameters. ``F`` is an (M, ..., K) array of
     one block F_m per member of a list, or a (1, ..., K) array of one block
-    that every member takes, as a column's members always do. ``apply`` maps
+    that every member of a column takes. ``apply`` maps
     [F; phi_1(F_1); ...; phi_M(F_M)], joined along the member axis, to its
     rows under Z(t), and is called once: ``semigroup._stack_act`` bound to a
     (G, K, K) stack for (M, G, S, K) blocks, or ``semigroup.act`` bound to a
@@ -150,11 +150,12 @@ def _members_sides(
     members before the next, so the error raised is that of the first member
     to fail the earliest check. A finiteness check, and a column's domain
     check, tests all members at once; only a failure looks up that member,
-    which a column builds then, and checks it alone. With ``where``, the
-    message is rewritten to begin with ``where[m]`` (indexed only then) and
-    the error itself re-raised, so its type (and exit code) is kept. The
-    family sees each block flattened to one vector (a domain error names the
-    entry by its row-major index), since phi acts entry by entry.
+    which a column builds then, and checks it alone. With ``where``, a
+    function of the member index, the message is rewritten to begin with
+    ``where(m)`` (called only then) and the error itself re-raised, so its
+    type (and exit code) is kept. The family sees each block flattened to one
+    vector (a domain error names the entry by its row-major index), since phi
+    acts entry by entry.
     """
     def check(m, test):
         # test member m alone; its error goes up, relabelled
@@ -162,7 +163,7 @@ def _members_sides(
             test(fams[m])
         except Exception as err:
             if where is not None:
-                err.args = (f"{where[m]}: {err}",)
+                err.args = (f"{where(m)}: {err}",)
             raise
 
     def require_finite(fam):
@@ -176,15 +177,15 @@ def _members_sides(
                   require_finite)
 
     def phi(X):
-        # phi_m of each member's block of X (its own, or the shared one) once all are
-        # in the domain: one vector per member of a list, one for a whole column
+        # phi_m of each member's block of X once all are in the domain: one vector
+        # per member of a list, one shared by a whole column
         if isinstance(fams, _MemberColumn):
             x = X.ravel()
             m = fams.first_off_domain(x)
             if m is not None:
                 check(m, lambda fam: fam.check_domain(x))
             return [fams.value(x).ravel()]
-        xs = [X[m].ravel() for m in range(len(X))] * (len(fams) // len(X))
+        xs = [x.ravel() for x in X]
         for m, x in enumerate(xs):
             check(m, lambda fam: fam.check_domain(x))
         return [fam.value(x) for fam, x in zip(fams, xs)]

@@ -549,7 +549,6 @@ class GramSuiteResult(NamedTuple):
     instances: int
     min_eigenvalue: float
     min_quadform: float
-    max_entry: float
     failures: int
 
 
@@ -573,7 +572,6 @@ def run_gram_random_suite(n_instances: int, kind: str, seed: int) -> GramSuiteRe
     rng = np.random.default_rng(seed)
     worst_eig = float("inf")
     worst_quad = float("inf")
-    max_entry = 0.0
     failures = 0
     for i in range(n_instances):
         gen = random_conservative_generator(rng, max_dim=6, max_norm=4.0)
@@ -584,14 +582,12 @@ def run_gram_random_suite(n_instances: int, kind: str, seed: int) -> GramSuiteRe
         rep = check_order_psd(gram, n_xi=1000, seed=int(rng.integers(0, 2 ** 31)))
         worst_eig = min(worst_eig, rep.min_eigenvalue)
         worst_quad = min(worst_quad, rep.min_quadform)
-        max_entry = max(max_entry, gram.max_abs_entry())
         if not rep.passed:
             failures += 1
     return GramSuiteResult(
         instances=n_instances,
         min_eigenvalue=worst_eig,
         min_quadform=worst_quad,
-        max_entry=max_entry,
         failures=failures,
     )
 

@@ -100,10 +100,8 @@ def eye_plus_chain(gen):
     """P of ``semigroup._chain`` formed as np.eye(K) + Q/lam.
 
     The chain as a sum of two K x K arrays, the reference for the P that
-    ``_chain`` builds in place; None for Q = 0.
+    ``_chain`` builds in place; all NaN for Q = 0 (0/0), as there.
     """
-    if not gen.uniform_rate:
-        return None
     with np.errstate(over="ignore", invalid="ignore"):
         return np.eye(gen.dim) + gen.q / gen.uniform_rate
 
@@ -143,9 +141,9 @@ def row_block_act(gen, t: float, F) -> np.ndarray:
     of ``plain_term_schedule`` and 2^splits steps in sequence.
     """
     block = np.array(F, dtype=float)
-    p = eye_plus_chain(gen)
-    if p is None or t == 0.0:
+    if not gen.uniform_rate or t == 0.0:
         return block
+    p = eye_plus_chain(gen)
     rate, splits, terms, _ = plain_term_schedule(gen.uniform_rate, t, chain_mu(gen))
     pt = np.ascontiguousarray(p.T)
     for _ in range(2 ** splits):

@@ -273,11 +273,13 @@ class TestBuildGram:
 
 def _labelled_sides(gen, f, members):
     """``_members_sides`` on the list of families ``members`` (midpoint ->
-    family) at t = 1, labelled as ``_midpoint_residuals`` labels a column."""
+    family) at t = 1, each member with its own copy of f, labelled as
+    ``_midpoint_residuals`` labels a column."""
     z = evolve(gen, 1.0).matrix
+    labels = [f"at midpoint {mid:g}" for mid in members]
     return _members_sides(partial(_stack_act, z[None]), list(members.values()),
-                          f.values[None, None, None],
-                          [f"at midpoint {mid:g}" for mid in members])
+                          np.repeat(f.values[None, None, None], len(members), axis=0),
+                          labels.__getitem__)
 
 
 def _residual(op, fam, f):
@@ -445,11 +447,15 @@ def _midpoint_cases(draw):
 
 def _sides_or_error(apply, fams, block, where):
     """(shape, bits) of each side ``_members_sides`` gives, or the type and
-    message of its error."""
+    message of its error. A column's one shared Z f is repeated once per
+    member, as the list of its members, each with its own copy of the block,
+    gives it."""
     try:
-        return [(side.shape, side.tobytes()) for side in _members_sides(apply, fams, block, where)]
+        phi_zf, zf, z_phi_f = _members_sides(apply, fams, block, where)
     except Exception as err:
         return type(err), str(err)
+    zf = np.repeat(zf, len(fams) // len(zf), axis=0)
+    return [(side.shape, side.tobytes()) for side in (phi_zf, zf, z_phi_f)]
 
 
 class TestBatchedSides:
@@ -468,9 +474,10 @@ class TestBatchedSides:
         z = evolve(gen, t).matrix
         apply = partial(_stack_act, z[None])
         block = f[None, None, None]
-        where = [f"at midpoint {m:g}" for m in mids]
+        own = np.repeat(block, len(mids), axis=0)
+        where = [f"at midpoint {m:g}" for m in mids].__getitem__
         listed = [families._member(kind, m) for m in mids]
-        want = _sides_or_error(apply, listed, block, where)
+        want = _sides_or_error(apply, listed, own, where)
         assert _sides_or_error(apply, families._MemberColumn(kind, np.array(mids)), block,
                                where) == want
         try:
@@ -479,7 +486,7 @@ class TestBatchedSides:
         except Exception as err:
             assert (type(err), str(err)) == want
         else:
-            phi_zf, _, z_phi_f = _members_sides(apply, listed, block)
+            phi_zf, _, z_phi_f = _members_sides(apply, listed, own)
             with np.errstate(over="ignore", invalid="ignore"):
                 assert got.tobytes() == (z_phi_f - phi_zf)[:, 0, 0].tobytes()
 
@@ -495,10 +502,11 @@ class TestBatchedSides:
 
         mids = [2.0, 3.0]
         block = bench_f.values[None, None, None]
-        for fams in ([families._member("F", m) for m in mids],
-                     families._MemberColumn("F", np.array(mids))):
+        where = [f"at midpoint {m:g}" for m in mids].__getitem__
+        for fams, F in (([families._member("F", m) for m in mids], np.repeat(block, 2, axis=0)),
+                        (families._MemberColumn("F", np.array(mids)), block)):
             with pytest.raises(NonFiniteSideError, match=r"^at midpoint 3: PowerF\(3\): "):
-                _members_sides(apply, fams, block, [f"at midpoint {m:g}" for m in mids])
+                _members_sides(apply, fams, F, where)
 
     def test_non_finite_phi_f_is_found_before_z_f_leaves_the_domain(self):
         # the "Z" below maps the row (1, 2) to (-1, 2), off the cone, and phi(f)
@@ -506,10 +514,11 @@ class TestBatchedSides:
         shear = partial(_stack_act, np.array([[[1.0, -1.0], [0.0, 1.0]]]))
         mids = [3.0, 2000.0]
         block = np.array([1.0, 2.0])[None, None, None]
-        for fams in ([families._member("F", m) for m in mids],
-                     families._MemberColumn("F", np.array(mids))):
+        where = [f"at midpoint {m:g}" for m in mids].__getitem__
+        for fams, F in (([families._member("F", m) for m in mids], np.repeat(block, 2, axis=0)),
+                        (families._MemberColumn("F", np.array(mids)), block)):
             with pytest.raises(NonFiniteSideError, match=r"^at midpoint 2000: PowerF\(2000\): "):
-                _members_sides(shear, fams, block, [f"at midpoint {m:g}" for m in mids])
+                _members_sides(shear, fams, F, where)
 
 
 class TestOrderPsd:

@@ -345,7 +345,7 @@ class TestRowKernels:
     def test_own_blocks_of_several_members_match_one_member_each(self):
         # run_config_verification passes every family of a generator at once, each
         # with its own block; each member's rows keep the bits of its own call. So
-        # does a block that every member shares
+        # do copies of one block, one per member
         rng = np.random.default_rng(34)
         families = benchmark_families()
         for _ in range(100):
@@ -359,17 +359,16 @@ class TestRowKernels:
             # the positive-cone box lies in the domain of every family
             shared = rng.uniform(*suites._DOMAIN_BOX["F"], size=(1, len(ops), rows, gen.dim))
             apply = partial(_stack_act, mats)
-            for blocks in (F, shared):
+            for blocks in (F, np.repeat(shared, len(fams), axis=0)):
                 sides = _members_sides(apply, fams, blocks)
-                alone = [_members_sides(apply, [fam], blocks[m % len(blocks)][None])
+                alone = [_members_sides(apply, [fam], blocks[m][None])
                          for m, fam in enumerate(fams)]
                 assert sides[1].shape == blocks.shape
                 assert sides[0].shape == sides[2].shape == (len(fams), *blocks.shape[1:])
                 for k in range(3):
-                    # Z f: each member's own rows, or the shared rows once
-                    want = alone[:len(blocks)] if k == 1 else alone
+                    # each side, Z f too: each member's own rows
                     assert bits(sides[k].ravel()) == bits(np.concatenate(
-                        [a[k] for a in want]).ravel())
+                        [a[k] for a in alone]).ravel())
             duals = rng.uniform(0.0, 1.0, size=F.shape)
             duals /= duals.sum(axis=-1, keepdims=True)
             reps = _adjoint_rows(mats, fams, duals, F)

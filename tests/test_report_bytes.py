@@ -49,6 +49,10 @@ MIXED = {
 CASES = {
     **{f"bundled_seed{seed}": dict(cli.DEFAULT_CONFIG, seed=seed) for seed in (0, 1, 987654321)},
     "mixed": MIXED,
+    # Q = 0 at K = 2 and K = 1, whose P is 0/0 = NaN and read by no term, as
+    # every kernel's identity is the empty schedule; benchmark2 beside them,
+    # at the subnormal time 1e-320 too
+    "zero_generator": json.loads((CONFIG_DIR / "zero_generator.json").read_text()),
 }
 
 REPORT_SHA256 = {
@@ -57,6 +61,7 @@ REPORT_SHA256 = {
     "bundled_seed1": "cf2de75bf4cded2dc0c1f4d034b49e477acd398d5c97f14fcce03224ea56a428",
     "bundled_seed987654321": "dae0b550da4da18a319cdd62f02a2d69ab1dd5001a83bda6445ba8453341f957",
     "mixed": "46a48757e2a94de7bfca59b089d335fbd52913fedea8108ca0398ce8ea062184",
+    "zero_generator": "00294dd1ca91054855d39dced9f5de33bde7059b4aaaa4e3b76decf53d7e6686",
 }
 
 # Configs whose verify stops with exit 64. In each, a later time's block
