@@ -387,14 +387,14 @@ def act(gen: Generator, t: float, F) -> np.ndarray:
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[1] != gen.dim:
         raise ValueError(f"act needs an (S, {gen.dim}) block, got shape {F.shape}")
-    block = F.copy()  # C-ordered, as ``_series`` reuses its term as a dot(out=) buffer
     p = _chain(gen)
     rate, splits, terms, _ = _plan(gen, t)
     coefs = [rate / k for k in range(1, terms + 1)]
+    block = F  # each step's first term is new and C-ordered: ``_series`` writes into it
     # overflow across the steps is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2 ** splits):
-            block = _series(math.exp(-rate) * block, p.T, coefs)
+            block = _series(np.multiply(math.exp(-rate), block, order="C"), p.T, coefs)
     if not np.isfinite(block).all():
         # a non-finite entry of F reaches the result through the first term
         if not np.isfinite(F).all():

@@ -1,17 +1,11 @@
 import csv
 import json
-import os
 import re
-import subprocess
-import sys
 import time
-import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import sgineq
 from sgineq import cli, expconv, suites
 from sgineq.expconv import ExponentSet, build_gram, check_order_psd
 from sgineq.lattice import LatticeElement
@@ -19,35 +13,17 @@ from sgineq.scenes import RotationScene, ShiftScene, run_rotation_example, run_s
 from sgineq.semigroup import validate_generator
 from sgineq.suites import config_from_json, random_domain_element
 
-# The directory holding the sgineq package this test process imported
-# (src/ in a checkout). The child CLI process gets it first on its
-# PYTHONPATH, so it runs the same tree whatever its cwd, and a relative
-# PYTHONPATH entry or another installed copy cannot change that.
-SOURCE_ROOT = Path(sgineq.__file__).resolve().parents[1]
+from children import SOURCE_ROOT, run_python
 
 _IMPORT_FAILURE = re.compile(r"No module named '?sgineq\b")
 
 
 def run_cli(*args, cwd, env_extra=None, timeout=None):
-    env = dict(os.environ)
-    env.pop("SGINEQ_OUTPUT_DIR", None)
-    if env_extra:
-        env.update(env_extra)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SOURCE_ROOT), env.get("PYTHONPATH")) if p
-    )
-    res = subprocess.run(
-        [sys.executable, "-m", "sgineq", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env=env,
-        timeout=timeout,
-    )
+    res = run_python("-m", "sgineq", *args, cwd=cwd, env_extra=env_extra, timeout=timeout)
     if _IMPORT_FAILURE.search(res.stderr):
         pytest.fail(
             f"the CLI child process could not import sgineq "
-            f"(PYTHONPATH={env['PYTHONPATH']!r}, cwd={cwd}):\n{res.stderr}",
+            f"(from {SOURCE_ROOT}, cwd={cwd}):\n{res.stderr}",
             pytrace=False,
         )
     return res
@@ -192,8 +168,7 @@ class TestVerify:
             "nan_time", "config_not_object"])
     def test_malformed_config_is_usage_error(self, tmp_path, config, message):
         (tmp_path / "cfg.json").write_text(json.dumps(config))
-        res = run_cli("verify", "--config", "cfg.json", "--out", "o", cwd=tmp_path,
-                      env_extra={"PYTHONWARNINGS": "error"})
+        res = run_cli("verify", "--config", "cfg.json", "--out", "o", cwd=tmp_path)
         assert res.returncode == 64, res.stderr
         assert res.stderr.splitlines() == [f"sgineq: error: {message}"]
         assert not (tmp_path / "o" / "report.json").exists()
@@ -262,10 +237,7 @@ class TestVerify:
         # (JSON's NaN and Infinity), stop it with a traceback; no warning escapes
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(small_config(**overrides)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
-        assert code == 64
+        assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 64
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "o" / "report.json").exists()
@@ -382,7 +354,7 @@ class TestVerify:
         # sum that itself overflows, and an ExpH rate whose square underflows
         # to 0: each is a usage error with no warning escaping numpy's error state
         res = run_cli("verify", "--config", str(CONFIG_DIR / f"{name}.json"), "--out", "o",
-                      cwd=tmp_path, env_extra={"PYTHONWARNINGS": "error"})
+                      cwd=tmp_path)
         assert res.returncode == 64, res.stderr
         assert message in res.stderr and "Traceback" not in res.stderr
         assert not (tmp_path / "o").exists()
@@ -418,7 +390,8 @@ class TestFigure:
         res = run_cli("figure", "1b", "--k", "360", "--out", "o", cwd=tmp_path)
         assert res.returncode == 0
         assert "1b k=360 n=360 verdict=EQUAL" in res.stdout
-        rows = list(csv.reader((tmp_path / "o" / "figure1b.csv").open()))
+        with (tmp_path / "o" / "figure1b.csv").open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["coord", "phi_Zt_f", "Zt_phi_f"]
         rep = run_rotation_example(RotationScene(k=360))
         got = np.array([[float(c) for c in row] for row in rows[1:]])
@@ -532,10 +505,12 @@ class TestExpconv:
         out = tmp_path / "o"
         doc = json.loads((out / "gram.json").read_text())
         assert doc["instances"][0]["gram"]["p"] == [2.0, 4.0]
-        rows = list(csv.reader((out / "gram.csv").open()))
+        with (out / "gram.csv").open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["generator", "t", "p_i", "p_j", "coordinate", "value"]
         assert len(rows) == 1 + 2 * 2 * 2
-        eig_rows = list(csv.reader((out / "min_eigenvalues.csv").open()))
+        with (out / "min_eigenvalues.csv").open() as fh:
+            eig_rows = list(csv.reader(fh))
         assert len(eig_rows) >= 2
 
     def test_singleton_matches_library(self, tmp_path):

