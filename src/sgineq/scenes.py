@@ -44,48 +44,35 @@ __all__ = [
 ]
 
 
-# Half width L of the shift scene's grid on [-L, L] and its step; read at call time.
+# Half width L of the shift scene's grid on [-L, L], its step, and the steps in L.
 SHIFT_HALF_WIDTH = 6.0
 SHIFT_STEP = 0.05
-
-
-def _int_ratio(value: float, step: float, what: str) -> int:
-    ratio = value / step
-    if not math.isfinite(ratio):
-        raise ValueError(f"{what} = {value:g} is not a finite multiple of the step {step:g}")
-    k = round(ratio)
-    if abs(ratio - k) > 1e-9:
-        raise ValueError(f"{what} = {value:g} is not a multiple of the step {step:g}")
-    return int(k)
+_HALF_STEPS = round(SHIFT_HALF_WIDTH / SHIFT_STEP)
 
 
 class ShiftScene:
     """Left shift of a Gaussian bump against its mirror on [-L, L], with
     L = SHIFT_HALF_WIDTH and the grid step SHIFT_STEP."""
 
-    __slots__ = ("t",)
+    __slots__ = ("t", "shift_steps")
+
+    n_points = 2 * _HALF_STEPS + 1
 
     def __init__(self, t: float):
-        if SHIFT_STEP <= 0 or SHIFT_HALF_WIDTH <= 0:
-            raise ValueError("step and half_width must be positive")
         if t < 0:
             raise ValueError("t must be nonnegative")
-        _int_ratio(t, SHIFT_STEP, "t")
+        ratio = t / SHIFT_STEP
+        if not math.isfinite(ratio):
+            raise ValueError(f"t = {t:g} is not a finite multiple of the step {SHIFT_STEP:g}")
+        steps = round(ratio)
+        if abs(ratio - steps) > 1e-9:
+            raise ValueError(f"t = {t:g} is not a multiple of the step {SHIFT_STEP:g}")
         if t >= SHIFT_HALF_WIDTH:
             raise ValueError("t must stay below half_width so the interior window is nonempty")
-        self.t = t
-
-    @property
-    def shift_steps(self) -> int:
-        return _int_ratio(self.t, SHIFT_STEP, "t")
-
-    @property
-    def n_points(self) -> int:
-        return 2 * _int_ratio(SHIFT_HALF_WIDTH, SHIFT_STEP, "half_width") + 1
+        self.t, self.shift_steps = t, steps
 
     def grid(self) -> np.ndarray:
-        m = _int_ratio(SHIFT_HALF_WIDTH, SHIFT_STEP, "half_width")
-        return (np.arange(2 * m + 1) - m) * SHIFT_STEP
+        return (np.arange(self.n_points) - _HALF_STEPS) * SHIFT_STEP
 
     def profile(self) -> np.ndarray:
         x = self.grid()

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,36 +329,6 @@ class TestVerify:
         assert "Traceback" not in res.stderr
         assert "PowerF(1000)" in res.stderr and "finite" in res.stderr
         assert not (tmp_path / "o" / "report.json").exists()
-
-    @pytest.mark.parametrize("name,code", [("rate_underflow", 0), ("chain_overflow", 64),
-                                           ("chain_overflow_conservative", 64)])
-    def test_degenerate_rate_configs_keep_the_exit_code_contract(self, tmp_path, capsys, name, code):
-        # lam*t underflows to 0: Z(t) = I and the run passes. With P = I + Q/lam
-        # beyond double range, the evolution cannot run: usage error, for a
-        # non-conservative generator and for a conservative one alike
-        cfgfile = CONFIG_DIR / f"{name}.json"
-        assert cli.main(["verify", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == code
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert (tmp_path / "o" / "report.json").exists() == (code == 0)
-        if code:
-            assert "double range" in err
-
-    @pytest.mark.parametrize("name,message", [
-        ("norm_overflow", "t*||Q|| = inf exceeds the cap"),
-        ("row_sum_overflow", "t*||Q|| = inf exceeds the cap"),
-        ("exp_rate_underflow", "ExpH(1e-300): phi(f), phi(Z f) and Z phi(f) must have finite"),
-    ], ids=["norm_overflow", "row_sum_overflow", "exp_rate_underflow"])
-    def test_overflow_configs_are_usage_errors_under_warnings_as_errors(self, tmp_path, name,
-                                                                        message):
-        # ||Q|| beyond double range, formed from finite row sums or from a row
-        # sum that itself overflows, and an ExpH rate whose square underflows
-        # to 0: each is a usage error with no warning escaping numpy's error state
-        res = run_cli("verify", "--config", str(CONFIG_DIR / f"{name}.json"), "--out", "o",
-                      cwd=tmp_path)
-        assert res.returncode == 64, res.stderr
-        assert message in res.stderr and "Traceback" not in res.stderr
-        assert not (tmp_path / "o").exists()
 
     def test_env_output_dir_wins(self, tmp_path):
         res = run_cli("verify", "--out", "flagdir", cwd=tmp_path,
@@ -845,3 +816,199 @@ class TestUsage:
         assert res.returncode == 0
         for sub in ("verify", "figure", "expconv"):
             assert sub in res.stdout
+
+
+def committed(name):
+    return ["--config", str(CONFIG_DIR / f"{name}.json")]
+
+
+BENCH2 = {"q": [[-1.0, 1.0], [1.0, -1.0]], "name": "benchmark2"}
+
+# In each of these three configs a later time's block holds the largest
+# exponent argument, so a check that saw the blocks of all times at once
+# would name another value than the first block's. Their lines were recorded
+# when verify checked every (generator, family, t) block on its own.
+# PowerF(2) passes; ExpH(-400) fails before ExpH(400), which fails too
+LATER_FAMILY = {
+    "generators": [BENCH2],
+    "families": [{"family": "PowerF", "t": 2.0}, {"family": "ExpH", "t": -400},
+                 {"family": "ExpH", "t": 400}],
+    "t_grid": [0.1, 1.0, 10.0],
+    "p_sets": [],
+    "samples": 40,
+    "seed": 1,
+}
+# ExpH(-400) fails for the first generator at both times, the first time's
+# argument below the second's, and ExpH(355) passes it; ExpH(355) fails for
+# the second generator. The first generator's error is raised
+LATER_GENERATOR = {
+    "generators": [{"q": [[-1.0, 1.0], [1.0, -1.0]], "name": "first"},
+                   {"q": [[-1.5, 1.0, 0.5], [0.2, -0.7, 0.5], [2.0, 1.0, -3.0]],
+                    "name": "second"}],
+    "families": [{"family": "ExpH", "t": 355}, {"family": "ExpH", "t": -400}],
+    "t_grid": [0.1, 1.0],
+    "p_sets": [],
+    "samples": 6,
+    "seed": 29,
+}
+# every Jessen block is in the domain; the adjoint elements of the first and
+# the third time are not
+ADJOINT_OVERFLOW = {
+    "generators": [BENCH2],
+    "families": [{"family": "ExpH", "t": 380}],
+    "t_grid": [0.1, 1.0, 10.0],
+    "p_sets": [],
+    "samples": 2,
+    "seed": 9,
+}
+# Q/lam overflows at t = 1e-7: under the override the evolution cannot run,
+# and without it the non-conservative generator violates the hypothesis
+STEEP_CHAIN = dict(cli.DEFAULT_CONFIG, t_grid=[1e-7],
+                   generators=[{"q": [[-1e-300, 1e10], [0, 0]], "name": "steep"}])
+
+DOUBLE_RANGE = ("sgineq: error: exp(tQ) or its uniformization exceeds double range for this "
+                "generator")
+NORM_CAP = "sgineq: error: t*||Q|| = inf exceeds the cap 10000"
+GRAM_OVER = ("sgineq: error: p_set sizes^2 x generator dims x times = 2004002 exceeds the work "
+             "budget 2000000")
+
+# The exit-code contract of the CLI (0 pass, 1 asserted failure, 2 hypothesis
+# violated, 64 usage), one run per row: the argv after "sgineq", where a dict
+# stands for a config file written from it; the exit code; and for codes 2
+# and 64 the one line on stderr, "{out}" standing for the --out path. Every
+# committed config is in a row.
+CONTRACT = {
+    "bundled": (["verify"], 0, None),
+    # lam*t underflows to 0, so Z(t) = I and the run passes
+    "rate_underflow": (["verify", *committed("rate_underflow")], 0, None),
+    # a non-conservative control under allow_unnormalized
+    "control_psets": (["verify", *committed("control_psets")], 0, None),
+    # P = I + Q/lam beyond double range, reached only inside the errstate of
+    # the Jessen kernel; the conservative one reaches the chain through the
+    # semigroup-axiom suite, outside any other errstate, so a warning from the
+    # chain itself fails its row
+    "chain_overflow": (["verify", *committed("chain_overflow")], 64, DOUBLE_RANGE),
+    "chain_overflow_conservative": (["verify", *committed("chain_overflow_conservative")], 64,
+                                    DOUBLE_RANGE),
+    # one 2-state generator, one family, one time and 10^6 samples, at
+    # MAX_SAMPLE_WORK: the semigroup-axiom suite runs the in-place series
+    # products on stacks for 3 * 10^5 times
+    "at_sample_cap": (["verify", *committed("at_sample_cap")], 0, None),
+    # the Jessen block of all times fails the domain check, which then runs
+    # again time by time to name the first time's worst argument
+    "family_overflow": (["verify", *committed("family_overflow")], 64,
+                        "sgineq: error: ExpH(400): exponent argument 769.18 exceeds 700"),
+    # ||Q|| beyond double range, from finite row sums or from a row sum that
+    # overflows itself, and an ExpH rate whose square underflows to 0, each
+    # kept inside numpy's error state
+    "norm_overflow": (["verify", *committed("norm_overflow")], 64, NORM_CAP),
+    "row_sum_overflow": (["verify", *committed("row_sum_overflow")], 64, NORM_CAP),
+    "exp_rate_underflow": (
+        ["verify", *committed("exp_rate_underflow")], 64,
+        "sgineq: error: ExpH(1e-300): phi(f), phi(Z f) and Z phi(f) must have finite entries"),
+    # one p_set of 1001 exponents: 1001^2 x 2 states x 1 time Gram entries,
+    # stopped before any Gram or exponent set is built
+    "gram_over_budget": (["verify", *committed("gram_over_budget")], 64, GRAM_OVER),
+    # one p_set of 1000 seeded exponents in [2, 6], at MAX_SAMPLE_WORK, whose
+    # 500500 midpoints are all distinct
+    "at_gram_cap": (["verify", *committed("at_gram_cap")], 0, None),
+    # the same with its last exponent 4000: the midpoint (3.32... + 4000)/2 is
+    # the first whose phi(f) leaves double range (tests/test_expconv.py checks
+    # that it builds that one member of the 500500 and no other)
+    "gram_cap_overflow": (
+        ["verify", *committed("gram_cap_overflow")], 64,
+        "sgineq: error: at midpoint 2001.66: PowerF(2001.66): phi(f), phi(Z f) and Z phi(f) "
+        "must have finite entries"),
+    # two zero generators beside benchmark2, at t = 0 and a subnormal t: the
+    # all-NaN chain P = 0/0, which no term reads
+    "zero_generator": (["verify", *committed("zero_generator")], 0, None),
+    "expconv_f": (["expconv", "--p", "2", "4"], 0, None),
+    "expconv_h": (["expconv", "--family", "H", "--p", "-2", "0", "2"], 0, None),
+    "expconv_config_f": (["expconv", *committed("expconv_psets"), "--family", "F"], 0, None),
+    "expconv_config_h": (["expconv", *committed("expconv_psets"), "--family", "H"], 0, None),
+    # the Gram suite skips the control
+    "expconv_config_control": (["expconv", *committed("control_psets")], 0, None),
+    # the zero generators build their Grams from the NaN chain's empty schedule
+    "expconv_config_zero": (["expconv", *committed("zero_generator")], 0, None),
+    "figure_1a": (["figure", "1a"], 0, None),
+    "figure_1b": (["figure", "1b"], 0, None),
+    "figure_1b_repeat": (["figure", "1b", "--k", "90", "--k", "90"], 0, None),
+    # over the work budget before any array is allocated
+    "expconv_n_xi_over": (
+        ["expconv", "--p", "2", "4", "--n-xi", "1000000000000"], 64,
+        "sgineq: error: --n-xi x p-set size x generator dim = 4000000000000 exceeds the work "
+        "budget 2000000"),
+    "figure_n_over": (["figure", "1b", "--n", "1000000000000"], 64,
+                      "sgineq: error: --n = 1000000000000 exceeds the work budget 2000000"),
+    # a flag of the other scene would be ignored
+    "figure_1a_k": (["figure", "1a", "--k", "5"], 64,
+                    "sgineq: error: --k does not apply to figure 1a"),
+    "figure_1a_n": (["figure", "1a", "--n", "7"], 64,
+                    "sgineq: error: --n does not apply to figure 1a"),
+    "figure_1b_t": (["figure", "1b", "--t", "3.0"], 64,
+                    "sgineq: error: --t does not apply to figure 1b"),
+    # a p_set over the work budget, from a config or from --p, before any
+    # exponent set is built
+    "expconv_config_gram_over": (["expconv", *committed("gram_over_budget")], 64, GRAM_OVER),
+    "expconv_p_gram_over": (
+        ["expconv", "--p", *map(str, range(2, 1003))], 64,
+        "sgineq: error: --p size^2 x generator dim = 2004002 exceeds the work budget 2000000"),
+    # --out names an existing file
+    "verify_out_file": (
+        ["verify"], 64,
+        "sgineq: error: cannot write the output directory '{out}': [Errno 17] File exists: "
+        "'{out}'"),
+    "later_family": (["verify", "--config", LATER_FAMILY], 64,
+                     "sgineq: error: ExpH(-400): exponent argument 768.265 exceeds 700"),
+    "later_generator": (["verify", "--config", LATER_GENERATOR], 64,
+                        "sgineq: error: ExpH(-400): exponent argument 724.618 exceeds 700"),
+    "adjoint_overflow": (["verify", "--config", ADJOINT_OVERFLOW], 64,
+                         "sgineq: error: ExpH(380): exponent argument 734.619 exceeds 700"),
+    # the tail ratio of the series rounds to 0 at the smallest subnormal time
+    "subnormal_time": (["verify", "--config", dict(cli.DEFAULT_CONFIG, t_grid=[5e-324])], 0, None),
+    "chain_overflow_control": (
+        ["verify", "--config", dict(STEEP_CHAIN, allow_unnormalized=True)], 64, DOUBLE_RANGE),
+    "chain_overflow_without_override": (
+        ["verify", "--config", STEEP_CHAIN], 2,
+        "sgineq: hypothesis violated: steep is not conservative; set allow_unnormalized to run "
+        "it as a control"),
+    "generator_of_no_columns": (
+        ["verify", "--config", dict(cli.DEFAULT_CONFIG, generators=[{"q": [[]]}])], 64,
+        "sgineq: error: bad generator entry: generator must be square, got shape (1, 0)"),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT)
+def test_exit_code_contract(tmp_path, capsys, monkeypatch, name):
+    # in process, under the warnings-as-errors policy of pyproject.toml, so a
+    # warning that escapes numpy's error state fails the row
+    args, code, line = CONTRACT[name]
+    monkeypatch.delenv("SGINEQ_OUTPUT_DIR", raising=False)
+    argv = []
+    for arg in args:
+        if isinstance(arg, dict):
+            (tmp_path / "cfg.json").write_text(json.dumps(arg))
+            arg = str(tmp_path / "cfg.json")
+        argv.append(arg)
+    out = tmp_path / "o"
+    if name == "verify_out_file":
+        out.write_text("")
+    before = sorted(tmp_path.iterdir())
+    started = time.perf_counter()
+    assert cli.main([*argv, "--out", str(out)]) == code
+    assert time.perf_counter() - started < 60
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        if args[0] == "verify":
+            assert json.loads((out / "report.json").read_text())["passed"] is True
+    else:
+        assert err == line.format(out=out) + "\n"
+        # a run that stops writes nothing
+        assert sorted(tmp_path.iterdir()) == before
+
+
+def test_every_committed_config_has_a_contract_row():
+    named = {Path(arg).name for args, *_ in CONTRACT.values() for arg in args
+             if isinstance(arg, str)}
+    assert [p.name for p in sorted(CONFIG_DIR.glob("*.json")) if p.name not in named] == []

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from sgineq import scenes
 from sgineq.lattice import Ordering
 from sgineq.scenes import (
     RotationScene,
@@ -20,16 +19,13 @@ class TestShiftScene:
         assert x[0] == -6.0 and x[-1] == 6.0
         assert x.size == 241
 
-    def test_alignment_errors(self, monkeypatch):
+    def test_alignment_errors(self):
         with pytest.raises(ValueError):
             ShiftScene(t=0.503)
         with pytest.raises(ValueError):
             ShiftScene(t=6.0)
         with pytest.raises(ValueError):
             ShiftScene(t=-0.5)
-        monkeypatch.setattr(scenes, "SHIFT_STEP", -0.05)
-        with pytest.raises(ValueError):
-            ShiftScene(t=1.0)
 
     def test_mirror_is_involution(self):
         m = ShiftScene(t=0.5).mirror_matrix()

@@ -35,7 +35,7 @@ from sgineq.suites import (
 )
 
 import oracles
-from test_report_bytes import ERROR_CASES
+from test_cli import LATER_GENERATOR
 
 THREE_STATE = dict(
     DEFAULT_CONFIG,
@@ -279,7 +279,7 @@ def verify_outcome(run, cfg):
                      / "family_overflow.json").read_text()))
 # the second family of the first generator and the first family of the
 # second generator fail; the first generator's error is the one raised
-@example(ERROR_CASES["later_generator"])
+@example(LATER_GENERATOR)
 def test_driver_matches_reference_verify(data):
     cfg = config_from_json(data)
     assert verify_outcome(run_config_verification, cfg) == verify_outcome(oracles.verify, cfg)
