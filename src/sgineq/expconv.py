@@ -121,20 +121,24 @@ def lambda_residual(
 class LambdaGram(NamedTuple):
     """Residual values over all pairwise midpoints of an exponent set.
 
-    ``entries[i, j, k]`` is coordinate k of Lambda at (p_i + p_j)/2;
     ``coordinate_matrices[k]`` is the symmetric matrix of coordinate k,
-    whose smallest eigenvalue sits in ``min_eigenvalues[k]``.
+    whose smallest eigenvalue sits in ``min_eigenvalues[k]``;
+    ``entries[i, j, k]``, a view of it, is coordinate k of Lambda at
+    (p_i + p_j)/2.
     """
 
     pset: ExponentSet
     t: float
-    entries: np.ndarray
     coordinate_matrices: np.ndarray
     min_eigenvalues: np.ndarray
 
     @property
+    def entries(self) -> np.ndarray:
+        return self.coordinate_matrices.transpose(1, 2, 0)
+
+    @property
     def dim(self) -> int:
-        return self.entries.shape[2]
+        return self.coordinate_matrices.shape[0]
 
     def max_abs_entry(self) -> float:
         return float(np.max(np.abs(self.entries)))
@@ -203,19 +207,11 @@ def _gram(z: np.ndarray, f: np.ndarray, t: float, pset: ExponentSet) -> LambdaGr
         for j in range(i, n):
             mid = 0.5 * (pi + pset.p[j])
             index[i, j] = index[j, i] = rows.setdefault(mid, len(rows))
-    values = _midpoint_residuals(z, pset.family_kind, list(rows), f)
-    entries = values[index]
-    entries.setflags(write=False)
-
-    coord = np.ascontiguousarray(entries.transpose(2, 0, 1))
+    # (K, n, n) and C-ordered, where ``.T[:, index]`` would keep the K axis innermost
+    coord = np.take(_midpoint_residuals(z, pset.family_kind, list(rows), f).T, index, axis=1)
+    coord.setflags(write=False)
     min_eigs = np.linalg.eigvalsh(coord)[:, 0]
-    return LambdaGram(
-        pset=pset,
-        t=t,
-        entries=entries,
-        coordinate_matrices=coord,
-        min_eigenvalues=min_eigs,
-    )
+    return LambdaGram(pset=pset, t=t, coordinate_matrices=coord, min_eigenvalues=min_eigs)
 
 
 class PsdReport(NamedTuple):

@@ -47,12 +47,12 @@ are those of ``term @ P * c``, so the bits are those of that allocating loop.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import HypothesisViolationError, SgineqError
 from .lattice import LatticeElement
-from .reporting import CheckEntry
 
 __all__ = [
     "NotSquareError",
@@ -401,6 +401,19 @@ def act(gen: Generator, t: float, F) -> np.ndarray:
             raise ValueError("act needs a block with finite entries")
         raise EvolveOverflowError("exp(tQ) applied to the block exceeds double range")
     return block
+
+
+class CheckEntry(NamedTuple):
+    """One named numeric check: defect against a tolerance."""
+
+    name: str
+    passed: bool
+    defect: float
+    tol: float
+
+    def to_json(self) -> dict:
+        return {"name": self.name, "pass": self.passed, "defect": float(self.defect),
+                "tol": float(self.tol)}
 
 
 def _axiom_times(s: float, t: float) -> list[float]:

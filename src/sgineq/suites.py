@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -52,9 +53,9 @@ from .jessen import (
     verify_jessen,
 )
 from .lattice import DEFAULT_TOLERANCE, LatticeElement, OrderTolerance, leq_rows
-from .reporting import CheckEntry, all_passed
 from .semigroup import (
     _AXIOM_TOL,
+    CheckEntry,
     Generator,
     NotSquareError,
     _axiom_entries,
@@ -128,17 +129,33 @@ def _integral(value) -> bool:
     return type(value) is int or type(value) is float and value.is_integer()
 
 
-# Config fields taken as they are, each with its test and what the test asks
-# for; a value that fails it is a usage error, never coerced.
-_OPTIONS = (
-    ("samples", _integral, "an integral number"),
-    ("seed", _integral, "an integral number"),
-    ("allow_unnormalized", lambda v: type(v) is bool, "true or false"),
-    ("output_dir", lambda v: type(v) is str, "a string"),
-)
+def _float(value) -> float:
+    """``float(value)``; an int beyond double range is a ConfigError."""
+    try:
+        return float(value)
+    except OverflowError as err:
+        raise ConfigError(f"bad config value: {err}") from err
 
-# Keys of the config's tolerances object, each with the SuiteConfig field it sets.
-_TOLERANCES = (("atol", "atol"), ("rtol", "rtol"), ("psd", "psd_tol"))
+
+# The config's scalar fields, one row per JSON key, "tolerances.atol" for the key
+# atol of the tolerances object: the SuiteConfig field it sets, the JSON type test
+# with what it asks for, the cast of a value that passes it, and the rule the cast
+# value must meet with the message of one that does not (None: no rule). A value
+# that fails a test is a usage error, never coerced.
+_Scalar = namedtuple("_Scalar", "key field is_type kind cast rule message", defaults=(None, None))
+_SCALARS = (
+    _Scalar("samples", "samples", _integral, "an integral number", int,
+            lambda v: v >= 1, "samples must be at least 1"),
+    _Scalar("seed", "seed", _integral, "an integral number", int,
+            lambda v: v >= 0, "seed must be nonnegative"),
+    _Scalar("allow_unnormalized", "allow_unnormalized", lambda v: type(v) is bool, "true or false",
+            bool),
+    _Scalar("output_dir", "output_dir", lambda v: type(v) is str, "a string", str),
+    *(_Scalar(f"tolerances.{key}", field, _number, "a number", _float,
+              lambda v: math.isfinite(v) and v >= 0,
+              "tolerances atol, rtol and psd must be finite and nonnegative")
+      for key, field in (("atol", "atol"), ("rtol", "rtol"), ("psd", "psd_tol"))),
+)
 
 
 class SuiteConfig(NamedTuple):
@@ -159,18 +176,23 @@ class SuiteConfig(NamedTuple):
         return OrderTolerance(atol=self.atol, rtol=self.rtol)
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "generators": [generator_to_json(g) for g in self.generators],
             "families": [family_to_json(f) for f in self.families],
             "t_grid": [float(t) for t in self.t_grid],
             "p_sets": [list(p) for p in self.p_sets],
-            "tolerances": {key: getattr(self, name) for key, name in _TOLERANCES},
-        } | {key: getattr(self, key) for key, *_ in _OPTIONS}
+            "tolerances": {},
+        }
+        for row in _SCALARS:
+            where, _, key = row.key.rpartition(".")
+            (out[where] if where else out)[key] = getattr(self, row.field)
+        return out
 
 
-# Keys of a config object: those ``SuiteConfig.to_json`` writes.
-_CONFIG_KEYS = (*(name for name in SuiteConfig._fields if name not in SuiteConfig._field_defaults),
-                "tolerances", *(key for key, *_ in _OPTIONS))
+# The list fields, which have no default, and the keys of a config object and
+# of its tolerances object: those ``SuiteConfig.to_json`` writes.
+_LISTS = SuiteConfig._fields[:4]
+_KEYS = SuiteConfig([], [], [], []).to_json()
 
 
 def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
@@ -180,28 +202,23 @@ def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
     one generator object each, resolved against ``base_dir``. Every
     malformed value raises ConfigError; a generator with a negative
     off-diagonal entry raises NegativeOffDiagonalError, a hypothesis
-    violation.
+    violation. The scalar fields are checked first, by ``_SCALARS``.
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    _known_keys("config", data, _CONFIG_KEYS)
-    try:
-        raw_gens = data["generators"]
-        raw_fams = data["families"]
-        raw_times = data["t_grid"]
-    except KeyError as err:
-        raise ConfigError(f"config is missing a required field: {err}") from err
-    for key, value in (("generators", raw_gens), ("families", raw_fams), ("t_grid", raw_times),
-                       ("p_sets", data.get("p_sets", []))):
-        if not isinstance(value, (list, tuple)):
+    options = _scalar_fields(data)
+    for key in _LISTS:
+        if key not in data and key != "p_sets":
+            raise ConfigError(f"config is missing a required field: {key!r}")
+        if not isinstance(data.get(key, []), (list, tuple)):
             raise ConfigError(f"{key} must be a list")
+    raw_gens, raw_fams, raw_times, raw_psets = (data.get(key, []) for key in _LISTS)
     if not raw_gens:
         raise ConfigError("generator list is empty")
     if not raw_fams:
         raise ConfigError("family list is empty")
     if not all(map(_number, raw_times)):
         raise ConfigError(f"t_grid entries must be numbers, got {raw_times!r}")
-    raw_psets = data.get("p_sets", [])
     if not all(isinstance(ps, (list, tuple)) and all(map(_number, ps)) for ps in raw_psets):
         raise ConfigError(f"p_sets must be lists of numbers, got {raw_psets!r}")
     try:
@@ -249,46 +266,39 @@ def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
         # the keys its wire form writes: a parameter the family does not take is refused
         _known_keys("family selector", raw, family_to_json(families[-1]))
 
-    tols = data.get("tolerances", {})
-    if not isinstance(tols, dict):
-        raise ConfigError("tolerances must be a JSON object")
-    _known_keys("tolerances", tols, (key for key, _ in _TOLERANCES))
-    # only the fields the config sets are passed, so SuiteConfig holds every default
-    options = {}
-    for key, valid, kind in _OPTIONS:
-        if key in data:
-            if not valid(data[key]):
-                raise ConfigError(f"{key} must be {kind}, got {data[key]!r}")
-            options[key] = int(data[key]) if valid is _integral else data[key]
-    try:
-        for key, name in _TOLERANCES:
-            if key in tols:
-                if not _number(tols[key]):
-                    raise ConfigError(f"tolerances.{key} must be a number, got {tols[key]!r}")
-                options[name] = float(tols[key])
-        cfg = SuiteConfig(
-            generators=generators,
-            families=families,
-            t_grid=t_grid,
-            p_sets=[[float(p) for p in ps] for ps in raw_psets],
-            **options,
-        )
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"bad config value: {err}") from err
-    if any(not ps or not all(math.isfinite(p) for p in ps) for ps in cfg.p_sets):
+    p_sets = [[_float(p) for p in ps] for ps in raw_psets]
+    if any(not ps or not all(math.isfinite(p) for p in ps) for ps in p_sets):
         raise ConfigError("every p_set must be a nonempty list of finite exponents")
-    if cfg.samples < 1:
-        raise ConfigError("samples must be at least 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    if not all(math.isfinite(v) and v >= 0 for v in (cfg.atol, cfg.rtol, cfg.psd_tol)):
-        raise ConfigError("tolerances atol, rtol and psd must be finite and nonnegative")
+    cfg = SuiteConfig(generators=generators, families=families, t_grid=t_grid, p_sets=p_sets,
+                      **options)
     dims = sum(g.dim for g in generators)
     _within_budget("samples x generator dims x families x times",
                    cfg.samples * dims * len(families) * len(t_grid))
     _within_budget("p_set sizes^2 x generator dims x times",
                    sum(len(ps) ** 2 for ps in cfg.p_sets) * dims * len(t_grid))
     return cfg
+
+
+def _scalar_fields(data: dict) -> dict:
+    """The SuiteConfig fields that the config object ``data`` sets, by the rows
+    of ``_SCALARS``, once no key of it or of its tolerances object is unknown;
+    a field it leaves out keeps the default of SuiteConfig."""
+    _known_keys("config", data, _KEYS)
+    tols = data.get("tolerances", {})
+    if not isinstance(tols, dict):
+        raise ConfigError("tolerances must be a JSON object")
+    _known_keys("tolerances", tols, _KEYS["tolerances"])
+    options = {}
+    for row in _SCALARS:
+        where, _, key = row.key.rpartition(".")
+        obj = tols if where else data
+        if key in obj:
+            if not row.is_type(obj[key]):
+                raise ConfigError(f"{row.key} must be {row.kind}, got {obj[key]!r}")
+            value = options[row.field] = row.cast(obj[key])
+            if row.rule is not None and not row.rule(value):
+                raise ConfigError(row.message)
+    return options
 
 
 def _known_keys(where: str, data: dict, known) -> None:
@@ -412,17 +422,20 @@ def run_semigroup_axiom_suite(generators, samples: int, seed: int) -> list[Check
     The sampled (s, t, s + t) triples are evolved and reduced in stacked
     chunks. The times of ``check_semigroup_axioms`` at s = 0.4, t = 1.1 and
     of ``check_positivity_and_normalization`` at t = 0.7 ride in the last
-    chunk, so a generator's chunks are its only evolutions.
+    chunk, so a generator's chunks are its only evolutions. Every time, the
+    sweep included, is in units of 1/max(lam, 1), lam = ``uniform_rate``, so
+    lam*t <= 5 keeps a fast generator far inside the time cap.
     """
     rng = np.random.default_rng(seed)
     tol = _AXIOM_TOL
-    fixed = [*_axiom_times(0.4, 1.1), 0.7]
     entries = []
     for gen in generators:
         label = gen.name or f"dim{gen.dim}"
         worst_law = worst_neg = worst_norm = 0.0
+        unit = max(gen.uniform_rate, 1.0)
+        fixed = [x / unit for x in (*_axiom_times(0.4, 1.1), 0.7)]
         # one (s, t) row per sample, in the order of one draw of s then t, then f
-        pairs = rng.uniform(0.0, 2.5, size=(samples, 2))
+        pairs = rng.uniform(0.0, 2.5, size=(samples, 2)) / unit
         f = LatticeElement(rng.uniform(-1.0, 2.0, size=gen.dim))
         chunk = max(1, _STACK_ENTRIES // (3 * gen.dim ** 2))
         # with no samples the one chunk holds the fixed times alone
@@ -705,7 +718,7 @@ def run_config_verification(cfg: SuiteConfig) -> dict:
     )
     for name, entries in (("lattice_axioms", lat_entries), ("semigroup_axioms", semi_entries)):
         report["suites"][name] = {"checks": [e.to_json() for e in entries],
-                                  "passed": all_passed(entries)}
+                                  "passed": all(e.passed for e in entries)}
 
     # group g of a block goes through Z(t_grid[g])
     stacks = _evolved_stacks(asserted_gens, cfg.t_grid)

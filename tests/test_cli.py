@@ -865,6 +865,10 @@ ADJOINT_OVERFLOW = {
 # and without it the non-conservative generator violates the hypothesis
 STEEP_CHAIN = dict(cli.DEFAULT_CONFIG, t_grid=[1e-7],
                    generators=[{"q": [[-1e-300, 1e10], [0, 0]], "name": "steep"}])
+# lam = 2048 at t = 1e-4: t*||Q|| = 0.41, while the semigroup-axiom suite's
+# times, were they absolute, would reach 16438.7, past the time cap
+FAST_GENERATOR = dict(cli.DEFAULT_CONFIG, t_grid=[1e-4],
+                      generators=[{"q": [[-2048.0, 2048.0], [2048.0, -2048.0]], "name": "fast"}])
 
 DOUBLE_RANGE = ("sgineq: error: exp(tQ) or its uniformization exceeds double range for this "
                 "generator")
@@ -972,6 +976,8 @@ CONTRACT = {
         ["verify", "--config", STEEP_CHAIN], 2,
         "sgineq: hypothesis violated: steep is not conservative; set allow_unnormalized to run "
         "it as a control"),
+    # the semigroup-axiom suite takes its times in units of 1/lam
+    "fast_generator": (["verify", "--config", FAST_GENERATOR], 0, None),
     "generator_of_no_columns": (
         ["verify", "--config", dict(cli.DEFAULT_CONFIG, generators=[{"q": [[]]}])], 64,
         "sgineq: error: bad generator entry: generator must be square, got shape (1, 0)"),

@@ -557,10 +557,9 @@ def _full_einsum_min(gram, n_xi, seed):
 
 def _gram_of(entries):
     """A LambdaGram around given (n, n, K) entries."""
-    entries = np.ascontiguousarray(entries, dtype=float)
-    n = entries.shape[0]
+    entries = np.asarray(entries, dtype=float)
     coord = np.ascontiguousarray(entries.transpose(2, 0, 1))
-    return LambdaGram(pset=ExponentSet(np.arange(n) + 2.0), t=1.0, entries=entries,
+    return LambdaGram(pset=ExponentSet(np.arange(entries.shape[0]) + 2.0), t=1.0,
                       coordinate_matrices=coord, min_eigenvalues=np.linalg.eigvalsh(coord)[:, 0])
 
 

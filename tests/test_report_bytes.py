@@ -59,7 +59,9 @@ REPORT_SHA256 = {
     "bundled_seed0": "056ec5ef9d000ed18a1f4972ad09064ae65d13dd4185f0e939fef5ae04051322",
     "bundled_seed1": "cf2de75bf4cded2dc0c1f4d034b49e477acd398d5c97f14fcce03224ea56a428",
     "bundled_seed987654321": "dae0b550da4da18a319cdd62f02a2d69ab1dd5001a83bda6445ba8453341f957",
-    "mixed": "46a48757e2a94de7bfca59b089d335fbd52913fedea8108ca0398ce8ea062184",
+    # re-pinned when the semigroup-axiom suite took its times in units of
+    # 1/max(lam, 1): lam = 3 for "three" and "five", and only that section moved
+    "mixed": "a481333997bf5648c8a30ccdb1bf179156e1e5625fa3b7b6b9a93a9510c23fdb",
     "zero_generator": "00294dd1ca91054855d39dced9f5de33bde7059b4aaaa4e3b76decf53d7e6686",
 }
 

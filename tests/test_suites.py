@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from functools import partial
 from pathlib import Path
@@ -19,7 +20,6 @@ from sgineq.semigroup import (
     NegativeOffDiagonalError,
     _stack_act,
     check_positivity_and_normalization,
-    check_semigroup_axioms,
     evolve,
     validate_generator,
 )
@@ -35,7 +35,7 @@ from sgineq.suites import (
 )
 
 import oracles
-from test_cli import LATER_GENERATOR
+from test_cli import FAST_GENERATOR, LATER_GENERATOR
 
 THREE_STATE = dict(
     DEFAULT_CONFIG,
@@ -359,6 +359,66 @@ def test_cli_verify_exit_code_contract(monkeypatch, overrides, dropped):
             assert report["passed"] is (code == 0)
 
 
+@st.composite
+def hypothesis_configs(draw):
+    """Configs inside the paper's hypotheses and the run limits: one
+    conservative generator with K = 2 to 5, off-diagonals in [0, 1] and each
+    diagonal -(its row sum), scaled by 2^k with k in [-30, 30]; 1 to 3 times
+    from {0.01, 0.1, 1, 5} * 2^-k, so t*||Q|| <= 40; the nine bundled families,
+    the bundled p_set and the default tolerances."""
+    dim = draw(st.integers(2, 5))
+    q = np.array(draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim),
+                               min_size=dim, max_size=dim)))
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    scale = 2.0 ** draw(st.integers(-30, 30))
+    times = draw(st.lists(st.sampled_from([0.01, 0.1, 1.0, 5.0]), min_size=1, max_size=3))
+    return dict(DEFAULT_CONFIG, generators=[{"q": (q * scale).tolist()}],
+                t_grid=[t / scale for t in times], samples=draw(st.integers(1, 10)),
+                seed=draw(st.integers(0, 2 ** 32)))
+
+
+def verify_in_process(data, capsys):
+    """The exit code and stderr of ``sgineq verify`` on the config ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(data))
+        code = cli.main(["verify", "--config", str(config), "--out", str(Path(tmp) / "out")])
+    return code, capsys.readouterr().err
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hypothesis_configs())
+@example(FAST_GENERATOR)
+def test_config_inside_the_hypotheses_never_exits_64(monkeypatch, capsys, data):
+    # exit 2 (the absolute row-sum test at large scales) and exit 1 are defects of
+    # their own, not usage errors
+    monkeypatch.delenv("SGINEQ_OUTPUT_DIR", raising=False)
+    code, err = verify_in_process(data, capsys)
+    assert code in (0, 1, 2), err
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(hypothesis_configs(), st.sampled_from(suites._SCALARS), st.data())
+def test_config_with_one_broken_scalar_field_exits_64_with_its_message(monkeypatch, capsys,
+                                                                       data, row, draws):
+    # a value of the wrong JSON type, or of the right type outside the row's rule
+    monkeypatch.delenv("SGINEQ_OUTPUT_DIR", raising=False)
+    if row.rule is not None and draws.draw(st.booleans()):
+        value = draws.draw((st.integers(-2 ** 64, 2 ** 64) | st.floats()).filter(
+            lambda v: row.is_type(v) and not row.rule(row.cast(v))))
+        message = row.message
+    else:
+        value = draws.draw(JSON_VALUES.filter(lambda v: not row.is_type(v)))
+        message = f"{row.key} must be {row.kind}, got {value!r}"
+    where, _, key = row.key.rpartition(".")
+    if where:
+        data = dict(data, **{where: dict(data.get(where, {}), **{key: value})})
+    else:
+        data = dict(data, **{key: value})
+    assert verify_in_process(data, capsys) == (64, f"sgineq: error: {message}\n")
+
+
 def test_bundled_config_is_far_inside_the_work_budget():
     cfg = config_from_json(DEFAULT_CONFIG)
     assert cfg.samples * 2 * len(cfg.families) * len(cfg.t_grid) == 2160 < MAX_SAMPLE_WORK
@@ -522,16 +582,18 @@ class TestLatticeAxiomSuite:
 def semigroup_suite_reference(generators, samples, seed):
     """Entries of run_semigroup_axiom_suite from a per-sample loop over the
     same draws: three ``evolve`` calls and one matrix product per (s, t)
-    sample, with each defect as its bytes."""
+    sample, with each defect as its bytes. Every time is in units of
+    1/max(lam, 1), the fixed times of the axiom and positivity checks too."""
     rng = np.random.default_rng(seed)
     tol = 1e-10
     entries = []
     for gen in generators:
         label = gen.name or f"dim{gen.dim}"
+        unit = max(gen.uniform_rate, 1.0)
         law = neg = norm = 0.0
         for _ in range(samples):
-            s = float(rng.uniform(0.0, 2.5))
-            t = float(rng.uniform(0.0, 2.5))
+            s = float(rng.uniform(0.0, 2.5)) / unit
+            t = float(rng.uniform(0.0, 2.5)) / unit
             zs, zt, zst = (evolve(gen, x).matrix for x in (s, t, s + t))
             law = max(law, float(np.max(np.abs(zs @ zt - zst))))
             neg = max(neg, float(-np.min(zst)))
@@ -542,8 +604,9 @@ def semigroup_suite_reference(generators, samples, seed):
         if gen.conservative:
             sampled.append((f"{label}:normalization", norm <= tol, norm, tol))
         f = LatticeElement(rng.uniform(-1.0, 2.0, size=gen.dim))
-        fixed = (check_semigroup_axioms(gen, 0.4, 1.1, f=f)
-                 + check_positivity_and_normalization(gen, 0.7, f))
+        axiom_times = [x / unit for x in semigroup._axiom_times(0.4, 1.1)]
+        fixed = (semigroup._axiom_entries(np.array([evolve(gen, x).matrix for x in axiom_times]), f)
+                 + check_positivity_and_normalization(gen, 0.7 / unit, f))
         entries += sampled + [(e.name, e.passed, e.defect, e.tol) for e in fixed]
     return [(name, ok, np.float64(defect).tobytes(), bound) for name, ok, defect, bound in entries]
 
@@ -555,7 +618,8 @@ def _suite_generators(case):
     if case == "k5_and_nonconservative":
         return [random_conservative_generator(rng, min_dim=5, max_dim=5, name="k5"),
                 random_positive_generator(rng, max_dim=3)]
-    # lam = 60, so lam * (s + t) reaches 300 and the times need splits
+    # lam = 60: in absolute units lam * (s + t) would reach 300 and need splits;
+    # in the suite's units of 1/lam it stays at most 5
     return [validate_generator([[-60.0, 60.0], [30.0, -30.0]], name="split")]
 
 
@@ -653,12 +717,24 @@ def test_config_json_keys_are_the_fields_and_options_and_round_trip():
                                 tolerances={"atol": 1e-8, "rtol": 1e-11, "psd": 1e-7}))
     data = cfg.to_json()
     required = [name for name in SuiteConfig._fields if name not in SuiteConfig._field_defaults]
-    assert sorted(data) == sorted([*required, "tolerances", *(key for key, *_ in suites._OPTIONS)])
+    keys = [row.key.rpartition(".") for row in suites._SCALARS]
+    assert sorted(data) == sorted([*required, "tolerances", *(key for where, _, key in keys
+                                                              if not where)])
+    assert sorted(data["tolerances"]) == sorted(key for where, _, key in keys if where)
     back = config_from_json(data)
     assert back.to_json() == data
     # generators and families have no value equality; their JSON is compared above
     objects = dict(generators=None, families=None)
     assert back._replace(**objects) == cfg._replace(**objects)
+
+
+def test_readme_key_sentence_names_exactly_the_table_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    top, tols = re.search(r"A config object holds only the keys (.*?), and\s+`tolerances`\s+only"
+                          r"\s+(.*?);", readme, re.S).groups()
+    # the keys SuiteConfig.to_json writes from the table, as the test above checks
+    assert sorted(re.findall(r"`(\w+)`", top)) == sorted(suites._KEYS)
+    assert sorted(re.findall(r"`(\w+)`", tols)) == sorted(suites._KEYS["tolerances"])
 
 
 def test_bundled_verify_evolves_three_distinct_pairs(monkeypatch):
