@@ -28,15 +28,24 @@ schedule, one step of rate 0 with no term past the first.
 
 ``evolve`` forms Z(t) as a K x K matrix, ``evolve_many`` the (B, K, K)
 stack for many times with one stacked product per series term, and
-``act`` sums the series on a block F of a few row vectors by products
-F @ P^T, with P^T a view of P, never forming Z(t) (2^s steps run in
-sequence, as squaring needs the matrix). P is Q/lam (64-byte aligned at K >=
-64) with 1 added to its diagonal in place. A ``Generator`` forms what the kernels read of Q once,
-at construction, from one vector of the row sums of Q: the conservativity
-certificate, ``sup_norm`` (row i of |Q| summed as rowsum_i(Q) - q_ii + |q_ii|),
-lam and mu, the largest row sum of P, as 1 + max_i rowsum_i(Q)/lam.
+``act`` sums the series on a block F of a few row vectors, never forming
+Z(t) (2^s steps run in sequence, as squaring needs the matrix). P is Q/lam
+(64-byte aligned at K >= 64) with 1 added to its diagonal in place. A
+``Generator`` forms what the kernels read of Q once, at construction: from
+one vector of the row sums of Q the conservativity certificate,
+``sup_norm`` (row i of |Q| summed as rowsum_i(Q) - q_ii + |q_ii|), lam and
+mu, the largest row sum of P, as 1 + max_i rowsum_i(Q)/lam; and the band
+b = max |i - j| over the nonzero q_ij, where it is narrow enough to pay.
 
-All three share one series kernel, ``_series``, in which no term
+``act`` has two products. Its term is F @ P^T, with P^T a view of P,
+except where Q is narrowly banded: a Q with 16 (2b + 1) + 144 <= K, on a
+block of S rows with 2 S (2b + 1) <= K, has P applied through W, its 2b + 1
+diagonals (the DIA storage of Saad, Iterative Methods for Sparse Linear
+Systems, 2nd ed., SIAM 2003, section 3.4), in ``_band_series``: each term is
+one multiply of the shifted previous terms by W and one sum over the
+diagonals, time in S K (2b + 1) against S K^2, and no K x K array is formed.
+
+All three share one dense series kernel, ``_series``, in which no term
 allocates: the sum and two term buffers are made once per call, the two
 buffers alternate, and each term is scaled and added in place. A 2-D term
 at K > 1 is one ``ndarray.dot`` product into the other buffer, a stacked
@@ -50,6 +59,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import HypothesisViolationError, SgineqError
 from .lattice import LatticeElement
@@ -81,6 +91,13 @@ _STEP_LIMIT = 128.0
 _TAIL_REL = 1e-17
 _AXIOM_TOL = 1e-10
 _OVERFLOW = "exp(tQ) or its uniformization exceeds double range for this generator"
+# act applies P through its 2b + 1 diagonals where _BAND_TERM * (2b + 1) +
+# _BAND_BASE <= K: a banded term costs about 2.5 us plus time in S K (2b + 1), a
+# dense one time in K^2 that BLAS keeps below it up to K = 128; the rule is at
+# or just past the crossover of the per-term times at S = 2, K = 16-300 and
+# b = 0-8, on a 2-vCPU machine with one BLAS thread
+_BAND_TERM = 16
+_BAND_BASE = 144
 _IDENTITY = (0.0, 0, 0, 0.0)  # the plan of Z(t) = I: one step of rate 0, no term past the first
 _LOGS = [0.0]  # _LOGS[k] = math.log(k) for k >= 1, grown by _plan as far as it needs
 
@@ -114,7 +131,9 @@ class Generator:
     P = I + Q/lam >= 0: max |Q_ii|, else the largest entry (0.0 for Q = 0);
     ``mu`` is the largest row sum of P, max(1, 1 + max_i rowsum_i(Q)/lam), or
     1.0 for lam = 0. A row sum beyond double range is inf: not conservative,
-    and a ``sup_norm`` of inf, which ``_plan``'s time cap rejects.
+    and a ``sup_norm`` of inf, which ``_plan``'s time cap rejects. ``band``
+    is b = max |i - j| over the nonzero q_ij where the banded product pays,
+    ``_BAND_TERM * (2b + 1) + _BAND_BASE <= K``, and None elsewhere.
     """
 
     def __init__(self, q: np.ndarray, name: str | None = None):
@@ -141,6 +160,7 @@ class Generator:
         lam = self.uniform_rate = float(np.max(np.abs(diag))) or float(np.max(q))
         # float division gives inf without a warning
         self.mu = max(1.0, 1.0 + float(row_sums.max()) / lam) if lam else 1.0
+        self.band = _band(q, negative)
 
     @property
     def dim(self) -> int:
@@ -223,6 +243,39 @@ def _chain(gen: Generator) -> np.ndarray:
     return p
 
 
+def _band(q: np.ndarray, scratch: np.ndarray) -> int | None:
+    """The band b of Q where ``_BAND_TERM * (2b + 1) + _BAND_BASE <= K``, else None.
+
+    It counts the nonzeros of Q in ``scratch``, a K x K bool array it overwrites,
+    so it allocates nothing of Q's size: the band holds them all when the
+    diagonals out to the widest b the rule takes hold as many as Q. A Q smaller
+    than the rule's least K is not scanned; Q = 0 has band 0.
+    """
+    widest = ((len(q) - _BAND_BASE) // _BAND_TERM - 1) // 2
+    if widest < 0:
+        return None
+    nonzero = np.not_equal(q, 0.0, out=scratch)
+    counts = [np.count_nonzero(nonzero.diagonal(d)) for d in range(-widest, widest + 1)]
+    if sum(counts) < np.count_nonzero(nonzero):
+        return None
+    return max((abs(d) for d, n in enumerate(counts, -widest) if n), default=0)
+
+
+def _diagonals(gen: Generator) -> np.ndarray:
+    """W, the (2b + 1, K) diagonals of P = I + Q/lam for the band b of Q: row b + d
+    holds P[i, i + d] at column i, and 0 where i + d is off the matrix. W takes the
+    place of ``_chain``'s K x K P on the banded path; NaN for Q = 0 (b = 0), as P
+    is, and read by no term."""
+    b, k = gen.band, gen.dim
+    w = np.zeros((2 * b + 1, k))
+    # a W beyond double range is reported by _plan's growth guard
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(-b, b + 1):
+            np.divide(gen.q.diagonal(d), gen.uniform_rate, out=w[b + d, max(0, -d):k - max(0, d)])
+        w[b] += 1.0
+    return w
+
+
 def _plan(gen: Generator, t: float):
     """Guards and series schedule of one time, with the generator's mu.
 
@@ -303,6 +356,44 @@ def _series(term: np.ndarray, m: np.ndarray, coefs) -> np.ndarray:
     return total
 
 
+def _band_series(term: np.ndarray, w: np.ndarray, coefs) -> np.ndarray:
+    """``_series(term, P.T, coefs)`` on an (S, K) block, with P^T applied through
+    W, the (2b + 1, K) diagonals of P that ``_diagonals`` forms.
+
+    Term k is sum_{d=-b..b} W[b + d] * shift_d(term_{k-1}), summed in that
+    order, times c_k, where shift_d(x)[:, i] = x[:, i + d], and 0 off the
+    block. The term lives in one buffer padded by b zero columns on either
+    side, which no term writes, so shift_d is the d-th window of K columns.
+    A term copies the (S, 2b + 1, K) windows into a product array and
+    multiplies it in place by W repeated over the S rows; its reduction over
+    the middle axis (numpy adds the slices of a middle axis in order, and
+    pairs the terms of an innermost one) writes the next term over the last.
+    Multiplying the windows by W directly makes numpy buffer both operands,
+    which costs a term about a third more at S = 2. The term is then scaled
+    and added to a padded sum in place, each buffer whole: a contiguous array
+    costs half the time of the strided block inside it. No term allocates,
+    and ``term`` is overwritten with the sum. With 2 S (2b + 1) <= K, as
+    ``act`` takes it, the product and the repeated W hold at most K^2
+    entries together.
+    """
+    s, k = term.shape
+    b = len(w) // 2
+    cur, total = np.zeros((s, k + 2 * b)), np.zeros((s, k + 2 * b))
+    inner = cur[:, b:b + k]
+    inner[...] = total[:, b:b + k] = term
+    window = sliding_window_view(cur, k, axis=1)
+    prod = np.empty((s, len(w), k))
+    w = np.broadcast_to(w, prod.shape).copy()
+    for c in coefs:
+        np.copyto(prod, window)
+        prod *= w
+        np.add.reduce(prod, axis=1, out=inner)
+        cur *= c
+        total += cur
+    term[...] = total[:, b:b + k]
+    return term
+
+
 def _square(base: np.ndarray, err: float, splits: int) -> tuple[np.ndarray, float]:
     """Z(t) and its truncation bound from those of Z(t/2^splits); overflow is left to the caller."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -379,7 +470,9 @@ def act(gen: Generator, t: float, F) -> np.ndarray:
 
     Returns the (S, K) block whose row i is Z(t) F[i]. The series is the
     one ``evolve`` sums, applied to the rows: each term costs one
-    (S, K) x (K, K) product by P^T, a view of P, not a K x K one. Squaring needs the
+    (S, K) x (K, K) product by P^T, a view of P, not a K x K one, or, for
+    a generator with a ``band`` b and 2 S (2b + 1) <= K, one product through
+    the 2b + 1 diagonals of P by ``_band_series``. Squaring needs the
     whole matrix, so where ``evolve`` would split lam*t into 2^s steps
     and square, ``act`` runs the 2^s steps one after the other. The
     guards (negative t, time cap, overflow) are those of ``evolve``.
@@ -387,14 +480,16 @@ def act(gen: Generator, t: float, F) -> np.ndarray:
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[1] != gen.dim:
         raise ValueError(f"act needs an (S, {gen.dim}) block, got shape {F.shape}")
-    p = _chain(gen)
+    # the banded product where Q's band pays and its two (S, 2b + 1, K) arrays fit in K^2
+    banded = gen.band is not None and 2 * len(F) * (2 * gen.band + 1) <= gen.dim
+    series, m = (_band_series, _diagonals(gen)) if banded else (_series, _chain(gen).T)
     rate, splits, terms, _ = _plan(gen, t)
     coefs = [rate / k for k in range(1, terms + 1)]
-    block = F  # each step's first term is new and C-ordered: ``_series`` writes into it
+    block = F  # each step's first term is new and C-ordered: the series kernel writes into it
     # overflow across the steps is caught by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(2 ** splits):
-            block = _series(np.multiply(math.exp(-rate), block, order="C"), p.T, coefs)
+            block = series(np.multiply(math.exp(-rate), block, order="C"), m, coefs)
     if not np.isfinite(block).all():
         # a non-finite entry of F reaches the result through the first term
         if not np.isfinite(F).all():

@@ -108,6 +108,13 @@ __all__ = [
 # exponent 4000, exits 64 there in 0.8-1.2 s, before any eigenvalue is taken.
 MAX_SAMPLE_WORK = 2_000_000
 
+# The generators count against the same cap at this weight each: a 2-state
+# generator costs verify about 0.65 ms whatever its samples, so the 2000 of
+# configs/at_generator_cap.json (one family, one time, one sample) verify in
+# 1.3-1.8 s, inside the 2.2-3.3 s of configs/at_sample_cap.json on a shared
+# 2-vCPU machine with one BLAS thread.
+_GENERATOR_WORK = 1000
+
 # Matrix entries per evolve_many stack in the semigroup-axiom suite, which
 # bounds the memory of a chunk of triples at any sample count.
 _STACK_ENTRIES = 2 ** 16
@@ -217,6 +224,7 @@ def config_from_json(data: dict, base_dir: Path | None = None) -> SuiteConfig:
         raise ConfigError("generator list is empty")
     if not raw_fams:
         raise ConfigError("family list is empty")
+    _within_budget(f"generators x {_GENERATOR_WORK}", len(raw_gens) * _GENERATOR_WORK)
     if not all(map(_number, raw_times)):
         raise ConfigError(f"t_grid entries must be numbers, got {raw_times!r}")
     if not all(isinstance(ps, (list, tuple)) and all(map(_number, ps)) for ps in raw_psets):

@@ -155,6 +155,57 @@ def row_block_act(gen, t: float, F) -> np.ndarray:
     return block
 
 
+def band_width(gen) -> int:
+    """b = max |i - j| over the nonzero q_ij, 0 for Q = 0, by a loop over the entries."""
+    return max((abs(i - j) for i, j in zip(*np.nonzero(gen.q))), default=0)
+
+
+def band_diagonals(gen) -> np.ndarray:
+    """W of ``semigroup._diagonals``: row b + d holds diagonal d of
+    ``eye_plus_chain(gen)`` at the rows i of P that it meets, 0 elsewhere."""
+    b, k = band_width(gen), gen.dim
+    p = eye_plus_chain(gen)
+    w = np.zeros((2 * b + 1, k))
+    for d in range(-b, b + 1):
+        for i in range(k):
+            if 0 <= i + d < k:
+                w[b + d, i] = p[i, i + d]
+    return w
+
+
+def plain_band_series(term, w, coefs) -> np.ndarray:
+    """The banded series with new arrays per term, the reference for
+    ``semigroup._band_series``: term_k is the sum over d = -b, ..., b, in that
+    order, of w_d times term_{k-1} shifted by d (column i reads column i + d,
+    and 0 off the block), then times c_k; total += term_k."""
+    b, k = len(w) // 2, term.shape[1]
+    total = term.copy()
+    for c in coefs:
+        acc = None
+        for d in range(-b, b + 1):
+            shifted = np.zeros_like(term)
+            shifted[:, max(0, -d):k - max(0, d)] = term[:, max(0, d):k - max(0, -d)]
+            part = w[b + d] * shifted
+            acc = part if acc is None else acc + part
+        term = acc * c
+        total += term
+    return total
+
+
+def band_act(gen, t: float, F) -> np.ndarray:
+    """Z(t) applied to the rows of F as the banded series ``plain_band_series``
+    on ``band_diagonals``, with the schedule of ``plain_term_schedule`` and
+    2^splits steps in sequence."""
+    block = np.array(F, dtype=float)
+    if not gen.uniform_rate or t == 0.0:
+        return block
+    w = band_diagonals(gen)
+    rate, splits, terms, _ = plain_term_schedule(gen.uniform_rate, t, chain_mu(gen))
+    for _ in range(2 ** splits):
+        block = plain_band_series(math.exp(-rate) * block, w, [rate / k for k in range(1, terms + 1)])
+    return block
+
+
 def abs_row_sum_norm(q) -> float:
     """max_i sum_j |q_ij|, with |Q| formed entry by entry."""
     return float(np.max(np.sum(np.abs(np.asarray(q, dtype=float)), axis=1)))

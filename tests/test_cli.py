@@ -675,6 +675,8 @@ class TestExpconv:
             p_sets=[[2.0, 4.0], [2.0, 3.0, 5.0]])
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         monkeypatch.setattr(suites, "MAX_SAMPLE_WORK", 65)
+        # the generators count 1 each, not 1000, inside this small budget
+        monkeypatch.setattr(suites, "_GENERATOR_WORK", 1)
         out = tmp_path / "o"
         assert cli.main(["expconv", "--config", str(tmp_path / "cfg.json"), "--n-xi", n_xi,
                          "--out", str(out)]) == code
@@ -691,6 +693,8 @@ class TestExpconv:
         # 5 samples x 2 states x 2 families x 2 times = 40 sampled coordinates; the
         # Gram entries are 4^2 x 2 states x 2 times = 64, and 36 for 3 exponents
         monkeypatch.setattr(suites, "MAX_SAMPLE_WORK", 40)
+        # the generators count 1 each, not 1000, inside this small budget
+        monkeypatch.setattr(suites, "_GENERATOR_WORK", 1)
         cfg, out = tmp_path / "cfg.json", tmp_path / "o"
         cfg.write_text(json.dumps(small_config(p_sets=[[2.0, 4.0, 6.0, 8.0]])))
         assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 64
@@ -894,10 +898,22 @@ CONTRACT = {
     "chain_overflow": (["verify", *committed("chain_overflow")], 64, DOUBLE_RANGE),
     "chain_overflow_conservative": (["verify", *committed("chain_overflow_conservative")], 64,
                                     DOUBLE_RANGE),
+    # a tridiagonal control at K = 192, which act applies through the
+    # diagonals of P, with Q/lam beyond double range; the band is built inside
+    # the same errstate of the Jessen kernel (test_semigroup.py builds it
+    # outside any)
+    "band_chain_overflow": (["verify", *committed("band_chain_overflow")], 64, DOUBLE_RANGE),
     # one 2-state generator, one family, one time and 10^6 samples, at
     # MAX_SAMPLE_WORK: the semigroup-axiom suite runs the in-place series
     # products on stacks for 3 * 10^5 times
     "at_sample_cap": (["verify", *committed("at_sample_cap")], 0, None),
+    # 2000 2-state generators, one family, one time and one sample, at
+    # MAX_SAMPLE_WORK by their count; with one more the count is checked
+    # before any generator is read
+    "at_generator_cap": (["verify", *committed("at_generator_cap")], 0, None),
+    "generators_over_budget": (
+        ["verify", *committed("generators_over_budget")], 64,
+        "sgineq: error: generators x 1000 = 2001000 exceeds the work budget 2000000"),
     # the Jessen block of all times fails the domain check, which then runs
     # again time by time to name the first time's worst argument
     "family_overflow": (["verify", *committed("family_overflow")], 64,

@@ -10,8 +10,12 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     BENCH_Q,
     abs_row_sum_norm,
+    band_act,
+    band_diagonals,
+    band_width,
     chain_mu,
     eye_plus_chain,
+    plain_band_series,
     plain_series,
     plain_term_schedule,
     row_block_act,
@@ -277,6 +281,36 @@ def _expm_multiply_rows(gen, t, block):
     return scipy.sparse.linalg.expm_multiply(t * gen.q, block.T).T
 
 
+def _banded(k, seed, offsets=(1,), surplus=0.0):
+    """Generator whose off-diagonal nonzeros are rates in [0.5, 1.5] on the
+    diagonals -d and d for d in ``offsets``, with row sums 0, or drawn in
+    [0, surplus]."""
+    rng = np.random.default_rng([seed, k, *offsets])
+    q = np.zeros((k, k))
+    for d in offsets:
+        idx = np.arange(k - d)
+        q[idx, idx + d] = rng.uniform(0.5, 1.5, size=k - d)
+        q[idx + d, idx] = rng.uniform(0.5, 1.5, size=k - d)
+    q[np.diag_indices(k)] = rng.uniform(0.0, surplus, size=k) - q.sum(axis=1)
+    return validate_generator(q)
+
+
+def _least_banded_k(b):
+    """The least K at which ``act`` applies a generator of band b through its diagonals."""
+    return semigroup._BAND_TERM * (2 * b + 1) + semigroup._BAND_BASE
+
+
+# Generators that act applies through their band: a birth-death chain, a
+# diagonal Q and Q = 0 (b = 0) at the least K of the rule, and a
+# non-conservative tridiagonal Q at the least K of b = 1.
+BANDED_GENERATORS = {
+    "birth_death300": lambda: _birth_death(300, seed=1),
+    "diagonal": lambda: validate_generator(np.diag(-np.linspace(0.5, 2.0, _least_banded_k(0)))),
+    "zero": lambda: validate_generator(np.zeros((_least_banded_k(0),) * 2)),
+    "nonconservative": lambda: _banded(_least_banded_k(1), seed=2, surplus=0.3),
+}
+
+
 class TestAct:
     @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 10.0])
     @pytest.mark.parametrize("k", [2, 8, 64, 300])
@@ -344,6 +378,100 @@ class TestAct:
         for bad in (np.ones(2), np.ones((1, 3)), np.array([[1.0, np.inf]])):
             with pytest.raises(ValueError):
                 act(bench, 1.0, bad)
+
+    @pytest.mark.parametrize("name", sorted(BANDED_GENERATORS))
+    def test_banded_matches_expm_multiply_and_row_block_route(self, name):
+        gen = BANDED_GENERATORS[name]()
+        assert gen.band == band_width(gen)
+        lam = gen.uniform_rate or 1.0
+        block = np.random.default_rng(gen.dim).uniform(-2.0, 2.0, size=(3, gen.dim))
+        for t in (0.1, 1.0, 10.0, 300.0 / lam):
+            got = act(gen, t, block)
+            assert got.flags.c_contiguous and got.shape == block.shape
+            want = _expm_multiply_rows(gen, t, block)
+            assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+            want = row_block_act(gen, t, block)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert act(gen, t, np.empty((0, gen.dim))).shape == (0, gen.dim)
+
+    @pytest.mark.parametrize("name", sorted(BANDED_GENERATORS))
+    def test_banded_nonnegative_block_stays_nonnegative(self, rng, name):
+        gen = BANDED_GENERATORS[name]()
+        block = rng.uniform(0.0, 1.0, size=(5, gen.dim)) * (rng.uniform(size=(5, gen.dim)) < 0.5)
+        for t in (0.5, 3.0, 500.0 / (gen.uniform_rate or 1.0)):
+            assert act(gen, t, block).min() >= 0.0
+
+    def test_banded_raises_what_the_dense_product_raises(self, monkeypatch):
+        k = _least_banded_k(1)
+        chain = _birth_death(k, seed=3)
+        # rows summing to 19 against lam = 1: growth beyond double range in one step
+        steep = chain.q * 10.0
+        steep[np.diag_indices(k)] = -1.0
+        # Q/lam beyond double range, with lam*t underflowing to 0 and not
+        steep_chain = chain.q.copy()
+        steep_chain[np.diag_indices(k)] = -1e-300
+        steep_chain[0, 1] = 1e10
+        # growth e^800 across the 2^3 steps, on a diagonal Q at the least K of b = 0
+        growing = validate_generator(np.eye(_least_banded_k(0)))
+        gens = [chain, validate_generator(steep), validate_generator(steep_chain), growing]
+        assert [gen.band for gen in gens] == [1, 1, 1, 0]
+        ones = np.ones((2, k))
+        bad_entries = np.ones((2, k))
+        bad_entries[1, 5] = np.inf
+        cases = [
+            (chain, 1e4, ones, TimeCapError),
+            (gens[1], 100.0, ones, EvolveOverflowError),
+            (gens[2], 1e-300, ones, EvolveOverflowError),
+            (gens[2], 1e-20, ones, EvolveOverflowError),
+            (growing, 800.0, np.ones((2, growing.dim)), EvolveOverflowError),
+            (chain, 1.0, bad_entries, ValueError),
+            (chain, 1.0, np.where(bad_entries == np.inf, np.nan, bad_entries), ValueError),
+            (chain, 1.0, np.ones(k), ValueError),
+            (chain, 1.0, np.ones((2, k + 1)), ValueError),
+        ]
+        # numpy warnings are errors here, so a band build outside numpy's error
+        # state would raise a RuntimeWarning in place of EvolveOverflowError
+        banded = [_outcome(lambda c=c: act(*c[:3])) for c in cases]
+        assert [outcome[0] for outcome in banded] == [c[3] for c in cases]
+        for gen in gens:
+            monkeypatch.setattr(gen, "band", None)
+        assert banded == [_outcome(lambda c=c: act(*c[:3])) for c in cases]
+
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    def test_the_rule_names_the_path(self, monkeypatch, b):
+        calls = []
+        for name in ("_series", "_band_series"):
+            kernel = getattr(semigroup, name)
+            monkeypatch.setattr(semigroup, name,
+                                lambda *args, name=name, kernel=kernel: calls.append(name) or kernel(*args))
+        k = _least_banded_k(b)
+        # the diagonal Q of b = 0 has row sums in [0, 1]
+        inside, outside = (_banded(n, seed=b, offsets=(b,) if b else (), surplus=float(not b))
+                           for n in (k, k - 1))
+        assert (inside.band, outside.band) == (b, None)
+        rng = np.random.default_rng(b)
+        # the band takes 2 S (2b + 1) <= K rows, so that its two (S, 2b + 1, K)
+        # arrays hold at most K^2 entries
+        rows = k // (2 * (2 * b + 1))
+        for gen, s in ((inside, rows), (inside, rows + 1), (outside, 2)):
+            block = rng.uniform(-2.0, 2.0, size=(s, gen.dim))
+            want = row_block_act(gen, 1.0, block)
+            assert np.max(np.abs(act(gen, 1.0, block) - want)) <= 1e-14 * np.max(np.abs(want))
+        assert calls == ["_band_series", "_series", "_series"]
+
+    def test_band_is_the_widest_nonzero_diagonal(self):
+        k = _least_banded_k(2)
+        chain = _birth_death(k, seed=4).q
+        signed = chain.copy()
+        signed[0, 2] = signed[7, 3] = -0.0  # negative zeros count as zeros
+        corner = chain.copy()
+        corner[0, -1] = 0.5  # one entry beyond the widest band the rule takes
+        wide = _banded(k, seed=4, offsets=(3,)).q
+        assert [validate_generator(q).band for q in (chain, signed, corner, wide)] == [1, 1, None, None]
+        assert validate_generator(_banded(k, seed=4, offsets=(2,)).q).band == 2
+        # a Q below the rule's least K is not scanned: a scan would fail on this scratch
+        q = _birth_death(_least_banded_k(0) - 1, seed=4).q
+        assert semigroup._band(q, np.empty(0, dtype=bool)) is None
 
 
 def _birth_death(k, seed):
@@ -497,6 +625,8 @@ class TestChain:
         got = _kernel_outputs(gen, ts, _blocks(gen.dim, seed=len(name)))
         assert not _raised(got)
         monkeypatch.setattr(semigroup, "_series", plain_series)
+        # a banded act (birth_death300) against the allocating loop of the band
+        monkeypatch.setattr(semigroup, "_band_series", plain_band_series)
         assert got == _kernel_outputs(gen, ts, _blocks(gen.dim, seed=len(name)))
 
     def test_series_bytes_match_plain_series_random(self, monkeypatch):
@@ -544,9 +674,46 @@ class TestChain:
 
     def test_act_allocates_one_chain(self):
         k = 300
-        gen = _birth_death(k, seed=0)
+        gen = _generator(k, seed=0)
+        assert gen.band is None
         block = np.random.default_rng(0).uniform(0.5, 2.0, size=(2, k))
         assert _traced_peak(lambda: act(gen, 1.0, block)) < 1.5 * k * k * 8
+
+    def test_banded_act_allocates_no_matrix(self):
+        k = 300
+        gen = _birth_death(k, seed=0)
+        assert gen.band == 1
+        block = np.random.default_rng(0).uniform(0.5, 2.0, size=(2, k))
+        assert _traced_peak(lambda: act(gen, 1.0, block)) < k * k * 8 / 4
+
+    @pytest.mark.parametrize("rows", [150, 300])
+    def test_banded_act_holds_no_more_than_the_dense_product(self, monkeypatch, rows):
+        # at S = K/2 a diagonal Q (b = 0) takes the band, whose two (S, 1, K)
+        # arrays hold K^2 entries, as P does, and it holds no more than the
+        # dense product besides W (K entries) and a few array views; at S = K
+        # a diagonal Q and a birth-death chain (b = 1) take the dense product
+        k = 300
+        block = np.random.default_rng(0).uniform(0.5, 2.0, size=(rows, k))
+        for gen in (validate_generator(np.diag(-np.linspace(0.5, 2.0, k))), _birth_death(k, seed=0)):
+            semigroup._plan(gen, 1.0)  # grows the table of logs before either run
+            peak = _traced_peak(lambda: act(gen, 1.0, block))
+            monkeypatch.setattr(gen, "band", None)
+            assert peak <= _traced_peak(lambda: act(gen, 1.0, block)) + 8 * k + 4096
+
+    @pytest.mark.parametrize("k,offsets", [(48, (1,)), (300, (1,)), (224, (2,))],
+                             ids=["birth_death48", "birth_death300", "pentadiagonal224"])
+    def test_banded_act_bytes_match_plain_band_series(self, monkeypatch, k, offsets):
+        # the rule lowered to 16 (2b + 1) <= K, so that K = 48 takes the band
+        # too; the pentadiagonal Q has a zero diagonal inside its band
+        monkeypatch.setattr(semigroup, "_BAND_BASE", 0)
+        gen = _banded(k, seed=5, offsets=offsets)
+        assert gen.band == band_width(gen) == offsets[-1]
+        assert np.array_equal(semigroup._diagonals(gen), band_diagonals(gen))
+        lam = gen.uniform_rate
+        # lam*t of 129 and 1000: 2 and 8 steps
+        for t in (0.3, 1.0, 129.0 / lam, 1000.0 / lam):
+            for F in _blocks(k, seed=k):
+                assert act(gen, t, F).tobytes() == band_act(gen, t, F).tobytes()
 
     def test_sup_norm_allocates_no_matrix(self):
         k = 300

@@ -430,6 +430,8 @@ def test_gram_entries_of_every_p_set_are_held_to_the_work_budget(monkeypatch):
     # the bundled Gram: 2^2 exponent pairs x 2 states x 3 times = 24 entries; one
     # family and one sample keep the sampled coordinates at 6
     one_family = dict(DEFAULT_CONFIG, samples=1, families=DEFAULT_CONFIG["families"][:1])
+    # the generator counts 1, not 1000, inside these small budgets
+    monkeypatch.setattr(suites, "_GENERATOR_WORK", 1)
     monkeypatch.setattr(suites, "MAX_SAMPLE_WORK", 24)
     assert config_from_json(one_family).p_sets == [[2.0, 4.0]]
     monkeypatch.setattr(suites, "MAX_SAMPLE_WORK", 23)
@@ -491,6 +493,27 @@ def test_committed_cap_config_sits_at_the_work_budget():
     cfg = config_from_json(json.loads(path.read_text()))
     assert cfg.samples * sum(g.dim for g in cfg.generators) * len(cfg.families) \
         * len(cfg.t_grid) == MAX_SAMPLE_WORK
+
+
+def test_committed_generator_cap_config_sits_at_the_work_budget():
+    # the CI run of this config is the time bound on a verify at the generator
+    # cap: 2000 2-state generators, one family, one time and one sample
+    path = Path(__file__).resolve().parents[1] / "configs" / "at_generator_cap.json"
+    cfg = config_from_json(json.loads(path.read_text()))
+    assert {g.dim for g in cfg.generators} == {2}
+    assert (len(cfg.families), len(cfg.t_grid), cfg.samples) == (1, 1, 1)
+    assert len(cfg.generators) * suites._GENERATOR_WORK == MAX_SAMPLE_WORK
+
+
+def test_generator_count_is_held_to_the_work_budget_before_any_generator_is_read():
+    path = Path(__file__).resolve().parents[1] / "configs" / "generators_over_budget.json"
+    data = json.loads(path.read_text())
+    message = rf"^generators x 1000 = 2001000 exceeds the work budget {MAX_SAMPLE_WORK}$"
+    with pytest.raises(ConfigError, match=message):
+        config_from_json(data)
+    # the same count of entries that are no generators
+    with pytest.raises(ConfigError, match=message):
+        config_from_json(dict(data, generators=[None] * 2001))
 
 
 LATTICE_CHECKS = ("absorption", "decomposition", "modulus_triangle", "norm_compatibility",
