@@ -141,7 +141,7 @@ class LambdaGram(NamedTuple):
         return self.coordinate_matrices.shape[0]
 
     def max_abs_entry(self) -> float:
-        return float(np.max(np.abs(self.entries)))
+        return float(np.abs(self.coordinate_matrices).max())
 
     def to_json(self) -> dict:
         return {
@@ -254,6 +254,32 @@ def _gamma(k: int) -> float:
     return ku / (1.0 - ku) if ku < 1.0 else float("inf")
 
 
+def _unit_rows(rng: np.random.Generator, n_xi: int, n: int) -> np.ndarray:
+    """The rows of ``rng.normal(size=(n_xi, n))`` over their ``np.linalg.norm``
+    (a zero norm taken as 1), bit for bit.
+
+    ``normal(0, 1)`` returns 0.0 + 1.0 z for the standard normal z of the same
+    stream, so ``standard_normal`` plus 0.0 has its bits, a -0.0 included. The
+    norm sums the squares with ``np.add.reduce``, which adds an inner axis
+    shorter than its 8-element pairwise block in order: for n < 8 the squared
+    columns are added in that order, one add per column instead of one short
+    reduction per row.
+    """
+    xi = rng.standard_normal(size=(n_xi, n))
+    xi += 0.0
+    sq = xi * xi
+    if n < 8:
+        norms = sq[:, 0].copy()
+        for j in range(1, n):
+            norms += sq[:, j]
+    else:
+        norms = np.add.reduce(sq, axis=1)
+    np.sqrt(norms, out=norms)
+    norms[norms == 0.0] = 1.0
+    xi /= norms[:, None]
+    return xi
+
+
 def check_order_psd(gram: LambdaGram, n_xi: int, seed: int, tol: float = 1e-8) -> PsdReport:
     """Order positive semidefiniteness of the Gram in both certificates.
 
@@ -261,6 +287,11 @@ def check_order_psd(gram: LambdaGram, n_xi: int, seed: int, tol: float = 1e-8) -
     -tol * (1 + max |entry|). Sampled: unit coefficient vectors give
     quadratic-form vectors above the same floor in every coordinate,
     which the spectral bound implies.
+
+    The unit rows xi are those of ``np.random.default_rng(seed).normal``
+    over their Euclidean norms, bit for bit; ``_unit_rows`` draws them with
+    ``standard_normal`` plus 0.0 and, for n < 8, sums the squared columns in
+    numpy's order instead of one reduction per row.
 
     The sampled minimum is that of
     ``einsum("si,sj,ijk->sk", xi, xi, entries)`` over all n_xi rows, bit
@@ -298,29 +329,23 @@ def check_order_psd(gram: LambdaGram, n_xi: int, seed: int, tol: float = 1e-8) -
         raise ValueError(f"n_xi must be at least 1, got {n_xi}")
     peak = gram.max_abs_entry()
     scale = tol * (1.0 + peak)
-    min_eig = float(np.min(gram.min_eigenvalues))
+    min_eig = float(gram.min_eigenvalues.min())
     spectral_pass = min_eig >= -scale
 
-    rng = np.random.default_rng(seed)
     n = gram.pset.size
-    xi = rng.normal(size=(n_xi, n))
-    # the ufuncs np.linalg.norm(xi, axis=1) runs on a real array, so its bits
-    norms = np.sqrt(np.add.reduce(xi * xi, axis=1, keepdims=True))
-    norms[norms == 0.0] = 1.0
-    xi /= norms
-
+    xi = _unit_rows(np.random.default_rng(seed), n_xi, n)
     xt = np.ascontiguousarray(xi.T)
     forms = (gram.coordinate_matrices.reshape(-1, n) @ xt).reshape(-1, n, n_xi)
     forms *= xt
-    screened = np.min(forms.sum(axis=1), axis=0)
+    screened = forms.sum(axis=1).min(axis=0)
     del xt, forms  # freed before the exact pass, which may copy every row of xi
     delta = 2.0 * ((_gamma(2 * n) + _gamma(n * n + 1)) * n * peak
                    + n * n * (1.0 + peak) * _UNDERFLOW_STEP)
-    keep = ~(screened > np.min(screened) + 2.0 * delta)
+    keep = ~(screened > screened.min() + 2.0 * delta)
     keep[:_EXACT_MIN_ROWS] = True
     exact = xi[keep]
     quad = np.einsum("si,sj,ijk->sk", exact, exact, gram.entries)
-    min_quad = float(np.min(quad))
+    min_quad = float(quad.min())
     sampled_pass = min_quad >= -scale
 
     return PsdReport(

@@ -206,7 +206,7 @@ def _members_sides(
 
 def _slack_floor(residual: np.ndarray):
     """Lowest acceptable min slack, -1e-9 * (1 + ||residual||), per row."""
-    return -1e-9 * (1.0 + np.max(np.abs(residual), axis=-1))
+    return -1e-9 * (1.0 + np.abs(residual).max(axis=-1))
 
 
 def _jessen_passed(leq, residual: np.ndarray):
@@ -229,7 +229,7 @@ def jessen_report(
     return JessenReport(
         residual=LatticeElement(residual),
         verdict=order_verdict(phi_zf, z_phi_f, tol),
-        min_slack=float(np.min(residual)),
+        min_slack=float(residual.min()),
         t=t,
         family=fam.label,
         generator=gen.name,

@@ -192,5 +192,5 @@ def leq_rows(f: np.ndarray, g: np.ndarray, tol: OrderTolerance = DEFAULT_TOLERAN
     For one row this is the LEQ half of ``partial_leq``: True exactly
     when the verdict is LEQ or EQUAL.
     """
-    return np.min(g - f, axis=-1) >= -tol.margin(f, g)
+    return (g - f).min(axis=-1) >= -tol.margin(f, g)
 

@@ -398,7 +398,7 @@ def _square(base: np.ndarray, err: float, splits: int) -> tuple[np.ndarray, floa
     """Z(t) and its truncation bound from those of Z(t/2^splits); overflow is left to the caller."""
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(splits):
-            norm = float(np.max(np.sum(base, axis=1)))
+            norm = float(base.sum(axis=1).max())
             base = base @ base
             err = err * (2.0 * norm + err)
     return base, err
@@ -439,11 +439,11 @@ def evolve_many(gen: Generator, ts) -> np.ndarray:
     """The (B, K, K) stack of ``evolve(gen, t).matrix`` for t in ts, one stacked @ P per term.
 
     Time i gets the coefficient rate_i/k up to its own term count and 0.0
-    after it, so each matrix has the bits of ``evolve(gen, t_i)``. P is
-    formed once; only times that need steps are squared. Should any time
-    fail, the times run through ``evolve`` one by one, so the error raised is
-    the first time's. No truncation bound is returned; ``evolve`` gives that
-    of one time.
+    after it, so each matrix has the bits of ``evolve(gen, t_i)``. P and the
+    (terms, times) grid of coefficients are formed once; only times that need
+    steps are squared. Should any time fail, the times run through ``evolve``
+    one by one, so the error raised is the first time's. No truncation bound
+    is returned; ``evolve`` gives that of one time.
     """
     ts = list(ts)  # read again on a failure
     p = _chain(gen)
@@ -451,9 +451,8 @@ def evolve_many(gen: Generator, ts) -> np.ndarray:
         plans = [_plan(gen, t) for t in ts]
         rates, splits, terms, _ = np.array(plans, dtype=float).reshape(-1, 4).T
         start = np.array([math.exp(-r) for r in rates])[:, None, None] * np.eye(gen.dim)
-        coefs = (np.where(k <= terms, rates / k, 0.0)[:, None, None]
-                 for k in range(1, int(terms.max(initial=0)) + 1))
-        stack = _series(start, p, coefs)
+        ks = np.arange(1, int(terms.max(initial=0)) + 1)[:, None]
+        stack = _series(start, p, np.where(ks <= terms, rates / ks, 0.0)[:, :, None, None])
         for i in np.flatnonzero(splits):
             stack[i] = _square(stack[i], 0.0, int(splits[i]))[0]
         if not np.isfinite(stack).all():
@@ -536,14 +535,14 @@ def _axiom_entries(mats: np.ndarray, f: LatticeElement) -> list[CheckEntry]:
     """``check_semigroup_axioms`` on ``mats``, the matrices Z at ``_axiom_times(s, t)``."""
     ident, zs, zt, zst, *zhs = mats
     entries = []
-    d0 = float(np.max(np.abs(ident - np.eye(len(ident)))))
+    d0 = float(np.abs(ident - np.eye(len(ident))).max())
     entries.append(CheckEntry("identity_at_zero", d0 <= _AXIOM_TOL, d0, _AXIOM_TOL))
 
-    dcomp = float(np.max(np.abs(zs @ zt - zst)))
-    comp_tol = _AXIOM_TOL * (1.0 + float(np.max(np.abs(zst))))
+    dcomp = float(np.abs(zs @ zt - zst).max())
+    comp_tol = _AXIOM_TOL * (1.0 + float(np.abs(zst).max()))
     entries.append(CheckEntry("composition", dcomp <= comp_tol, dcomp, comp_tol))
 
-    defects = [float(np.max(np.abs(zh @ f.values - f.values))) for zh in zhs]
+    defects = [float(np.abs(zh @ f.values - f.values).max()) for zh in zhs]
     decreasing = all(a >= b - _AXIOM_TOL for a, b in zip(defects, defects[1:]))
     worst = defects[-1]
     entries.append(CheckEntry("continuity_sweep_decreasing", decreasing, worst, _AXIOM_TOL))
@@ -569,16 +568,16 @@ def _positivity_entries(z: np.ndarray, f: LatticeElement) -> list[CheckEntry]:
     """``check_positivity_and_normalization`` on the matrix ``z`` = Z(t)."""
     entries = []
 
-    dnorm = float(np.max(np.abs(z.sum(axis=1) - 1.0)))
+    dnorm = float(np.abs(z.sum(axis=1) - 1.0).max())
     entries.append(CheckEntry("normalization", dnorm <= _AXIOM_TOL, dnorm, _AXIOM_TOL))
 
     zf = z @ f.values
     z_abs = z @ np.abs(f.values)
-    dmod = float(np.max(np.abs(zf) - z_abs))
+    dmod = float((np.abs(zf) - z_abs).max())
     entries.append(CheckEntry("modulus_bound", dmod <= _AXIOM_TOL, dmod, _AXIOM_TOL))
 
-    pos_in = float(np.max(np.maximum(f.values, 0.0)))
-    pos_out = float(np.max(np.maximum(zf, 0.0)))
+    pos_in = float(np.maximum(f.values, 0.0).max())
+    pos_out = float(np.maximum(zf, 0.0).max())
     dcontr = pos_out - pos_in
     entries.append(CheckEntry("positive_part_contraction", dcontr <= _AXIOM_TOL, dcontr, _AXIOM_TOL))
     return entries

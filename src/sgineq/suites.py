@@ -455,10 +455,10 @@ def run_semigroup_axiom_suite(generators, samples: int, seed: int) -> list[Check
                             + (fixed if last else []))
             if n:
                 zs, zt, zst = z[:n].reshape(-1, 3, gen.dim, gen.dim).swapaxes(0, 1)
-                worst_law = max(worst_law, float(np.max(np.abs(zs @ zt - zst))))
-                worst_neg = max(worst_neg, float(-np.min(zst)))
+                worst_law = max(worst_law, float(np.abs(zs @ zt - zst).max()))
+                worst_neg = max(worst_neg, float(-zst.min()))
                 if gen.conservative:
-                    worst_norm = max(worst_norm, float(np.max(np.abs(zst.sum(axis=-1) - 1.0))))
+                    worst_norm = max(worst_norm, float(np.abs(zst.sum(axis=-1) - 1.0).max()))
         entries.append(CheckEntry(f"{label}:composition", worst_law <= tol, worst_law, tol))
         entries.append(CheckEntry(f"{label}:nonnegativity", worst_neg <= 0.0, worst_neg, 0.0))
         if gen.conservative:

@@ -546,12 +546,16 @@ class TestOrderPsd:
         assert rep.min_quadform >= -rep.scaled_tol
 
 
-def _full_einsum_min(gram, n_xi, seed):
-    """The sampled minimum over every row, drawn as ``check_order_psd`` draws it."""
-    xi = np.random.default_rng(seed).normal(size=(n_xi, gram.pset.size))
+def _linalg_unit_rows(xi):
+    """The rows of xi over their ``np.linalg.norm``, a zero norm taken as 1."""
     norms = np.linalg.norm(xi, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    xi = xi / norms
+    return xi / norms
+
+
+def _full_einsum_min(gram, n_xi, seed):
+    """The sampled minimum over every row, drawn as ``check_order_psd`` draws it."""
+    xi = _linalg_unit_rows(np.random.default_rng(seed).normal(size=(n_xi, gram.pset.size)))
     return float(np.min(np.einsum("si,sj,ijk->sk", xi, xi, gram.entries)))
 
 
@@ -576,6 +580,68 @@ def _tie_grams():
     yield "repeated_diagonal", np.diag([-1.0, -1.0, -1.0, 2.0])[:, :, None] * np.array([1.0, 1.0])
     yield "subnormal_identity", -eye * 1e-310
     yield "rank_one", -np.ones((4, 4, 1))
+
+
+def _differing_rows(got, want):
+    """The indices of the rows of two float arrays whose bits differ."""
+    assert got.shape == want.shape
+    return np.flatnonzero((got.view(np.int64) != want.view(np.int64)).any(axis=1)).tolist()
+
+
+class _Drawn:
+    """A stand-in for a ``np.random.Generator`` whose standard normal draw is ``block``."""
+
+    def __init__(self, block):
+        self.block = block
+
+    def standard_normal(self, size):
+        assert size == self.block.shape
+        return self.block.copy()
+
+
+# p-set sizes on either side of numpy's 8-element pairwise block, and two past it
+_UNIT_ROW_SIZES = (*range(1, 10), 17, 33)
+# signed zeros, subnormals, and entries whose squares underflow or overflow
+_EDGE_DRAWS = (-0.0, 0.0, 5e-324, -5e-324, 2.0 ** -1022, 1e-300, -1e-300, 1e-160, 1e160,
+               1e300, -1e300)
+
+
+@st.composite
+def _edge_blocks(draw):
+    n = draw(st.sampled_from(_UNIT_ROW_SIZES))
+    size = n * draw(st.integers(1, 6))
+    entries = st.one_of(st.sampled_from(_EDGE_DRAWS), st.floats(-4.0, 4.0))
+    return np.array(draw(st.lists(entries, min_size=size, max_size=size))).reshape(-1, n)
+
+
+class TestUnitRows:
+    """``expconv._unit_rows`` against ``normal`` over ``np.linalg.norm``, row by row, bit for bit."""
+
+    @pytest.mark.parametrize("n_xi", [1, 7, 1000])
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 63 - 1))
+    def test_rows_match_normal_over_its_norms(self, n_xi, seed):
+        for n in _UNIT_ROW_SIZES:
+            got = expconv._unit_rows(np.random.default_rng(seed), n_xi, n)
+            want = _linalg_unit_rows(np.random.default_rng(seed).normal(size=(n_xi, n)))
+            assert _differing_rows(got, want) == [], n
+
+    @settings(max_examples=200, deadline=None)
+    @given(_edge_blocks())
+    @example(np.array([[-0.0, -0.0, -0.0],
+                       [0.0, -0.0, 0.0],
+                       [5e-324, -5e-324, 2.0 ** -1022],  # squares underflow: a zero norm
+                       [1e300, 1.0, -1e300],  # a square overflows: an infinite norm
+                       [1e-300, 2e-300, -1e-300],
+                       [1e160, 1e-160, -0.0],
+                       [-0.0, 3.0, -4.0]]))
+    def test_injected_block_is_normalized_as_normal_would_be(self, block):
+        # normal(0, 1) returns 0.0 + 1.0 z for the standard normal draw z; a
+        # square beyond double range overflows on both sides, as no draw does
+        with np.errstate(over="ignore"):
+            got = expconv._unit_rows(_Drawn(block), *block.shape)
+            want = _linalg_unit_rows(0.0 + 1.0 * block)
+        assert _differing_rows(got, want) == []
 
 
 class TestScreenedMinimum:
